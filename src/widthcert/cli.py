@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -52,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "kv", "json"), default="text",
                         help="output format (machine formats are deterministic)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="cap worker threads of the accelerated kernels")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("verify-delta", help="verify width, hollowness and facet incidences")
@@ -87,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        os.environ["WIDTHCERT_JOBS"] = str(args.jobs)
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.jobs))
-        except ImportError:
-            pass
     try:
         handler = {
             "verify-delta": _cmd_verify_delta,
@@ -107,6 +96,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PolytopeFileError, DegeneratePolytopeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except deltacert.IndefiniteWeightError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_MATH_FAIL
 
 
 def _emit(args, data: dict, text_lines: list[str]) -> None:

@@ -55,6 +55,10 @@ class CertificationError(AssertionError):
     """A structural check of the model failed (implementation bug signal)."""
 
 
+class IndefiniteWeightError(ValueError):
+    """The aggregate Hessian is not negative definite at 0 for this weight c."""
+
+
 # ---------------------------------------------------------------------------
 # fixed model data
 # ---------------------------------------------------------------------------
@@ -788,7 +792,8 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
     c = Fraction(c)
     cert = local_maximality_certificate(c)
     if not cert.full_hessian_negative_definite:
-        raise ValueError(f"aggregate Hessian is not negative definite at 0 for c={c}")
+        raise IndefiniteWeightError(
+            f"aggregate Hessian is not negative definite at 0 for c={c}")
     matrix = hessian_matrix_s(c)
     det = det_poly(matrix, method="modular")
     const = det.constant_term()

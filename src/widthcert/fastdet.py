@@ -12,7 +12,10 @@ heuristic:
   is submultiplicative for Z[sqrt2] polynomials);
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
-  against an exact field determinant at a random rational point.
+  against an exact field determinant at a fixed pseudo-random point of
+  Q(sqrt2)^nvars.  The polynomial side of that comparison is evaluated in
+  exact integer arithmetic: all denominators are cleared up front and the
+  sum runs over Python-int pairs (a, b) meaning a + b*sqrt2.
 """
 
 from __future__ import annotations
@@ -69,17 +72,18 @@ class _MonomialTable:
         return pos
 
     def shift_maps(self, level_deg: int, prev_deg: int, qexps: np.ndarray) -> np.ndarray:
-        """maps[r, q] = dense index of monomial_r - q in the degree<=prev_deg
+        """maps[q, r] = dense index of monomial_r - q in the degree<=prev_deg
         block, or the pad slot (size of that block) when the difference has a
-        negative exponent or too-high degree."""
+        negative exponent or too-high degree.  Shape (nq, size_k), int32,
+        q-major so that each q-row is contiguous for the kernel's gather."""
         cache_key = (level_deg, prev_deg)
         cached = self._map_cache.get(cache_key)
-        if cached is not None and cached.shape[1] == qexps.shape[0]:
+        if cached is not None and cached.shape[0] == qexps.shape[0]:
             return cached
         size_k = self.size_up_to[level_deg]
         size_prev = self.size_up_to[prev_deg]
         nq = qexps.shape[0]
-        maps = np.full((size_k, nq), size_prev, dtype=np.int32)
+        maps = np.full((nq, size_k), size_prev, dtype=np.int32)
         E = self.exps[:size_k].astype(np.int16)
         T = self.totals[:size_k].astype(np.int32)
         qtot = qexps.sum(axis=1).astype(np.int32)
@@ -94,7 +98,7 @@ class _MonomialTable:
             pos = np.searchsorted(self.keys[:size_prev], key)
             if np.any(self.keys[pos] != key):
                 raise AssertionError("shift map lookup failed")
-            maps[valid, qi] = pos.astype(np.int32)
+            maps[qi, valid] = pos.astype(np.int32)
         self._map_cache[cache_key] = maps
         return maps
 
@@ -278,12 +282,7 @@ def det_poly_modular(M: PolyMatrix, verify: bool = True) -> MvPoly:
 
 def _det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
     nq = coeff_int.shape[2]
-    cf = np.zeros((n, n, nq, 2), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for qi in range(nq):
-                cf[i, j, qi, 0] = int(coeff_int[i, j, qi, 0]) % p
-                cf[i, j, qi, 1] = int(coeff_int[i, j, qi, 1]) % p
+    cf = (coeff_int % p).astype(np.int64)
 
     prev_a = np.zeros((1, table.size_up_to[0] + 1), dtype=np.int64)
     prev_b = np.zeros((1, table.size_up_to[0] + 1), dtype=np.int64)
@@ -349,5 +348,37 @@ def _verify_against_field_det(M: PolyMatrix, result: MvPoly):
     point = [QSqrt2(Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
              for _ in range(M.nvars)]
-    if result.evaluate(point) != det_field(M.evaluate(point)):
+    if _evaluate_cleared(result, point) != det_field(M.evaluate(point)):
         raise AssertionError("modular determinant failed the evaluation check")
+
+
+def _evaluate_cleared(poly: MvPoly, point) -> QSqrt2:
+    """Exact poly(point) at QSqrt2 coordinates, on int pairs (a, b) = a + b*sqrt2.
+
+    With D the common denominator of the point and C that of the
+    coefficients, X = D*point is integral and C * D^maxdeg * poly(point) is
+    the sum over terms of (C*c_m) * D^(maxdeg - |m|) * X^m, an element of
+    Z[sqrt2]; one division at the end gives the value."""
+    den_x = lcm(*(f.denominator for x in point for f in (x.rat, x.irr)))
+    den_c = lcm(*(f.denominator for c in poly.terms.values() for f in (c.rat, c.irr)))
+    maxdeg = max(map(sum, poly.terms), default=0)
+    weights = [den_x ** (maxdeg - d) for d in range(maxdeg + 1)]
+    powers = [[(1, 0), (int(x.rat * den_x), int(x.irr * den_x))] for x in point]
+    total_a = total_b = 0
+    for m, c in poly.terms.items():
+        a = c.rat.numerator * (den_c // c.rat.denominator)
+        b = c.irr.numerator * (den_c // c.irr.denominator)
+        deg = 0
+        for i, e in enumerate(m):
+            if e:
+                deg += e
+                cache = powers[i]
+                while len(cache) <= e:
+                    (pa, pb), (xa, xb) = cache[-1], cache[1]
+                    cache.append((pa * xa + 2 * pb * xb, pa * xb + pb * xa))
+                xa, xb = cache[e]
+                a, b = a * xa + 2 * b * xb, a * xb + b * xa
+        total_a += a * weights[deg]
+        total_b += b * weights[deg]
+    scale = den_c * den_x ** maxdeg
+    return QSqrt2(Fraction(total_a, scale), Fraction(total_b, scale))

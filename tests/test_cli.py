@@ -118,6 +118,15 @@ def test_certify_local_fails_above_definiteness_range(capsys):
     assert "verdict: fail" in out
 
 
+def test_certify_neighborhood_hessian_rejects_indefinite_weight(capsys):
+    code, out, err = run_cli(capsys, "--format", "kv", "certify-neighborhood",
+                             "--with-hessian", "--c", "20")
+    assert code == EXIT_MATH_FAIL
+    assert out == ""
+    assert err.startswith("error: ") and "not negative definite" in err
+    assert "Traceback" not in err
+
+
 def test_certify_local_rejects_zero_c(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify-local", "--c", "0"])

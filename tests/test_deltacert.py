@@ -372,7 +372,6 @@ def test_hessian_bound_reproduces_published_columns():
         assert bound.display == display, f"c={c}: got {bound.display}"
 
 
-@pytest.mark.slow
 def test_hessian_bound_rejects_indefinite_weight():
     with pytest.raises(ValueError):
         dc.hessian_bound(Fr(14))

@@ -1,15 +1,22 @@
 """The modular determinant engine must agree with the direct term-level
-expansion everywhere, under both kernel backends."""
+expansion everywhere; its kernel and its exact evaluation check must agree
+with plain-Python references."""
 
 import random
 from fractions import Fraction as Fr
+from math import isqrt
 
+import numpy as np
 import pytest
 
 from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
 from widthcert.exactlinalg import PolyMatrix, det_poly
 from widthcert.fastdet import (
+    _evaluate_cleared,
+    _integerize,
+    _is_prime,
+    _verify_against_field_det,
     coefficient_norm_bound,
     det_poly_modular,
     monomial_table,
@@ -100,17 +107,147 @@ def test_modular_on_hessian_section_matches_laplace():
     assert len(fast.terms) > 50
 
 
-def test_numpy_backend_matches_numba_backend():
-    rng = random.Random(5)
-    M = _random_poly_matrix(rng, 3, 3)
-    expected = det_poly(M, method="laplace")
-    original = _kernels.HAVE_NUMBA
-    try:
-        _kernels.HAVE_NUMBA = False
-        assert det_poly_modular(M) == expected
-    finally:
-        _kernels.HAVE_NUMBA = original
-    assert det_poly_modular(M) == expected
+def _reference_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
+    """One Laplace level in Python ints: the oracle for `level_pass`."""
+    nsub, k, nq = coeff_a.shape
+    size_k = maps.shape[1]
+    out_a = np.zeros((nsub, size_k), dtype=np.int64)
+    out_b = np.zeros((nsub, size_k), dtype=np.int64)
+    for si in range(nsub):
+        for r in range(size_k):
+            acc_a = acc_b = 0
+            for t in range(k):
+                row = int(src_rows[si, t])
+                for q in range(nq):
+                    ca, cb = int(coeff_a[si, t, q]), int(coeff_b[si, t, q])
+                    m = int(maps[q, r])
+                    sa, sb = int(prev_a[row, m]), int(prev_b[row, m])
+                    acc_a += ca * sa + 2 * cb * sb
+                    acc_b += ca * sb + cb * sa
+            out_a[si, r] = acc_a % p
+            out_b[si, r] = acc_b % p
+    return out_a, out_b
+
+
+def _level_inputs(rng, p, nsub=3, k=2, nq=6, size_k=40, size_prev=30, extreme=False):
+    """Seeded kernel inputs; the last source column is the zero pad slot.
+    Coefficient pairs cycle through (0, 0), (a, 0), (0, b) and (a, b), and
+    maps hit the pad sentinel.  `extreme` sets every residue to p - 1."""
+    nrows = nsub + 1
+
+    def residue():
+        return p - 1 if extreme else rng.randrange(p)
+
+    prev_a = np.zeros((nrows, size_prev + 1), dtype=np.int64)
+    prev_b = np.zeros((nrows, size_prev + 1), dtype=np.int64)
+    for row in range(nrows):
+        for m in range(size_prev):
+            prev_a[row, m], prev_b[row, m] = residue(), residue()
+    maps = np.array([[size_prev if rng.random() < 0.2 else rng.randrange(size_prev)
+                      for _ in range(size_k)] for _ in range(nq)], dtype=np.int32)
+    coeff_a = np.zeros((nsub, k, nq), dtype=np.int64)
+    coeff_b = np.zeros((nsub, k, nq), dtype=np.int64)
+    for si in range(nsub):
+        for t in range(k):
+            for q in range(nq):
+                kind = (si + t + q) % 4
+                coeff_a[si, t, q] = residue() if kind in (1, 3) else 0
+                coeff_b[si, t, q] = residue() if kind in (2, 3) else 0
+    src_rows = np.array([[rng.randrange(nrows) for _ in range(k)] for _ in range(nsub)],
+                        dtype=np.int32)
+    return prev_a, prev_b, maps, coeff_a, coeff_b, src_rows
+
+
+def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
+    # outputs carry a pad column, as in the determinant, so rows are strided
+    nsub, size_k = coeff_a.shape[0], maps.shape[1]
+    out_a = np.full((nsub, size_k + 1), -1, dtype=np.int64)
+    out_b = np.full((nsub, size_k + 1), -1, dtype=np.int64)
+    _kernels.level_pass(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows,
+                        out_a[:, :size_k], out_b[:, :size_k], p)
+    return out_a[:, :size_k], out_b[:, :size_k]
+
+
+def _largest_admitted_prime(k, nq):
+    # the guard admits p exactly when k*nq*3*(p-1)^2 < 2^63
+    limit = 1 + isqrt((2**63 - 1) // (3 * k * nq))
+    return primes_below(limit + 1, 1)[0]
+
+
+@pytest.mark.parametrize("seed,p,extreme", [
+    (1, 7, False),
+    (2, 1_000_003, False),
+    (3, None, False),
+    (4, None, True),
+])
+def test_level_pass_matches_python_reference(seed, p, extreme):
+    rng = random.Random(seed)
+    if p is None:
+        p = _largest_admitted_prime(2, 6)
+    inputs = _level_inputs(rng, p, extreme=extreme)
+    got_a, got_b = _run_level(*inputs, p)
+    want_a, want_b = _reference_level(*inputs, p)
+    assert np.array_equal(got_a, want_a)
+    assert np.array_equal(got_b, want_b)
+
+
+def test_level_pass_guard_rejects_next_prime():
+    p = _largest_admitted_prime(2, 6)
+    q = p + 2
+    while not _is_prime(q):
+        q += 2
+    inputs = _level_inputs(random.Random(5), 7)
+    with pytest.raises(OverflowError):
+        _run_level(*inputs, q)
+    _run_level(*inputs, p)
+
+
+def test_level_pass_rejects_map_past_pad_slot():
+    prev_a, prev_b, maps, coeff_a, coeff_b, src_rows = _level_inputs(random.Random(6), 7)
+    maps[0, 0] = prev_a.shape[1]
+    with pytest.raises(IndexError):
+        _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, 7)
+
+
+def _random_scalar(rng, zero_rat=False, zero_irr=False):
+    rat = 0 if zero_rat else Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+    irr = 0 if zero_irr else Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+    return QSqrt2(rat, irr)
+
+
+def test_cleared_evaluation_matches_mvpoly_evaluate():
+    rng = random.Random(11)
+    nvars = 3
+    polys = [MvPoly(nvars), MvPoly.constant(QSqrt2(Fr(-5, 6), Fr(3, 4)), nvars)]
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            m = tuple(rng.randint(0, 4) for _ in range(nvars))
+            terms[m] = _random_scalar(rng, zero_rat=rng.random() < 0.3,
+                                      zero_irr=rng.random() < 0.3)
+        polys.append(MvPoly(nvars, terms))
+    points = [
+        [_random_scalar(rng) for _ in range(nvars)],
+        [_random_scalar(rng, zero_rat=True), _random_scalar(rng, zero_irr=True),
+         QSqrt2(Fr(1, 9))],
+        [QSqrt2(0), QSqrt2(0, Fr(-2, 5)), QSqrt2(Fr(7, 4), Fr(1, 6))],
+    ]
+    for poly in polys:
+        for point in points:
+            assert _evaluate_cleared(poly, point) == poly.evaluate(point)
+
+
+def test_verify_catches_a_single_tampered_coefficient():
+    rng = random.Random(12)
+    M = _random_poly_matrix(rng, 3, 2)
+    det = det_poly_modular(M)
+    _, scale = _integerize(M)
+    delta = Fr(1, scale**M.nrows)
+    for m in det.terms:
+        tampered = dict(det.terms)
+        tampered[m] = tampered[m] + delta
+        with pytest.raises(AssertionError):
+            _verify_against_field_det(M, MvPoly(M.nvars, tampered))
 
 
 def test_constant_matrix_determinant():
