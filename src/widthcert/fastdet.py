@@ -13,9 +13,9 @@ heuristic:
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
-  Q(sqrt2)^nvars.  The polynomial side of that comparison is evaluated in
-  exact integer arithmetic: all denominators are cleared up front and the
-  sum runs over Python-int pairs (a, b) meaning a + b*sqrt2.
+  Q(sqrt2)^nvars.  `MvPoly.evaluate` does the polynomial side of that
+  comparison in exact integer arithmetic: all denominators are cleared up
+  front and the sum runs over Python-int pairs (a, b) meaning a + b*sqrt2.
 """
 
 from __future__ import annotations
@@ -348,37 +348,6 @@ def _verify_against_field_det(M: PolyMatrix, result: MvPoly):
     point = [QSqrt2(Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
              for _ in range(M.nvars)]
-    if _evaluate_cleared(result, point) != det_field(M.evaluate(point)):
+    if result.evaluate(point) != det_field(M.evaluate(point)):
         raise AssertionError("modular determinant failed the evaluation check")
 
-
-def _evaluate_cleared(poly: MvPoly, point) -> QSqrt2:
-    """Exact poly(point) at QSqrt2 coordinates, on int pairs (a, b) = a + b*sqrt2.
-
-    With D the common denominator of the point and C that of the
-    coefficients, X = D*point is integral and C * D^maxdeg * poly(point) is
-    the sum over terms of (C*c_m) * D^(maxdeg - |m|) * X^m, an element of
-    Z[sqrt2]; one division at the end gives the value."""
-    den_x = lcm(*(f.denominator for x in point for f in (x.rat, x.irr)))
-    den_c = lcm(*(f.denominator for c in poly.terms.values() for f in (c.rat, c.irr)))
-    maxdeg = max(map(sum, poly.terms), default=0)
-    weights = [den_x ** (maxdeg - d) for d in range(maxdeg + 1)]
-    powers = [[(1, 0), (int(x.rat * den_x), int(x.irr * den_x))] for x in point]
-    total_a = total_b = 0
-    for m, c in poly.terms.items():
-        a = c.rat.numerator * (den_c // c.rat.denominator)
-        b = c.irr.numerator * (den_c // c.irr.denominator)
-        deg = 0
-        for i, e in enumerate(m):
-            if e:
-                deg += e
-                cache = powers[i]
-                while len(cache) <= e:
-                    (pa, pb), (xa, xb) = cache[-1], cache[1]
-                    cache.append((pa * xa + 2 * pb * xb, pa * xb + pb * xa))
-                xa, xb = cache[e]
-                a, b = a * xa + 2 * b * xb, a * xb + b * xa
-        total_a += a * weights[deg]
-        total_b += b * weights[deg]
-    scale = den_c * den_x ** maxdeg
-    return QSqrt2(Fraction(total_a, scale), Fraction(total_b, scale))

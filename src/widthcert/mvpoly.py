@@ -10,6 +10,7 @@ orders terms by graded lexicographic order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
@@ -183,21 +184,39 @@ class MvPoly:
         return [[firsts[i].partial(j) for j in range(self.nvars)] for i in range(self.nvars)]
 
     def evaluate(self, point: Sequence) -> QSqrt2:
+        """Exact value at a point of Q(sqrt2)^nvars, summed on Python-int
+        pairs (a, b) meaning a + b*sqrt2.
+
+        With D the common denominator of the point and C that of the
+        coefficients, X = D*point is integral and C * D^maxdeg * self(point)
+        is the sum over terms of (C*c_m) * D^(maxdeg - |m|) * X^m, an element
+        of Z[sqrt2]; one division at the end gives the value."""
         pt = [QSqrt2.coerce(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("evaluation point has wrong dimension")
-        powers: list[list[QSqrt2]] = [[QS2_ONE] for _ in range(self.nvars)]
-        total = QS2_ZERO
+        den_x = lcm(*(f.denominator for x in pt for f in (x.rat, x.irr)))
+        den_c = lcm(*(f.denominator for c in self.terms.values() for f in (c.rat, c.irr)))
+        maxdeg = max(map(sum, self.terms), default=0)
+        weights = [den_x ** (maxdeg - d) for d in range(maxdeg + 1)]
+        powers = [[(1, 0), (int(x.rat * den_x), int(x.irr * den_x))] for x in pt]
+        total_a = total_b = 0
         for m, c in self.terms.items():
-            v = c
+            a = c.rat.numerator * (den_c // c.rat.denominator)
+            b = c.irr.numerator * (den_c // c.irr.denominator)
+            deg = 0
             for i, e in enumerate(m):
                 if e:
+                    deg += e
                     cache = powers[i]
                     while len(cache) <= e:
-                        cache.append(cache[-1] * pt[i])
-                    v = v * cache[e]
-            total = total + v
-        return total
+                        (pa, pb), (xa, xb) = cache[-1], cache[1]
+                        cache.append((pa * xa + 2 * pb * xb, pa * xb + pb * xa))
+                    xa, xb = cache[e]
+                    a, b = a * xa + 2 * b * xb, a * xb + b * xa
+            total_a += a * weights[deg]
+            total_b += b * weights[deg]
+        scale = den_c * den_x ** maxdeg
+        return QSqrt2(Fraction(total_a, scale), Fraction(total_b, scale))
 
     def substitute_linear(self, matrix: Sequence[Sequence], offset: Sequence | None = None) -> "MvPoly":
         """Compose with an affine change of variables: returns p(A*x + b).

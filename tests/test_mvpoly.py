@@ -81,6 +81,49 @@ def test_graded_part_of_missing_degree_is_zero():
     assert p.graded_part(3) == MvPoly.zero(3)
 
 
+# -- evaluation ----------------------------------------------------------------------
+
+
+def _naive_evaluate(poly, point):
+    """Reference value: the plain QSqrt2 sum over terms of c_m * x^m."""
+    total = QSqrt2(0)
+    for m, c in poly.terms.items():
+        v = c
+        for xi, e in zip(point, m):
+            v = v * xi ** e
+        total = total + v
+    return total
+
+
+def _random_scalar(rng, zero_rat=False, zero_irr=False):
+    rat = 0 if zero_rat else Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+    irr = 0 if zero_irr else Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12)))
+    return QSqrt2(rat, irr)
+
+
+def test_evaluate_matches_naive_sum_of_terms():
+    rng = random.Random(11)
+    nvars = 3
+    polys = [MvPoly(nvars), MvPoly.constant(QSqrt2(Fr(-5, 6), Fr(3, 4)), nvars)]
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            m = tuple(rng.randint(0, 4) for _ in range(nvars))
+            terms[m] = _random_scalar(rng, zero_rat=rng.random() < 0.3,
+                                      zero_irr=rng.random() < 0.3)
+        polys.append(MvPoly(nvars, terms))
+    points = [
+        [_random_scalar(rng) for _ in range(nvars)],
+        [_random_scalar(rng, zero_rat=True), _random_scalar(rng, zero_irr=True),
+         QSqrt2(Fr(1, 9))],
+        [QSqrt2(0), QSqrt2(0, Fr(-2, 5)), QSqrt2(Fr(7, 4), Fr(1, 6))],
+        [Fr(3, 8), 2, Fr(-1, 3)],
+    ]
+    for poly in polys:
+        for point in points:
+            assert poly.evaluate(point) == _naive_evaluate(poly, [QSqrt2.coerce(x) for x in point])
+
+
 # -- calculus ------------------------------------------------------------------------
 
 
