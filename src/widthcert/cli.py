@@ -6,10 +6,19 @@
   width                 exact lattice width of a polytope from a file
   global-bounds         certified width/volume window for any maximizer
 
-Exit codes: 0 all certificates pass, 1 a mathematical check failed,
-2 usage or parse error.  Output formats: human text (default), `kv`
-(sorted key=value lines) and `json`; the machine formats are byte-stable
-across runs.
+Exit codes, all decided in `main`:
+
+  0  every certificate passes
+  1  a mathematical check failed: a certificate's verdict is fail, or a
+     `CertificationError`, `IndefiniteWeightError` or
+     `UndecidedComparison` was raised
+  2  usage or parse error: bad arguments, an unreadable or malformed
+     polytope file, or a degenerate polytope
+
+Any exception `main` maps prints one `error: ...` line on stderr and
+nothing on stdout; no failure ends in a traceback.  Output formats: human
+text (default), `kv` (sorted key=value lines) and `json`; the machine
+formats are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from fractions import Fraction
 
 from . import deltacert, globalbounds
 from .deltacert import format_decimals
+from .exactnum import UndecidedComparison
 from .polyfile import PolytopeFileError, format_scalar, parse_polytope_file
 from .widthlab import DegeneratePolytopeError, lattice_width
 
@@ -96,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PolytopeFileError, DegeneratePolytopeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except deltacert.IndefiniteWeightError as err:
+    except (deltacert.CertificationError, deltacert.IndefiniteWeightError,
+            UndecidedComparison) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MATH_FAIL
 
@@ -132,12 +143,7 @@ def _flatten(data, prefix="") -> dict:
 def _cmd_verify_delta(args) -> int:
     from .widthlab import barycentric_coordinates, facet_hyperplanes, hollow_check
 
-    try:
-        model = deltacert.build_delta_model(check=True)
-    except deltacert.CertificationError as err:
-        print(f"FAIL: {err}", file=sys.stderr)
-        return EXIT_MATH_FAIL
-
+    model = deltacert.build_delta_model(check=True)
     wr = lattice_width(model.polytope, model.lattice)
     hollow = hollow_check(model.polytope, model.lattice)
     facets = facet_hyperplanes(model.polytope)
@@ -282,18 +288,10 @@ def _cmd_certify_neighborhood(args) -> int:
 
 
 def _cmd_width(args) -> int:
-    try:
-        with open(args.polytope, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        print(f"error: cannot read {args.polytope}: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        polytope, lattice = parse_polytope_file(text)
-        result = lattice_width(polytope, lattice)
-    except (PolytopeFileError, DegeneratePolytopeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.polytope, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    polytope, lattice = parse_polytope_file(text)
+    result = lattice_width(polytope, lattice)
     enc = result.width.enclosure(Fraction(1, 10**9))
     data = {
         "width": format_scalar(result.width),

@@ -16,7 +16,6 @@ presentation only.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,12 +34,12 @@ from .exactlinalg import (
     restrict_quadratic_form,
     spans_same_space,
 )
-from .mvpoly import MvPoly, UniPoly, cauchy_companion, companion_root_enclosure
+from .mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from .widthlab import (
     AffineLattice,
-    Functional,
     Polytope,
     barycentric_coordinates,
+    dual_functional,
     dual_lattice,
     facet_hyperplanes,
     hollow_check,
@@ -162,23 +161,14 @@ def _check_model(model: DeltaModel):
     if len(wr.minimizers) != 7:
         raise CertificationError(f"expected 7 width minimizers, got {len(wr.minimizers)}")
     duals = dual_lattice(model.lattice)
-    expected = {
-        Functional([
-            sum((duals[k].coeffs[r] * u[k] for k in range(3)), QS2_ZERO)
-            for r in range(3)
-        ]).canonical_sign()
-        for u in model.dual_int_vectors
-    }
+    expected = {dual_functional(duals, u).canonical_sign() for u in model.dual_int_vectors}
     if set(wr.minimizers) != expected:
         raise CertificationError("width minimizers do not match the dual-basis vectors")
 
-    grads = [hp.gradient_at_zero() for hp in build_h_polys(perturbation_ring(model), model)]
-    combo = [QS2_ZERO] * NVARS
-    for lam, g in zip(model.multipliers, grads):
-        for k in range(NVARS):
-            combo[k] = combo[k] + lam * g[k]
-    if any(combo):
-        raise CertificationError("multiplier combination of gradients is not zero")
+    grads = [hp.gradient_at_zero() for hp in build_h_polys(PerturbationRing(model), model)]
+    if not check_dependence(grads, model.multipliers):
+        raise CertificationError(
+            "multiplier combination of gradients is not zero, or their rank is not 5")
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +529,7 @@ class Pipeline:
 
     def __init__(self):
         self.model = build_delta_model(check=False)
-        self.ring = perturbation_ring(self.model)
+        self.ring = PerturbationRing(self.model)
         self.h_polys = build_h_polys(self.ring, self.model)
         self.scoords = SCoords()
         self.linear_s = [
@@ -549,15 +539,7 @@ class Pipeline:
         self.adjugate_s = self.ring.adjugate.map_entries(self.scoords.to_s)
 
 
-_RING_CACHE: dict[int, PerturbationRing] = {}
 _PIPELINE: Pipeline | None = None
-
-
-def perturbation_ring(model: DeltaModel) -> PerturbationRing:
-    key = id(model)
-    if key not in _RING_CACHE:
-        _RING_CACHE[key] = PerturbationRing(model)
-    return _RING_CACHE[key]
 
 
 def get_pipeline() -> Pipeline:
@@ -572,19 +554,13 @@ def get_pipeline() -> Pipeline:
 # ---------------------------------------------------------------------------
 
 
-def format_decimals(x: Fraction, places: int = 5, mode: str = "round") -> str:
-    """Fixed-point decimal string of a rational.  mode="round" rounds half
-    away from zero; mode="trunc" rounds toward zero."""
+def format_decimals(x: Fraction, places: int = 5) -> str:
+    """Fixed-point decimal string of a rational, rounded half away from zero."""
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     x = abs(x)
     scaled = x * 10**places
-    if mode == "round":
-        n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    elif mode == "trunc":
-        n = scaled.numerator // scaled.denominator
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
     digits = str(n).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
@@ -598,8 +574,8 @@ def truncate_rational(x: Fraction, places: int = 7) -> Fraction:
 def _display_5(lo: Fraction, hi: Fraction) -> str:
     """Rounded 5-decimal display of a value known to lie in [lo, hi]; the
     enclosure must be tight enough that both ends agree."""
-    out = format_decimals(lo, 5, "round")
-    if format_decimals(hi, 5, "round") != out:
+    out = format_decimals(lo, 5)
+    if format_decimals(hi, 5) != out:
         raise CertificationError("enclosure too wide for a 5-decimal display")
     return out
 
@@ -783,18 +759,22 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
     """Condition (iv): the aggregate's second-derivative matrix stays
     negative definite.
 
-    It is negative definite at 0 (checked), so by continuity it remains so
-    on any connected neighborhood where its determinant never vanishes; the
+    It is negative definite at 0, so by continuity it remains so on any
+    connected neighborhood where its determinant never vanishes; the
     coefficient-companion root of the degree-16 determinant polynomial gives
     such a neighborhood.  This is the expensive step; the determinant is
     computed by the certified modular engine.
+
+    Definiteness at 0 is decided on the matrix itself, evaluated at s = 0,
+    before any determinant is computed.  Since t = T s has no offset, that
+    value is the Hessian of the aggregate's quadratic part, the same matrix
+    `local_maximality_certificate` tests for `full_hessian_negative_definite`.
     """
     c = Fraction(c)
-    cert = local_maximality_certificate(c)
-    if not cert.full_hessian_negative_definite:
+    matrix = hessian_matrix_s(c)
+    if not is_negative_definite(matrix.evaluate([QS2_ZERO] * NVARS)):
         raise IndefiniteWeightError(
             f"aggregate Hessian is not negative definite at 0 for c={c}")
-    matrix = hessian_matrix_s(c)
     det = det_poly(matrix, method="modular")
     const = det.constant_term()
     if const.sign() <= 0:
@@ -864,59 +844,6 @@ class CertificateReport:
     @property
     def verdict(self) -> bool:
         return self.local.verdict and self.symmetry.verdict and self.overall > 0
-
-    def to_kv(self) -> str:
-        pairs = {
-            "c": str(self.c),
-            "verdict": "pass" if self.verdict else "fail",
-            "local_verdict": "pass" if self.local.verdict else "fail",
-            "symmetry_verdict": "pass" if self.symmetry.verdict else "fail",
-            "hessian_included": "true" if self.hessian_included else "false",
-            "overall_certified": str(self.overall),
-            "overall_display": self.overall_display,
-            "barycentric_certified": str(self.barycentric),
-            "barycentric_display": self.barycentric_display,
-        }
-        for key, bound in self.bounds.items():
-            if bound is None:
-                pairs[f"radius_{key}"] = "skipped"
-            else:
-                pairs[f"radius_{key}_certified"] = str(bound.certified)
-                pairs[f"radius_{key}_display"] = bound.display
-        return "".join(f"{k}={v}\n" for k, v in sorted(pairs.items()))
-
-    def to_json(self) -> str:
-        data = {
-            "c": str(self.c),
-            "verdict": self.verdict,
-            "local": {
-                "gradients_match_published": self.local.gradients_match_published,
-                "dependence_ok": self.local.dependence_ok,
-                "gradient_rank": self.local.gradient_rank,
-                "kernel_dim": self.local.kernel_dim,
-                "kernel_matches": self.local.kernel_matches,
-                "restricted_negative_definite": self.local.restricted_negative_definite,
-                "full_hessian_negative_definite": self.local.full_hessian_negative_definite,
-            },
-            "symmetry": {
-                "vertex_cycle_ok": self.symmetry.vertex_cycle_ok,
-                "facet_point_cycle_ok": self.symmetry.facet_point_cycle_ok,
-                "elimination_equivariant": self.symmetry.elimination_equivariant,
-                "s_shift_is_pair_rotation": self.symmetry.s_shift_is_pair_rotation,
-            },
-            "bounds": {
-                key: None if bound is None else {
-                    "certified": str(bound.certified),
-                    "display": bound.display,
-                    "detail": {k: str(v) for k, v in bound.detail.items()},
-                }
-                for key, bound in self.bounds.items()
-            },
-            "overall": {"certified": str(self.overall), "display": self.overall_display},
-            "barycentric": {"certified": str(self.barycentric), "display": self.barycentric_display},
-            "hessian_included": self.hessian_included,
-        }
-        return json.dumps(data, sort_keys=True, indent=2)
 
 
 def certify(c: Fraction, with_hessian: bool = False,

@@ -229,12 +229,6 @@ def is_negative_definite(H: QMatrix) -> bool:
     return True
 
 
-def is_positive_definite(H: QMatrix) -> bool:
-    if not H.is_symmetric():
-        raise ValueError("definiteness test requires a symmetric matrix")
-    return all(minor.sign() > 0 for minor in leading_principal_minors(H))
-
-
 def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
     """Coefficients (ascending) of det(x*I - H), via the Faddeev-LeVerrier
     recurrence; used as an eigenvalue-free definiteness oracle in tests."""
@@ -312,7 +306,7 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols}, nvars={self.nvars})"
 
 
-def det_poly(M: PolyMatrix, method: str = "auto") -> MvPoly:
+def det_poly(M: PolyMatrix, method: str) -> MvPoly:
     """Exact polynomial determinant.
 
     Expansion is Laplace along rows with the 2^n table of column-subset
@@ -320,14 +314,10 @@ def det_poly(M: PolyMatrix, method: str = "auto") -> MvPoly:
     engine: "laplace" runs directly on MvPoly terms; "modular" runs the same
     expansion densely over several word-size primes and reconstructs the
     integer coefficients through a certified CRT bound (much faster for large
-    matrices); "auto" picks by size.
+    matrices).
     """
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
-    if method == "auto":
-        n = M.nrows
-        terms = sum(len(e.terms) for row in M.rows for e in row)
-        method = "modular" if n >= 7 and terms > 200 else "laplace"
     if method == "laplace":
         return _det_laplace(M)
     if method == "modular":

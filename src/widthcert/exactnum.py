@@ -204,9 +204,6 @@ class QSqrt2:
             return RatInterval(self.rat + self.irr * lo, self.rat + self.irr * hi)
         return RatInterval(self.rat + self.irr * hi, self.rat + self.irr * lo)
 
-    def is_rational(self) -> bool:
-        return self.irr == 0
-
     # -- display ----------------------------------------------------------------
 
     def __repr__(self):

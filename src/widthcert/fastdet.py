@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -61,15 +61,6 @@ class _MonomialTable:
         for i in range(exps.shape[1]):
             key = key | (exps[:, i].astype(np.int64) << (_EXP_BITS * i))
         return key
-
-    def index_of(self, monomial) -> int:
-        e = np.array([monomial], dtype=np.int8)
-        t = np.array([sum(monomial)], dtype=np.int16)
-        key = self._pack(e, t)[0]
-        pos = int(np.searchsorted(self.keys, key))
-        if pos >= len(self.keys) or self.keys[pos] != key:
-            raise KeyError(f"monomial {monomial} outside table")
-        return pos
 
     def shift_maps(self, level_deg: int, prev_deg: int, qexps: np.ndarray) -> np.ndarray:
         """maps[q, r] = dense index of monomial_r - q in the degree<=prev_deg
@@ -217,7 +208,7 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def det_poly_modular(M: PolyMatrix, verify: bool = True) -> MvPoly:
+def det_poly_modular(M: PolyMatrix) -> MvPoly:
     """Exact determinant of a square PolyMatrix via CRT over dense residue
     arrays.  See the module docstring for the soundness argument."""
     if not M.is_square():
@@ -274,9 +265,7 @@ def det_poly_modular(M: PolyMatrix, verify: bool = True) -> MvPoly:
         m = tuple(int(x) for x in table.exps[idx])
         terms[m] = QSqrt2(Fraction(a) / denom, Fraction(b) / denom)
     result = MvPoly(nvars, terms)
-
-    if verify:
-        _verify_against_field_det(M, result)
+    _verify_against_field_det(M, result)
     return result
 
 

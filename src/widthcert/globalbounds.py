@@ -5,7 +5,9 @@ empty lattice polytopes.
 The covering minima, successive minima and volumes of a general body are
 never computed here; they enter only as names in the derivation notes.  What
 gets certified is every numeric inequality between the closed-form constants
-those derivations produce, through rational interval enclosures.
+those derivations produce, through rational interval enclosures.  Each
+inequality is stated once, in `INEQUALITIES`; the reports and the replayed
+chain are two views of that table.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .exactnum import (
     AlgExpr,
     QSqrt2,
     RatInterval,
-    SQRT2,
     alg,
     cbrt,
     certify_less,
@@ -26,36 +27,6 @@ from .exactnum import (
 )
 
 DEFAULT_PRECISION = Fraction(1, 10**9)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    expression: AlgExpr
-    enclosure: RatInterval
-    claimed: Fraction
-    relation: str  # "<" or ">"
-    verdict: bool
-    note: str = ""
-
-    def describe(self) -> str:
-        status = "certified" if self.verdict else "FAILED"
-        return (f"{self.name}: value in [{float(self.enclosure.lo):.6f}, "
-                f"{float(self.enclosure.hi):.6f}] {self.relation} {self.claimed} ... {status}")
-
-
-def _report(name: str, expr: AlgExpr, relation: str, claimed: Fraction,
-            precision: Fraction, note: str = "") -> BoundReport:
-    claimed = Fraction(claimed)
-    enclosure = interval_eval(expr, precision)
-    if relation == "<":
-        verdict = certify_less(expr, alg(claimed))
-    elif relation == ">":
-        verdict = certify_less(alg(claimed), expr)
-    else:
-        raise ValueError(f"relation must be '<' or '>', got {relation!r}")
-    return BoundReport(name=name, expression=expr, enclosure=enclosure,
-                       claimed=claimed, relation=relation, verdict=verdict, note=note)
 
 
 # closed-form constants of the chains -------------------------------------------------
@@ -81,7 +52,113 @@ def min_shrink_expr() -> AlgExpr:
     return 1 - planar_flatness_expr() / width_record_expr()
 
 
-# the §-style chain, replayed step by step -------------------------------------------
+# the inequality table --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One certified comparison `expression relation claimed`, named once as
+    a step of the chain and (unless `report_name` is None) once as a report.
+    `integer_cap`, when set, is the largest integer strictly below `claimed`
+    that the quantity 6 vol(P) can take."""
+
+    chain_name: str
+    statement: str
+    expression: AlgExpr
+    relation: str  # "<" or ">"
+    claimed: Fraction | AlgExpr
+    report_name: str | None = None
+    note: str = ""
+    integer_cap: int | None = None
+
+    def certified(self) -> bool:
+        if self.relation == "<":
+            return certify_less(self.expression, self.claimed)
+        if self.relation == ">":
+            return certify_less(self.claimed, self.expression)
+        raise ValueError(f"relation must be '<' or '>', got {self.relation!r}")
+
+
+# Symbols: mu1..mu3 covering minima of a maximizer K, lam1..lam3 successive
+# minima of K-K, w = width = 1/mu1.  Cited facts used as derivation rules
+# (not re-proved here):
+#   [C1] mu3 <= mu2 + lam1            (covering minima chain)
+#   [C2] mu2 <= (1 + 2/sqrt3) mu1     (planar flatness, exact)
+#   [C3] lam1^3 vol(K-K) <= 8         (symmetric-body volume bound)
+#   [C4] vol((K-K)*) <= 8 mu1^3       (dual-body volume bound)
+#   [C5] 8 vol(K) <= vol(K-K) <= 20 vol(K)
+#   [C6] 32/3 <= vol(K-K) vol((K-K)*) (symmetric-body duality bound)
+#   [C7] 1 <= mu3 for hollow K
+#   [C8] w >= 2 + sqrt2 for a maximizer (witness tetrahedron)
+INEQUALITIES = (
+    # 1 <= (1 + 2/sqrt3) mu1 + lam1 from [C7], [C1], [C2];
+    # with mu1 <= 1/(2+sqrt2) from [C8]: lam1 >= 1 - (1+2/sqrt3)/(2+sqrt2) > 0
+    Inequality(
+        "lam1_lower",
+        "lam1 >= 1 - (1+2/sqrt3)/(2+sqrt2), and that constant is positive",
+        min_shrink_expr(), ">", Fraction(0),
+        "lam1_floor", "lam1(K-K) >= 1 - (1+2/sqrt3)/(2+sqrt2)",
+    ),
+    # 1 <= (1+2/sqrt3) mu1 + 2/vol(K-K)^(1/3) <= (1+2/sqrt3+2(3/4)^(1/3)) mu1
+    # via [C3] then [C6]+[C4]: 4 <= 3 mu1^3 vol(K-K); hence w <= flatness cap
+    Inequality(
+        "width_cap",
+        "w <= 1 + 2/sqrt3 + 2*(3/4)^(1/3) < 3.972",
+        flatness3_cap_expr(), "<", Fraction("3.972"),
+        "width_cap", "w(K) <= 1 + 2/sqrt3 + 2*(3/4)^(1/3)",
+    ),
+    # sanity: the record width sits strictly inside the proven window
+    Inequality(
+        "window_contains_record",
+        "2 + sqrt2 < width cap",
+        width_record_expr(), "<", flatness3_cap_expr(),
+    ),
+    Inequality(
+        "record_above_floor",
+        "3.414 < 2 + sqrt2",
+        width_record_expr(), ">", Fraction("3.414"),
+        "width_floor", "w(K) >= 2 + sqrt2 via the record tetrahedron",
+    ),
+    # vol(K) >= vol(K-K)/20 >= (4/(3 mu1^3))/20 = w^3/15 >= (2+sqrt2)^3/15 > 2.653
+    Inequality(
+        "volume_floor",
+        "vol(K) >= (2+sqrt2)^3/15 > 2.653",
+        width_record_expr()**3 / 15, ">", Fraction("2.653"),
+        "volume_floor", "vol(K) >= (2+sqrt2)^3/15 = (20+14*sqrt2)/15",
+    ),
+    # vol(K) <= vol(K-K)/8 <= 1/lam1^3 <= 1/shrink^3 < 19.919
+    Inequality(
+        "volume_cap",
+        "vol(K) <= 1/lam1^3 < 19.919",
+        1 / min_shrink_expr()**3, "<", Fraction("19.919"),
+        "volume_cap", "vol(K) <= 1/lam1(K-K)^3",
+    ),
+    # inscribed empty 3-polytope P: lam3(P-P) = 1 (width-one slab), so
+    # vol(P-P) <= 8/lam1^2 and vol(P) <= 1/lam1(K-K)^2; 6 vol(P) integer
+    Inequality(
+        "inscribed_general",
+        "6 vol(P) <= 6/lam1^2 < 45, so vol(P) <= 44/6 = 22/3",
+        6 / min_shrink_expr()**2, "<", Fraction(45),
+        "inscribed_general", "6 vol(P) <= 6/lam1^2; integer below 45 is at most 44",
+        integer_cap=44,
+    ),
+    # tetrahedron case: vol(P-P) = 20 vol(P), so vol(P) <= 8/(20 lam1^2)
+    Inequality(
+        "inscribed_tetrahedron",
+        "6 vol(P) <= 6*0.4/lam1^2 < 18, so vol(P) <= 17/6",
+        6 * Fraction(2, 5) / min_shrink_expr()**2, "<", Fraction(18),
+        "inscribed_tetrahedron", "6 vol(P) <= 2.4/lam1^2; integer below 18 is at most 17",
+        integer_cap=17,
+    ),
+)
+
+#: order of `all_reports`: the width window, lam1, the volume window, the
+#: inscribed caps
+_REPORT_ORDER = ("width_floor", "width_cap", "lam1_floor", "volume_floor", "volume_cap",
+                 "inscribed_general", "inscribed_tetrahedron")
+
+
+# the chain, replayed step by step ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -93,109 +170,44 @@ class ChainStep:
 
 def replay_inequality_chain() -> list[ChainStep]:
     """Re-derive the width/volume window for a maximizer K, certifying every
-    numeric comparison along the way.  Symbols: mu1..mu3 covering minima of
-    K, lam1..lam3 successive minima of K-K, w = width = 1/mu1.
-
-    Cited facts used as derivation rules (not re-proved here):
-      [C1] mu3 <= mu2 + lam1            (covering minima chain)
-      [C2] mu2 <= (1 + 2/sqrt3) mu1     (planar flatness, exact)
-      [C3] lam1^3 vol(K-K) <= 8         (symmetric-body volume bound)
-      [C4] vol((K-K)*) <= 8 mu1^3       (dual-body volume bound)
-      [C5] 8 vol(K) <= vol(K-K) <= 20 vol(K)
-      [C6] 32/3 <= vol(K-K) vol((K-K)*) (symmetric-body duality bound)
-      [C7] 1 <= mu3 for hollow K
-      [C8] w >= 2 + sqrt2 for a maximizer (witness tetrahedron)
-    """
-    steps: list[ChainStep] = []
-    w0 = width_record_expr()
-    planar = planar_flatness_expr()
-    shrink = min_shrink_expr()
-
-    # 1 <= (1 + 2/sqrt3) mu1 + lam1 from [C7], [C1], [C2];
-    # with mu1 <= 1/(2+sqrt2) from [C8]: lam1 >= 1 - (1+2/sqrt3)/(2+sqrt2) > 0
-    steps.append(ChainStep(
-        name="lam1_lower",
-        statement="lam1 >= 1 - (1+2/sqrt3)/(2+sqrt2), and that constant is positive",
-        certified=certify_less(alg(0), shrink),
-    ))
-
-    # 1 <= (1+2/sqrt3) mu1 + 2/vol(K-K)^(1/3) <= (1+2/sqrt3+2(3/4)^(1/3)) mu1
-    # via [C3] then [C6]+[C4]: 4 <= 3 mu1^3 vol(K-K); hence w <= flatness cap
-    steps.append(ChainStep(
-        name="width_cap",
-        statement="w <= 1 + 2/sqrt3 + 2*(3/4)^(1/3) < 3.972",
-        certified=certify_less(flatness3_cap_expr(), alg(Fraction("3.972"))),
-    ))
-
-    # sanity: the record width sits strictly inside the proven window
-    steps.append(ChainStep(
-        name="window_contains_record",
-        statement="2 + sqrt2 < width cap",
-        certified=certify_less(w0, flatness3_cap_expr()),
-    ))
-    steps.append(ChainStep(
-        name="record_above_floor",
-        statement="3.414 < 2 + sqrt2",
-        certified=certify_less(alg(Fraction("3.414")), w0),
-    ))
-
-    # vol(K) >= vol(K-K)/20 >= (4/(3 mu1^3))/20 = w^3/15 >= (2+sqrt2)^3/15 > 2.653
-    steps.append(ChainStep(
-        name="volume_floor",
-        statement="vol(K) >= (2+sqrt2)^3/15 > 2.653",
-        certified=certify_less(alg(Fraction("2.653")), w0**3 / 15),
-    ))
-
-    # vol(K) <= vol(K-K)/8 <= 1/lam1^3 <= 1/shrink^3 < 19.919
-    steps.append(ChainStep(
-        name="volume_cap",
-        statement="vol(K) <= 1/lam1^3 < 19.919",
-        certified=certify_less(1 / shrink**3, alg(Fraction("19.919"))),
-    ))
-
-    # inscribed empty 3-polytope P: lam3(P-P) = 1 (width-one slab), so
-    # vol(P-P) <= 8/lam1^2 and vol(P) <= 1/lam1(K-K)^2; 6 vol(P) integer
-    steps.append(ChainStep(
-        name="inscribed_general",
-        statement="6 vol(P) <= 6/lam1^2 < 45, so vol(P) <= 44/6 = 22/3",
-        certified=certify_less(6 / shrink**2, alg(45)),
-    ))
-    # tetrahedron case: vol(P-P) = 20 vol(P), so vol(P) <= 8/(20 lam1^2)
-    steps.append(ChainStep(
-        name="inscribed_tetrahedron",
-        statement="6 vol(P) <= 6*0.4/lam1^2 < 18, so vol(P) <= 17/6",
-        certified=certify_less(6 * Fraction(2, 5) / shrink**2, alg(18)),
-    ))
-    return steps
+    numeric comparison along the way (the derivation is annotated on
+    `INEQUALITIES`)."""
+    return [ChainStep(row.chain_name, row.statement, row.certified())
+            for row in INEQUALITIES]
 
 
-# the four reporting operations -----------------------------------------------------
+# the reports -----------------------------------------------------------------------
 
 
-def flatness_upper_bound(precision: Fraction = DEFAULT_PRECISION) -> list[BoundReport]:
-    """Width window for a maximizer: above 3.414 (record tetrahedron) and
-    below 3.972 (flatness cap)."""
-    cap = _report("width_cap", flatness3_cap_expr(), "<", Fraction("3.972"), precision,
-                  note="w(K) <= 1 + 2/sqrt3 + 2*(3/4)^(1/3)")
-    floor = _report("width_floor", width_record_expr(), ">", Fraction("3.414"), precision,
-                    note="w(K) >= 2 + sqrt2 via the record tetrahedron")
-    return [floor, cap]
+@dataclass(frozen=True)
+class BoundReport:
+    name: str
+    expression: AlgExpr
+    enclosure: RatInterval
+    claimed: Fraction
+    relation: str  # "<" or ">"
+    verdict: bool
+    note: str = ""
 
 
-def lambda1_lower_bound(precision: Fraction = DEFAULT_PRECISION) -> BoundReport:
-    """Positive lower bound on the first successive minimum of K - K."""
-    return _report("lam1_floor", min_shrink_expr(), ">", Fraction(0), precision,
-                   note="lam1(K-K) >= 1 - (1+2/sqrt3)/(2+sqrt2)")
+def _report(row: Inequality, precision: Fraction) -> BoundReport:
+    rep = BoundReport(name=row.report_name, expression=row.expression,
+                      enclosure=interval_eval(row.expression, precision),
+                      claimed=Fraction(row.claimed), relation=row.relation,
+                      verdict=row.certified(), note=row.note)
+    if row.integer_cap is not None:
+        if not rep.verdict:
+            raise AssertionError(f"certification failed for {rep.name}")
+        if not rep.enclosure.hi < rep.claimed:
+            raise AssertionError(f"enclosure of {rep.name} does not clear its integer cap")
+    return rep
 
 
-def maximizer_volume_bounds(precision: Fraction = DEFAULT_PRECISION) -> list[BoundReport]:
-    lower = _report("volume_floor", width_record_expr()**3 / 15, ">",
-                    Fraction("2.653"), precision,
-                    note="vol(K) >= (2+sqrt2)^3/15 = (20+14*sqrt2)/15")
-    upper = _report("volume_cap", 1 / min_shrink_expr()**3, "<",
-                    Fraction("19.919"), precision,
-                    note="vol(K) <= 1/lam1(K-K)^3")
-    return [lower, upper]
+def all_reports(precision: Fraction = DEFAULT_PRECISION) -> list[BoundReport]:
+    """Width window (above 3.414, below 3.972), a positive floor on lam1, the
+    volume window, and the inscribed volume caps, in that order."""
+    rows = {row.report_name: row for row in INEQUALITIES}
+    return [_report(rows[name], precision) for name in _REPORT_ORDER]
 
 
 @dataclass(frozen=True)
@@ -208,25 +220,6 @@ class InscribedBound:
 def inscribed_volume_bounds(precision: Fraction = DEFAULT_PRECISION) -> list[InscribedBound]:
     """Volume caps for an inscribed empty 3-polytope P, via the integrality
     of 6 vol(P): the general cap 22/3 and the tetrahedron cap 17/6."""
-    general = _report("inscribed_general", 6 / min_shrink_expr()**2, "<",
-                      Fraction(45), precision,
-                      note="6 vol(P) <= 6/lam1^2; integer below 45 is at most 44")
-    tetra = _report("inscribed_tetrahedron", 6 * Fraction(2, 5) / min_shrink_expr()**2,
-                    "<", Fraction(18), precision,
-                    note="6 vol(P) <= 2.4/lam1^2; integer below 18 is at most 17")
-    out = []
-    for rep, cap in ((general, 44), (tetra, 17)):
-        if not rep.verdict:
-            raise AssertionError(f"certification failed for {rep.name}")
-        if not rep.enclosure.hi < rep.claimed:
-            raise AssertionError(f"enclosure of {rep.name} does not clear its integer cap")
-        out.append(InscribedBound(report=rep, integer_cap=cap, volume_cap=Fraction(cap, 6)))
-    return out
-
-
-def all_reports(precision: Fraction = DEFAULT_PRECISION) -> list[BoundReport]:
-    reports = list(flatness_upper_bound(precision))
-    reports.append(lambda1_lower_bound(precision))
-    reports.extend(maximizer_volume_bounds(precision))
-    reports.extend(b.report for b in inscribed_volume_bounds(precision))
-    return reports
+    return [InscribedBound(_report(row, precision), row.integer_cap,
+                           Fraction(row.integer_cap, 6))
+            for row in INEQUALITIES if row.integer_cap is not None]

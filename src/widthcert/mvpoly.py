@@ -18,10 +18,6 @@ from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
 Monomial = tuple[int, ...]
 
 
-def total_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def graded_lex_key(m: Monomial):
     """Sort key for the graded lexicographic term order."""
     return (sum(m), tuple(-e for e in m))
@@ -346,33 +342,17 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
     return UniPoly(out)
 
 
-def companion_root_lower_bound(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) -> Fraction:
-    """Certified rational lower bound on the unique positive root of f0.
+def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
+    """Bracket [lo, hi] around the unique positive root of f0 with
+    hi - lo <= tol and f0(lo) < 0 <= f0(hi); lo is the certified lower bound.
 
     Requires the single-sign-change shape produced by `cauchy_companion`
     (negative constant term, non-negative higher coefficients, at least one
-    positive); this is verified.  Returns r with f0(r) < 0, hence r below the
-    root, with the root within `tol` above r.
-    """
-    lo_bracket, hi_bracket = _companion_bracket(f0)
-    lo, hi = lo_bracket, hi_bracket
+    positive); this is verified."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f0.evaluate(mid).sign() < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
-    """Bracket [lo, hi] around the unique positive root with hi - lo <= tol
-    and f0(lo) < 0 <= f0(hi)."""
     lo, hi = _companion_bracket(f0)
-    tol = Fraction(tol)
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if f0.evaluate(mid).sign() < 0:
@@ -404,7 +384,3 @@ def _companion_bracket(f0: UniPoly) -> tuple[Fraction, Fraction]:
     while f0.evaluate(hi).sign() <= 0:
         hi = 2 * hi + 1
     return Fraction(0), hi
-
-
-# convenience alias matching the operation's role
-positive_root_lower_bound = companion_root_lower_bound

@@ -143,9 +143,6 @@ class Functional:
     def __call__(self, x: Sequence) -> QSqrt2:
         return _dot(self.coeffs, _vec(x))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def canonical_sign(self) -> "Functional":
         """Flip so the first nonzero coordinate is positive (f and -f give the
         same width, so minimizer lists keep one representative)."""
@@ -198,6 +195,14 @@ def dual_lattice(L: AffineLattice) -> list[Functional]:
     return duals
 
 
+def dual_functional(duals: Sequence[Functional], u: Sequence[int]) -> Functional:
+    """The functional sum_k u_k * duals[k] of an integer dual coefficient vector."""
+    return Functional([
+        sum((duals[k].coeffs[r] * u[k] for k in range(3)), QS2_ZERO)
+        for r in range(3)
+    ])
+
+
 def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     """Exact per-coordinate bounds B with the guarantee: any nonzero integer
     vector c whose functional sum(c_i dual_i) gives width <= w0 on K satisfies
@@ -248,11 +253,7 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
         first = next(x for x in c if x)
         if first < 0:
             continue  # -c covered by c
-        f = Functional([
-            sum((duals[k].coeffs[r] * c[k] for k in range(3)), QS2_ZERO)
-            for r in range(3)
-        ])
-        w = width_in_direction(K, f)
+        w = width_in_direction(K, dual_functional(duals, c))
         cmp = (w - best).sign()
         if cmp < 0:
             best = w
@@ -260,13 +261,7 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
         elif cmp == 0:
             best_coeffs.append(c)
     best_coeffs.sort()
-    minimizers = tuple(
-        Functional([
-            sum((duals[k].coeffs[r] * c[k] for k in range(3)), QS2_ZERO)
-            for r in range(3)
-        ]).canonical_sign()
-        for c in best_coeffs
-    )
+    minimizers = tuple(dual_functional(duals, c).canonical_sign() for c in best_coeffs)
     if not minimizers:
         raise AssertionError("width enumeration produced no minimizer")
     for f in minimizers:

@@ -12,7 +12,7 @@ from widthcert import deltacert as dc
 from widthcert import globalbounds as gb
 from widthcert.exactnum import QSqrt2, interval_eval, qs2_sign
 from widthcert.exactlinalg import det_poly, adjugate_poly
-from widthcert.mvpoly import MvPoly, cauchy_companion, positive_root_lower_bound
+from widthcert.mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from widthcert.widthlab import Functional, dual_lattice, hollow_check, lattice_width
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_property_suites():
             f = _random_poly(rng, nvars=3, max_degree=3, terms=4)
             if not f.constant_term():
                 continue
-            r = positive_root_lower_bound(cauchy_companion(f), Fr(1, 10**6))
+            r = companion_root_enclosure(cauchy_companion(f), Fr(1, 10**6))[0]
             base = qs2_sign(f.constant_term())
             for _ in range(200):
                 z = [QSqrt2(Fr(rng.randint(-999, 999), 1000) * r * Fr(999, 1000))

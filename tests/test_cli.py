@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from widthcert import deltacert
 from widthcert.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+from widthcert.exactnum import UndecidedComparison
 from widthcert.polyfile import (
     PolytopeFileError,
     format_polytope_file,
@@ -225,20 +228,75 @@ def test_global_bounds_precision_flag(capsys):
     assert verdicts1 == verdicts2
 
 
-# -- determinism ------------------------------------------------------------------------------
+# -- byte-stable machine output --------------------------------------------------------------
 
+GOLDEN = Path(__file__).parent / "golden"
 
-@pytest.mark.parametrize("argv", [
+#: golden file stem of each subcommand call.  `<stem>.kv` and `<stem>.json`
+#: hold the stdout of `python -m widthcert.cli --format {kv,json} <call>`
+#: (run from the repository root), which must be reproduced byte for byte;
+#: exit_codes.json holds the exit code of each.
+GOLDEN_CALLS = {
+    ("verify-delta",): "verify_delta",
+    ("certify-local",): "certify_local",
+    ("certify-neighborhood",): "neighborhood",
+    ("global-bounds",): "global_bounds",
+    ("certify-neighborhood", "--sweep", "7,8,9,39/4,10,11,12"): "sweep",
+    ("certify-neighborhood", "--smoke-hessian"): "smoke_hessian",
+    ("width", "--polytope", str(GOLDEN / "delta.poly")): "width",
+}
+# every call in both machine formats; the first four keep their long-standing
+# parameter ids argv0-argv3
+_FIRST_ARGVS = [
     ("--format", "kv", "verify-delta"),
-    ("--format", "kv", "certify-local", "--c", "39/4"),
-    ("--format", "kv", "certify-neighborhood", "--c", "39/4"),
+    ("--format", "kv", "certify-local"),
+    ("--format", "kv", "certify-neighborhood"),
     ("--format", "json", "global-bounds"),
-])
+]
+GOLDEN_ARGVS = _FIRST_ARGVS + [
+    argv for argv in (("--format", fmt) + call for fmt in ("kv", "json") for call in GOLDEN_CALLS)
+    if argv not in _FIRST_ARGVS
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS)
 def test_machine_output_is_deterministic(argv, capsys):
-    code1, out1, _ = run_cli(capsys, *argv)
-    code2, out2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2
+    name = f"{GOLDEN_CALLS[argv[2:]]}.{argv[1]}"
+    code, out, err = run_cli(capsys, *argv)
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+    assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    assert err == ""
+
+
+def test_golden_cases_cover_every_file():
+    names = {f"{GOLDEN_CALLS[argv[2:]]}.{argv[1]}" for argv in GOLDEN_ARGVS}
+    assert len(names) == len(GOLDEN_ARGVS) == 2 * len(GOLDEN_CALLS)
+    assert names == set(json.loads((GOLDEN / "exit_codes.json").read_text()))
+
+
+# -- exit-code contract -----------------------------------------------------------------------
+
+
+def test_certify_neighborhood_too_coarse_tolerance_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "certify-neighborhood", "--tol", "1")
+    assert code == EXIT_MATH_FAIL
+    assert out == ""
+    assert err.startswith("error: ") and "5-decimal display" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    deltacert.CertificationError, deltacert.IndefiniteWeightError, UndecidedComparison,
+])
+def test_main_maps_mathematical_failures_to_exit_1(exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc("injected failure")
+
+    monkeypatch.setattr(deltacert, "local_maximality_certificate", fail)
+    code, out, err = run_cli(capsys, "--format", "kv", "certify-local")
+    assert code == EXIT_MATH_FAIL
+    assert out == ""
+    assert err == "error: injected failure\n"
 
 
 def test_usage_error_exit_code():

@@ -337,25 +337,10 @@ def test_certify_without_hessian():
     assert report.barycentric_display == "0.01307"
 
 
-def test_certify_report_machine_formats():
-    report = dc.certify(Fr(39, 4))
-    kv = report.to_kv()
-    assert "overall_display=0.02614" in kv
-    assert "radius_iv=skipped" in kv
-    import json
-
-    data = json.loads(report.to_json())
-    assert data["bounds"]["iv"] is None
-    assert data["overall"]["display"] == "0.02614"
-
-
 def test_format_decimals_modes():
-    assert dc.format_decimals(Fr("0.0261380"), 5, "round") == "0.02614"
-    assert dc.format_decimals(Fr("0.0261380"), 5, "trunc") == "0.02613"
-    assert dc.format_decimals(Fr("-0.0261380"), 5, "round") == "-0.02614"
-    assert dc.format_decimals(Fr(1, 3), 5, "round") == "0.33333"
-    with pytest.raises(ValueError):
-        dc.format_decimals(Fr(1), 5, "bankers")
+    assert dc.format_decimals(Fr("0.0261380"), 5) == "0.02614"
+    assert dc.format_decimals(Fr("-0.0261380"), 5) == "-0.02614"
+    assert dc.format_decimals(Fr(1, 3), 5) == "0.33333"
 
 
 def test_truncate_rational():
@@ -372,6 +357,22 @@ def test_hessian_bound_reproduces_published_columns():
         assert bound.display == display, f"c={c}: got {bound.display}"
 
 
-def test_hessian_bound_rejects_indefinite_weight():
-    with pytest.raises(ValueError):
+def test_hessian_bound_rejects_indefinite_weight(pipeline, monkeypatch):
+    # the pipeline fixture is built first: its ring needs a (Laplace) determinant
+    def no_determinant(*args, **kwargs):
+        raise AssertionError("determinant computed before the definiteness check")
+
+    monkeypatch.setattr(dc, "det_poly", no_determinant)
+    with pytest.raises(dc.IndefiniteWeightError):
         dc.hessian_bound(Fr(14))
+
+
+@pytest.mark.parametrize("c", [Fr(39, 4), Fr(14)])
+def test_hessian_matrix_at_zero_is_quadratic_form_hessian(pipeline, c):
+    # condition (iv) decides definiteness on the s-matrix at 0; with no
+    # offset in t = T s that is the Hessian of the aggregate's quadratic part
+    at_zero = dc.hessian_matrix_s(c, pipeline).evaluate([QS2_ZERO] * dc.NVARS)
+    h_aggregate = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
+    assert at_zero == dc.quadratic_form_hessian(h_aggregate)
+    cert = dc.local_maximality_certificate(c, pipeline)
+    assert cert.full_hessian_negative_definite == (c == Fr(39, 4))

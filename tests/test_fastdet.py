@@ -227,8 +227,3 @@ def test_constant_matrix_determinant():
     det = det_poly_modular(M)
     # (2+s)(2-s) - 1 = 4 - 2 - 1 = 1
     assert det == MvPoly.constant(1, 2)
-
-
-def test_auto_method_selects_laplace_for_small(pipeline):
-    M = pipeline.ring.matrix
-    assert det_poly(M, method="auto") == det_poly(M, method="laplace")

@@ -1,11 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction as Fr
+
+import pytest
 
 from widthcert import globalbounds as gb
 from widthcert.exactnum import interval_eval
 
 
+def reports_named(*names):
+    by_name = {r.name: r for r in gb.all_reports()}
+    return [by_name[name] for name in names]
+
+
 def test_width_window_reports():
-    floor, cap = gb.flatness_upper_bound()
+    floor, cap = reports_named("width_floor", "width_cap")
     assert floor.verdict and floor.relation == ">" and floor.claimed == Fr("3.414")
     assert cap.verdict and cap.relation == "<" and cap.claimed == Fr("3.972")
     assert Fr("3.9718") < cap.enclosure.lo and cap.enclosure.hi < Fr("3.9719")
@@ -19,7 +27,7 @@ def test_record_width_sits_inside_window():
 
 
 def test_shrink_constant_enclosure_and_positivity():
-    report = gb.lambda1_lower_bound()
+    (report,) = reports_named("lam1_floor")
     assert report.verdict
     assert Fr("0.3688") < report.enclosure.lo and report.enclosure.hi < Fr("0.3690")
 
@@ -30,7 +38,7 @@ def test_reciprocal_cube_enclosure():
 
 
 def test_volume_window_reports():
-    lower, upper = gb.maximizer_volume_bounds()
+    lower, upper = reports_named("volume_floor", "volume_cap")
     assert lower.verdict and lower.claimed == Fr("2.653")
     assert upper.verdict and upper.claimed == Fr("19.919")
 
@@ -58,15 +66,27 @@ def test_inscribed_bounds_with_integrality_floor():
     assert Fr("17.6") < enc_t6.lo and enc_t6.hi < Fr("17.7")
 
 
+def test_integer_cap_rejects_a_failed_certificate():
+    row = next(r for r in gb.INEQUALITIES if r.report_name == "inscribed_general")
+    with pytest.raises(AssertionError, match="certification failed"):
+        gb._report(replace(row, claimed=Fr(44)), gb.DEFAULT_PRECISION)
+
+
 def test_all_reports_certified():
     reports = gb.all_reports()
-    assert len(reports) == 7
+    assert [r.name for r in reports] == [
+        "width_floor", "width_cap", "lam1_floor", "volume_floor", "volume_cap",
+        "inscribed_general", "inscribed_tetrahedron",
+    ]
     assert all(r.verdict for r in reports)
 
 
 def test_chain_replay_all_certified():
     steps = gb.replay_inequality_chain()
-    assert len(steps) >= 8
+    assert [s.name for s in steps] == [
+        "lam1_lower", "width_cap", "window_contains_record", "record_above_floor",
+        "volume_floor", "volume_cap", "inscribed_general", "inscribed_tetrahedron",
+    ]
     assert all(s.certified for s in steps)
 
 

@@ -10,7 +10,6 @@ from widthcert.mvpoly import (
     cauchy_companion,
     companion_root_enclosure,
     graded_lex_key,
-    positive_root_lower_bound,
 )
 
 
@@ -255,7 +254,7 @@ def test_companion_rejects_zero_constant():
 
 def test_root_bound_linear():
     f0 = UniPoly([QSqrt2(-1), QSqrt2(2)])
-    r = positive_root_lower_bound(f0, Fr(1, 10**7))
+    r = companion_root_enclosure(f0, Fr(1, 10**7))[0]
     assert Fr("0.4999999") <= r < Fr(1, 2)
 
 
@@ -270,15 +269,22 @@ def test_root_bound_quadratic_against_closed_form():
 
 def test_root_bound_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        positive_root_lower_bound(UniPoly([QSqrt2(1), QSqrt2(1)]))  # positive constant
+        companion_root_enclosure(UniPoly([QSqrt2(1), QSqrt2(1)]))  # positive constant
     with pytest.raises(ValueError):
-        positive_root_lower_bound(UniPoly([QSqrt2(-1), QSqrt2(-1), QSqrt2(1)]))
+        companion_root_enclosure(UniPoly([QSqrt2(-1), QSqrt2(-1), QSqrt2(1)]))
+
+
+@pytest.mark.parametrize("tol", [Fr(0), Fr(-1, 10**7)])
+def test_root_bound_rejects_nonpositive_tolerance(tol):
+    # the bisection would never reach a width of 0 or below
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        companion_root_enclosure(UniPoly([QSqrt2(-1), QSqrt2(1)]), tol)
 
 
 def test_root_bound_bracket_grows_when_needed():
     # root is 100: the seeded upper bracket is too small and must be grown
     f0 = UniPoly([QSqrt2(-100), QSqrt2(1)])
-    r = positive_root_lower_bound(f0, Fr(1, 10**4))
+    r = companion_root_enclosure(f0, Fr(1, 10**4))[0]
     assert Fr(100) - Fr(1, 10**4) <= r < Fr(100)
 
 
@@ -289,7 +295,7 @@ def test_sign_constancy_inside_certified_ball():
         f = _random_poly(rng, nvars=3, max_degree=3, terms=5)
         if not f.constant_term():
             continue
-        r = positive_root_lower_bound(cauchy_companion(f), Fr(1, 10**6))
+        r = companion_root_enclosure(cauchy_companion(f), Fr(1, 10**6))[0]
         base_sign = qs2_sign(f.constant_term())
         for _ in range(40):
             z = [QSqrt2(Fr(rng.randint(-999, 999), 1000) * r * Fr(99, 100)) for _ in range(3)]
