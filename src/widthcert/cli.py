@@ -15,6 +15,11 @@ Exit codes, all decided in `main`:
   2  usage or parse error: bad arguments, an unreadable or malformed
      polytope file, or a degenerate polytope
 
+`--precision` and `--tol` accept no value below `MIN_RESOLUTION` (1e-100),
+so a user-chosen resolution cannot stall the tool.  `--smoke-hessian` fails
+with exit 1, as `--with-hessian` does, for a weight c at which the aggregate
+Hessian is not negative definite at 0.
+
 Any exception `main` maps prints one `error: ...` line on stderr and
 nothing on stdout; no failure ends in a traceback.  Output formats: human
 text (default), `kv` (sorted key=value lines) and `json`; the machine
@@ -38,6 +43,11 @@ EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 
+#: the finest --precision and --tol accepted.  The enclosures and bisections
+#: grow with the digits asked for, and past about 4300 digits Python's
+#: int-to-str limit makes printing the result fail.
+MIN_RESOLUTION = Fraction(1, 10**100)
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -50,6 +60,13 @@ def _positive_rational(text: str) -> Fraction:
     value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
+
+
+def _resolution(text: str) -> Fraction:
+    value = _positive_rational(text)
+    if value < MIN_RESOLUTION:
+        raise argparse.ArgumentTypeError("must be at least 1e-100")
     return value
 
 
@@ -75,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="include the long-running degree-16 determinant condition")
     p_n.add_argument("--smoke-hessian", action="store_true",
                      help="run the non-certifying 4-variable section of the "
-                          "Hessian condition as a smoke test")
-    p_n.add_argument("--tol", type=_positive_rational, default=Fraction(1, 10**7),
-                     help="root-bound bisection tolerance (default 1e-7)")
+                          "Hessian condition as a smoke test; like --with-hessian "
+                          "it fails where the Hessian is indefinite at 0")
+    p_n.add_argument("--tol", type=_resolution, default=Fraction(1, 10**7),
+                     help="root-bound bisection tolerance (default 1e-7, at least 1e-100)")
     p_n.add_argument("--sweep", type=str, default=None,
                      help="comma-separated list of c values; prints one row each")
 
@@ -85,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--polytope", required=True, help="input file path")
 
     p_g = sub.add_parser("global-bounds", help="certified maximizer bounds")
-    p_g.add_argument("--precision", type=_positive_rational, default=Fraction(1, 10**9),
-                     help="enclosure width for reported intervals")
+    p_g.add_argument("--precision", type=_resolution, default=Fraction(1, 10**9),
+                     help="enclosure width for reported intervals (default 1e-9, "
+                          "at least 1e-100)")
 
     return parser
 

@@ -207,7 +207,9 @@ class PerturbationRing:
         if self.matrix.evaluate([QS2_ZERO] * NVARS) != model.lattice.basis_matrix():
             raise CertificationError("perturbation matrix does not restrict to the lattice basis")
         self.adjugate = adjugate_poly(self.matrix)
-        self.det = det_poly(self.matrix, method="laplace")
+        # row-0 cofactor expansion; adj[j, 0] is the (0, j) cofactor
+        self.det = sum((self.matrix[0, j] * self.adjugate[j, 0] for j in range(3)),
+                       MvPoly.zero(NVARS))
 
     def perturbed_point(self, i: int) -> list[MvPoly]:
         base = self.model.facet_points[i]
@@ -224,20 +226,24 @@ def build_h_polys(ring: PerturbationRing, model: DeltaModel) -> list[MvPoly]:
     h_i near 0 is equivalent to direction i still giving width >= 2+sqrt2."""
     out = []
     for idx in range(6):
-        v = model.attainment_diffs[idx]
-        u = model.dual_int_vectors[idx]
-        acc = MvPoly.zero(NVARS)
-        for r in range(3):
-            for c in range(3):
-                if u[c]:
-                    acc = acc + ring.adjugate[r, c].scale(v[r] * u[c])
-        h = acc - ring.det.scale(WIDTH_VALUE)
+        h = (_bilinear(model.attainment_diffs[idx], ring.adjugate, model.dual_int_vectors[idx])
+             - ring.det.scale(WIDTH_VALUE))
         if h.constant_term():
             raise CertificationError(f"deficit polynomial {idx} does not vanish at 0")
         if h.degree() != 3:
             raise CertificationError(f"deficit polynomial {idx} has degree {h.degree()}")
         out.append(h)
     return out
+
+
+def _bilinear(v, adj: PolyMatrix, u) -> MvPoly:
+    """v . adj . u for constant 3-vectors v and u."""
+    acc = MvPoly.zero(adj.nvars)
+    for r in range(3):
+        for c in range(3):
+            if u[c]:
+                acc = acc + adj[r, c].scale(v[r] * u[c])
+    return acc
 
 
 def check_dependence(grads: list[list[QSqrt2]], multipliers) -> bool:
@@ -353,7 +359,7 @@ class LocalCertificate:
         )
 
 
-def local_maximality_certificate(c: Fraction, pipeline: "Pipeline | None" = None) -> LocalCertificate:
+def local_maximality_certificate(c: Fraction) -> LocalCertificate:
     """Second-order certificate that t = 0 is an isolated solution of the
     six deficit inequalities.
 
@@ -365,7 +371,7 @@ def local_maximality_certificate(c: Fraction, pipeline: "Pipeline | None" = None
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
-    pl = pipeline or get_pipeline()
+    pl = get_pipeline()
     grads = [h.gradient_at_zero() for h in pl.h_polys]
     grads_published = grads == expected_gradients()
     dep = check_dependence(grads, pl.model.multipliers)
@@ -469,12 +475,12 @@ def _rotary_reflection(v):
     return (-v[1], v[0], -v[2])
 
 
-def symmetry_check(pipeline: "Pipeline | None" = None) -> SymmetryCheck:
+def symmetry_check() -> SymmetryCheck:
     """Verify the order-4 symmetry: vertices and facet points advance
     cyclically, the facet-plane eliminations are equivariant, and the induced
     map on s-coordinates is the cyclic shift of the four (s^h, s^v) pairs
     (a shift by two places in the flat coordinate vector)."""
-    pl = pipeline or get_pipeline()
+    pl = get_pipeline()
     model = pl.model
     vertex_ok = all(
         _rotary_reflection(model.vertices[i]) == model.vertices[(i + 1) % 4]
@@ -598,6 +604,23 @@ class RadiusBound:
     display: str
     detail: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_enclosure(cls, label: str, lo: Fraction, hi: Fraction, **detail) -> "RadiusBound":
+        """The bound for a threshold known to lie in [lo, hi]: `certified` is
+        lo truncated to 7 places; the display raises `CertificationError`
+        when the enclosure is too wide for 5 decimals."""
+        return cls(label, truncate_rational(lo, 7), lo, hi, _display_5(lo, hi), detail)
+
+
+def _positive_radius(p: MvPoly, tol: Fraction, what: str) -> tuple[Fraction, Fraction]:
+    """Enclosure, of width <= tol, of a radius within which p stays positive.
+
+    p must be positive at 0 (checked exactly); the radius is then the unique
+    positive root of its coefficient companion."""
+    if p.constant_term().sign() <= 0:
+        raise CertificationError(f"{what} is not positive at 0")
+    return companion_root_enclosure(cauchy_companion(p), tol)
+
 
 def det_orientation_bound() -> RadiusBound:
     """Condition (i): the perturbed basis determinant keeps its sign.
@@ -613,18 +636,10 @@ def det_orientation_bound() -> RadiusBound:
     radius = QSqrt2(Fraction(-1, 4), Fraction(1, 4))  # (sqrt2 - 1)/4
 
     # all four facet points sit at the same (s^h, s^v) by symmetry; verify
-    base = None
-    for i in range(4):
-        pt = pl.model.facet_points[i]
-        sh, sv = pl.scoords.s_of_facet_displacement(i, pt[0], pt[1])
-        if base is None:
-            base = (sh, sv)
-        elif (sh, sv) != base:
-            raise CertificationError("facet points have differing facet coordinates")
-    assert base is not None
-    sh0, sv0 = base
-    if (sh0, sv0) != (QSqrt2(Fraction(1, 2), Fraction(-1, 4)), QSqrt2(0, Fraction(1, 4))):
-        raise CertificationError("unexpected base facet coordinates")
+    sh0, sv0 = QSqrt2(Fraction(1, 2), Fraction(-1, 4)), QSqrt2(0, Fraction(1, 4))
+    for i, pt in enumerate(pl.model.facet_points):
+        if pl.scoords.s_of_facet_displacement(i, pt[0], pt[1]) != (sh0, sv0):
+            raise CertificationError(f"facet point {i} is not at the base facet coordinates")
 
     corners_ok = []
     for ds in (-radius, radius):
@@ -640,15 +655,8 @@ def det_orientation_bound() -> RadiusBound:
         raise CertificationError("middle-triangle corner check failed")
 
     enc = radius.enclosure(Fraction(1, 10**9))
-    certified = truncate_rational(enc.lo, 7)
-    return RadiusBound(
-        label="(i)",
-        certified=certified,
-        enclosure_lo=enc.lo,
-        enclosure_hi=enc.hi,
-        display=_display_5(enc.lo, enc.hi),
-        detail={"exact": str(radius), "corners_checked": len(corners_ok)},
-    )
+    return RadiusBound.from_enclosure("(i)", enc.lo, enc.hi,
+                                      exact=str(radius), corners_checked=len(corners_ok))
 
 
 _LINEAR_SUM_SMALL = QSqrt2(112, 64)
@@ -677,15 +685,8 @@ def linear_bound(c: Fraction) -> RadiusBound:
         raise CertificationError("linear coefficient sums do not match the pinned values")
     exact = QSqrt2.coerce(c) / _LINEAR_SUM_LARGE
     enc = exact.enclosure(Fraction(1, 10**9))
-    certified = truncate_rational(enc.lo, 7)
-    return RadiusBound(
-        label="(ii)",
-        certified=certified,
-        enclosure_lo=enc.lo,
-        enclosure_hi=enc.hi,
-        display=_display_5(enc.lo, enc.hi),
-        detail={"exact": str(exact), "coefficient_sums": [str(s) for s in sums]},
-    )
+    return RadiusBound.from_enclosure("(ii)", enc.lo, enc.hi, exact=str(exact),
+                                      coefficient_sums=[str(s) for s in sums])
 
 
 def attainment_bound(tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:
@@ -697,34 +698,19 @@ def attainment_bound(tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:
     whose radius is the unique positive root of its coefficient companion.
     Returns the minimum over all 66.
     """
-    pl = get_pipeline()
-    polys = attainment_polynomials(pl)
+    polys = attainment_polynomials()
     if len(polys) != 66:
         raise CertificationError(f"expected 66 comparison polynomials, got {len(polys)}")
-    best: tuple[Fraction, Fraction] | None = None
-    for poly in polys:
-        const = poly.constant_term()
-        if const.sign() <= 0:
-            raise CertificationError("comparison polynomial not positive at 0")
-        lo, hi = companion_root_enclosure(cauchy_companion(poly), tol)
-        if best is None or lo < best[0]:
-            best = (lo, hi)
-    assert best is not None
-    lo, hi = best
-    return RadiusBound(
-        label="(iii)",
-        certified=truncate_rational(lo, 7),
-        enclosure_lo=lo,
-        enclosure_hi=hi,
-        display=_display_5(lo, hi),
-        detail={"count": len(polys)},
-    )
+    # min keeps the first of equal lower ends
+    lo, hi = min((_positive_radius(p, tol, "comparison polynomial") for p in polys),
+                 key=lambda enc: enc[0])
+    return RadiusBound.from_enclosure("(iii)", lo, hi, count=len(polys))
 
 
-def attainment_polynomials(pipeline: Pipeline | None = None) -> list[MvPoly]:
+def attainment_polynomials() -> list[MvPoly]:
     """The 66 quadratics (v_i - v) . adj(M)(s) . u_i over competing
     difference-body vertices v."""
-    pl = pipeline or get_pipeline()
+    pl = get_pipeline()
     model = pl.model
     vertices = list(model.attainment_diffs) + [
         tuple(-x for x in v) for v in model.attainment_diffs
@@ -734,22 +720,15 @@ def attainment_polynomials(pipeline: Pipeline | None = None) -> list[MvPoly]:
         vi = model.attainment_diffs[idx]
         u = model.dual_int_vectors[idx]
         for w in vertices:
-            if w == vi:
-                continue
-            diff = [vi[r] - w[r] for r in range(3)]
-            acc = MvPoly.zero(NVARS)
-            for r in range(3):
-                for cc in range(3):
-                    if u[cc]:
-                        acc = acc + pl.adjugate_s[r, cc].scale(diff[r] * u[cc])
-            out.append(acc)
+            if w != vi:
+                out.append(_bilinear([vi[r] - w[r] for r in range(3)], pl.adjugate_s, u))
     return out
 
 
-def hessian_matrix_s(c: Fraction, pipeline: Pipeline | None = None) -> PolyMatrix:
+def hessian_matrix_s(c: Fraction) -> PolyMatrix:
     """Second-derivative matrix of the aggregate (derivatives in t), with
     entries rewritten in s; entries are quadratic polynomials."""
-    pl = pipeline or get_pipeline()
+    pl = get_pipeline()
     h_aggregate = build_h_aggregate(pl.h_polys, pl.model.multipliers, c)
     hess_t = PolyMatrix(h_aggregate.hessian())
     return hess_t.map_entries(pl.scoords.to_s)
@@ -770,24 +749,7 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
     value is the Hessian of the aggregate's quadratic part, the same matrix
     `local_maximality_certificate` tests for `full_hessian_negative_definite`.
     """
-    c = Fraction(c)
-    matrix = hessian_matrix_s(c)
-    if not is_negative_definite(matrix.evaluate([QS2_ZERO] * NVARS)):
-        raise IndefiniteWeightError(
-            f"aggregate Hessian is not negative definite at 0 for c={c}")
-    det = det_poly(matrix, method="modular")
-    const = det.constant_term()
-    if const.sign() <= 0:
-        raise CertificationError("Hessian determinant at 0 is not positive")
-    lo, hi = companion_root_enclosure(cauchy_companion(det), tol)
-    return RadiusBound(
-        label="(iv)",
-        certified=truncate_rational(lo, 7),
-        enclosure_lo=lo,
-        enclosure_hi=hi,
-        display=_display_5(lo, hi),
-        detail={"det_degree": det.degree(), "det_terms": len(det.terms)},
-    )
+    return hessian_section_bound(c, NVARS, tol)
 
 
 def hessian_section_bound(c: Fraction, keep_vars: int = 4,
@@ -796,31 +758,28 @@ def hessian_section_bound(c: Fraction, keep_vars: int = 4,
     where the last 8 - keep_vars coordinates are zero.  NOT a certifying
     bound for the full neighborhood (a section cannot see all directions);
     only positivity and stability of the reduced computation are meaningful.
+    With keep_vars = NVARS it is condition (iv) itself (`hessian_bound`).
+
+    Definiteness is decided on the full matrix at s = 0, which is also the
+    section's matrix there, so both refuse the same weights c.
     """
     c = Fraction(c)
     matrix = hessian_matrix_s(c)
+    if not is_negative_definite(matrix.evaluate([QS2_ZERO] * NVARS)):
+        raise IndefiniteWeightError(
+            f"aggregate Hessian is not negative definite at 0 for c={c}")
 
     def section(p: MvPoly) -> MvPoly:
-        terms = {}
-        for m, coeff in p.terms.items():
-            if any(m[i] for i in range(keep_vars, NVARS)):
-                continue
-            terms[m[:keep_vars]] = coeff
-        return MvPoly(keep_vars, terms)
+        return MvPoly(keep_vars, {m[:keep_vars]: coeff for m, coeff in p.terms.items()
+                                  if not any(m[keep_vars:])})
 
-    reduced = matrix.map_entries(section)
-    det = det_poly(reduced, method="modular")
-    if det.constant_term().sign() <= 0:
-        raise CertificationError("sectioned Hessian determinant at 0 is not positive")
-    lo, hi = companion_root_enclosure(cauchy_companion(det), tol)
-    return RadiusBound(
-        label="(iv-section)",
-        certified=truncate_rational(lo, 7),
-        enclosure_lo=lo,
-        enclosure_hi=hi,
-        display=_display_5(lo, hi),
-        detail={"non_certifying": True, "kept_vars": keep_vars},
-    )
+    det = det_poly(matrix.map_entries(section))
+    lo, hi = _positive_radius(det, tol, "Hessian determinant")
+    if keep_vars == NVARS:
+        return RadiusBound.from_enclosure("(iv)", lo, hi, det_degree=det.degree(),
+                                          det_terms=len(det.terms))
+    return RadiusBound.from_enclosure("(iv-section)", lo, hi, non_certifying=True,
+                                      kept_vars=keep_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +827,7 @@ def certify(c: Fraction, with_hessian: bool = False,
     overall = binding.certified
     overall_enc = (binding.enclosure_lo, binding.enclosure_hi)
     barycentric = overall / 2
-    report = CertificateReport(
+    return CertificateReport(
         c=c,
         local=local,
         symmetry=sym,
@@ -880,4 +839,3 @@ def certify(c: Fraction, with_hessian: bool = False,
         hessian_included=with_hessian,
         elapsed_seconds=time.monotonic() - start,
     )
-    return report

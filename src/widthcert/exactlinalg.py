@@ -306,28 +306,24 @@ class PolyMatrix:
         return f"PolyMatrix({self.nrows}x{self.ncols}, nvars={self.nvars})"
 
 
-def det_poly(M: PolyMatrix, method: str) -> MvPoly:
-    """Exact polynomial determinant.
-
-    Expansion is Laplace along rows with the 2^n table of column-subset
-    minors, so each minor is computed once.  `method` selects the coefficient
-    engine: "laplace" runs directly on MvPoly terms; "modular" runs the same
-    expansion densely over several word-size primes and reconstructs the
-    integer coefficients through a certified CRT bound (much faster for large
-    matrices).
+def det_poly(M: PolyMatrix) -> MvPoly:
+    """Exact polynomial determinant by the certified multi-modular engine
+    (`fastdet.det_poly_modular`): a Laplace expansion along rows with the
+    2^n table of column-subset minors, run densely over several word-size
+    primes, with the integer coefficients reconstructed through a certified
+    CRT bound and checked against exact field determinants.
     """
-    if not M.is_square():
-        raise ValueError("determinant of non-square matrix")
-    if method == "laplace":
-        return _det_laplace(M)
-    if method == "modular":
-        from .fastdet import det_poly_modular
+    # imported on first use: fastdet imports this module, and callers that
+    # need no determinant do not pay for loading numpy
+    from .fastdet import det_poly_modular
 
-        return det_poly_modular(M)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return det_poly_modular(M)
 
 
 def _det_laplace(M: PolyMatrix) -> MvPoly:
+    """The same row expansion directly on MvPoly terms: used for the small
+    minors of `adjugate_poly` and as the reference `det_poly` is tested
+    against."""
     n = M.nrows
     zero = MvPoly.zero(M.nvars)
     minors: dict[tuple[int, ...], MvPoly] = {(): MvPoly.constant(1, M.nvars)}

@@ -1,10 +1,10 @@
-"""Multi-modular dense engine behind `det_poly(..., method="modular")`.
+"""Multi-modular dense engine behind `exactlinalg.det_poly`.
 
-The expansion is the same memoized column-subset Laplace scheme as the pure
-path, but coefficients live in dense arrays indexed by a graded monomial
-table and are reduced modulo several word-size primes.  The exact integer
-coefficients are recovered by CRT.  Exactness is unconditional, not
-heuristic:
+The expansion is the same memoized column-subset Laplace scheme as
+`exactlinalg._det_laplace`, but coefficients live in dense arrays indexed by
+a graded monomial table and are reduced modulo several word-size primes.
+The exact integer coefficients are recovered by CRT.  Exactness is
+unconditional, not heuristic:
 
 * the product of the primes is required to exceed twice a certified bound on
   every coefficient of the determinant (the bound runs the same subset
@@ -62,18 +62,19 @@ class _MonomialTable:
             key = key | (exps[:, i].astype(np.int64) << (_EXP_BITS * i))
         return key
 
-    def shift_maps(self, level_deg: int, prev_deg: int, qexps: np.ndarray) -> np.ndarray:
+    def shift_maps(self, level_deg: int, prev_deg: int) -> np.ndarray:
         """maps[q, r] = dense index of monomial_r - q in the degree<=prev_deg
         block, or the pad slot (size of that block) when the difference has a
-        negative exponent or too-high degree.  Shape (nq, size_k), int32,
+        negative exponent or too-high degree; q runs over the monomials of
+        degree <= level_deg - prev_deg.  Shape (nq, size_k), int32,
         q-major so that each q-row is contiguous for the kernel's gather."""
         cache_key = (level_deg, prev_deg)
-        cached = self._map_cache.get(cache_key)
-        if cached is not None and cached.shape[0] == qexps.shape[0]:
-            return cached
+        if cache_key in self._map_cache:
+            return self._map_cache[cache_key]
         size_k = self.size_up_to[level_deg]
         size_prev = self.size_up_to[prev_deg]
-        nq = qexps.shape[0]
+        nq = self.size_up_to[level_deg - prev_deg]
+        qexps = self.exps[:nq]
         maps = np.full((nq, size_k), size_prev, dtype=np.int32)
         E = self.exps[:size_k].astype(np.int16)
         T = self.totals[:size_k].astype(np.int32)
@@ -231,39 +232,29 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     while prod(primes) <= 4 * bound:
         primes = primes_below(1 << pbits, len(primes) + 1)
 
-    qexps = table.exps[:nq].copy()
-    qindex = {tuple(int(x) for x in qexps[i]): i for i in range(nq)}
+    qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
 
     # per-level shift maps (shared by all primes)
     maps_by_level = {
-        k: table.shift_maps(entry_deg * k, entry_deg * (k - 1), qexps)
-        for k in range(1, n + 1)
+        k: table.shift_maps(entry_deg * k, entry_deg * (k - 1)) for k in range(1, n + 1)
     }
 
     coeff_int = np.zeros((n, n, nq, 2), dtype=object)
     for i in range(n):
         for j in range(n):
-            for m, (a, b) in entries[i][j].items():
-                qi = qindex[m]
-                coeff_int[i, j, qi, 0] = a
-                coeff_int[i, j, qi, 1] = b
+            for m, pair in entries[i][j].items():
+                coeff_int[i, j, qindex[m]] = pair
 
-    final_size = table.size_up_to[maxdeg]
-    residues = []
-    for p in primes:
-        residues.append(_det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p))
-
-    det_a, det_b = _crt_reconstruct(residues, primes, final_size)
+    residues = [_det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p)
+                for p in primes]
+    det_a, det_b = _crt_reconstruct(residues, primes)
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
     denom = Fraction(scale) ** n
     terms = {}
-    for idx in range(final_size):
-        a, b = det_a[idx], det_b[idx]
-        if a == 0 and b == 0:
-            continue
+    for idx in np.flatnonzero((det_a != 0) | (det_b != 0)).tolist():
         m = tuple(int(x) for x in table.exps[idx])
-        terms[m] = QSqrt2(Fraction(a) / denom, Fraction(b) / denom)
+        terms[m] = QSqrt2(Fraction(det_a[idx]) / denom, Fraction(det_b[idx]) / denom)
     result = MvPoly(nvars, terms)
     _verify_against_field_det(M, result)
     return result
@@ -302,29 +293,17 @@ def _det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p) -> tuple[np
     return prev_a[0, :final_size].copy(), prev_b[0, :final_size].copy()
 
 
-def _crt_reconstruct(residues, primes, final_size) -> tuple[list[int], list[int]]:
+def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
+    """The integers in (-modulus/2, modulus/2] with the given residue pairs,
+    as object arrays of Python ints (a-parts, b-parts)."""
     modulus = prod(primes)
-    multipliers = []
-    for p in primes:
-        mp = modulus // p
-        multipliers.append(mp * pow(mp, -1, p))
-    det_a = [0] * final_size
-    det_b = [0] * final_size
-    for (ra, rb), mult in zip(residues, multipliers):
-        for idx in range(final_size):
-            if ra[idx]:
-                det_a[idx] += int(ra[idx]) * mult
-            if rb[idx]:
-                det_b[idx] += int(rb[idx]) * mult
-    half = modulus // 2
-    for idx in range(final_size):
-        det_a[idx] %= modulus
-        if det_a[idx] > half:
-            det_a[idx] -= modulus
-        det_b[idx] %= modulus
-        if det_b[idx] > half:
-            det_b[idx] -= modulus
-    return det_a, det_b
+    multipliers = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    halves = []
+    for part in (0, 1):
+        acc = sum(res[part].astype(object) * mult
+                  for res, mult in zip(residues, multipliers)) % modulus
+        halves.append(np.where(acc > modulus // 2, acc - modulus, acc))
+    return halves[0], halves[1]
 
 
 def _verify_against_field_det(M: PolyMatrix, result: MvPoly):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import (
     AlgExpr,
@@ -60,7 +61,8 @@ class Inequality:
     """One certified comparison `expression relation claimed`, named once as
     a step of the chain and (unless `report_name` is None) once as a report.
     `integer_cap`, when set, is the largest integer strictly below `claimed`
-    that the quantity 6 vol(P) can take."""
+    that the quantity 6 vol(P) can take.  `verdict` is decided once per row:
+    the chain and the report of a row share it."""
 
     chain_name: str
     statement: str
@@ -71,7 +73,8 @@ class Inequality:
     note: str = ""
     integer_cap: int | None = None
 
-    def certified(self) -> bool:
+    @cached_property
+    def verdict(self) -> bool:
         if self.relation == "<":
             return certify_less(self.expression, self.claimed)
         if self.relation == ">":
@@ -172,7 +175,7 @@ def replay_inequality_chain() -> list[ChainStep]:
     """Re-derive the width/volume window for a maximizer K, certifying every
     numeric comparison along the way (the derivation is annotated on
     `INEQUALITIES`)."""
-    return [ChainStep(row.chain_name, row.statement, row.certified())
+    return [ChainStep(row.chain_name, row.statement, row.verdict)
             for row in INEQUALITIES]
 
 
@@ -194,7 +197,7 @@ def _report(row: Inequality, precision: Fraction) -> BoundReport:
     rep = BoundReport(name=row.report_name, expression=row.expression,
                       enclosure=interval_eval(row.expression, precision),
                       claimed=Fraction(row.claimed), relation=row.relation,
-                      verdict=row.certified(), note=row.note)
+                      verdict=row.verdict, note=row.note)
     if row.integer_cap is not None:
         if not rep.verdict:
             raise AssertionError(f"certification failed for {rep.name}")

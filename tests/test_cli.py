@@ -1,10 +1,18 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from widthcert import deltacert
-from widthcert.cli import EXIT_MATH_FAIL, EXIT_OK, EXIT_USAGE, main
+from widthcert.cli import (
+    EXIT_MATH_FAIL,
+    EXIT_OK,
+    EXIT_USAGE,
+    MIN_RESOLUTION,
+    build_parser,
+    main,
+)
 from widthcert.exactnum import UndecidedComparison
 from widthcert.polyfile import (
     PolytopeFileError,
@@ -130,6 +138,14 @@ def test_certify_neighborhood_hessian_rejects_indefinite_weight(capsys):
     assert "Traceback" not in err
 
 
+def test_certify_neighborhood_smoke_hessian_rejects_indefinite_weight(capsys):
+    code, out, err = run_cli(capsys, "certify-neighborhood", "--c", "20", "--smoke-hessian")
+    assert code == EXIT_MATH_FAIL
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not negative definite" in err
+
+
 def test_certify_local_rejects_zero_c(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify-local", "--c", "0"])
@@ -226,6 +242,29 @@ def test_global_bounds_precision_flag(capsys):
     verdicts1 = [r["verdict"] for r in json.loads(out1)["reports"]]
     verdicts2 = [r["verdict"] for r in json.loads(out2)["reports"]]
     assert verdicts1 == verdicts2
+
+
+@pytest.mark.parametrize("argv", [
+    ("global-bounds", "--precision", "1e-101"),
+    ("global-bounds", "--precision", "1/1" + "0" * 3000),
+    ("certify-neighborhood", "--tol", "1e-300"),
+    ("certify-neighborhood", "--tol", "1/1" + "0" * 3000),
+])
+def test_resolution_flags_reject_values_below_the_floor(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert line.endswith(f"{argv[1]}: must be at least 1e-100")
+
+
+def test_resolution_floor_itself_is_accepted():
+    parser = build_parser()
+    assert parser.parse_args(["global-bounds", "--precision", "1e-100"]).precision \
+        == MIN_RESOLUTION == Fraction(1, 10**100)
+    assert parser.parse_args(["certify-neighborhood", "--tol", "1e-100"]).tol == MIN_RESOLUTION
 
 
 # -- byte-stable machine output --------------------------------------------------------------

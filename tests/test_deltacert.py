@@ -5,7 +5,7 @@ import pytest
 
 from widthcert import deltacert as dc
 from widthcert.exactnum import QS2_ZERO, QSqrt2, SQRT2
-from widthcert.exactlinalg import QMatrix, det_field, inverse_field
+from widthcert.exactlinalg import QMatrix, _det_laplace, det_field, inverse_field
 from widthcert.mvpoly import MvPoly
 
 
@@ -32,6 +32,11 @@ def test_elimination_forms_match_published_display(pipeline):
 
 def test_perturbed_matrix_restricts_to_basis(pipeline, delta_model):
     assert pipeline.ring.matrix.evaluate([QS2_ZERO] * 8) == delta_model.lattice.basis_matrix()
+
+
+def test_ring_determinant_is_the_laplace_determinant(pipeline):
+    # the ring expands its determinant from the adjugate's first column
+    assert pipeline.ring.det == _det_laplace(pipeline.ring.matrix)
 
 
 # -- deficit polynomials ----------------------------------------------------------------
@@ -294,7 +299,7 @@ def test_attainment_bound_value():
 
 
 def test_attainment_polynomials_positive_constants(pipeline):
-    polys = dc.attainment_polynomials(pipeline)
+    polys = dc.attainment_polynomials()
     assert len(polys) == 66
     for p in polys:
         assert p.constant_term().sign() > 0
@@ -305,7 +310,7 @@ def test_attainment_soundness_spot_check(pipeline):
     # inside the certified radius every comparison polynomial stays positive
     rng = random.Random(43)
     bound = dc.attainment_bound()
-    polys = dc.attainment_polynomials(pipeline)
+    polys = dc.attainment_polynomials()
     for _ in range(30):
         s = [QSqrt2(Fr(rng.randint(-999, 999), 1000) * bound.certified) for _ in range(8)]
         for p in random.Random(rng.random()).sample(polys, 6):
@@ -313,7 +318,7 @@ def test_attainment_soundness_spot_check(pipeline):
 
 
 def test_hessian_matrix_entries_quadratic(pipeline):
-    matrix = dc.hessian_matrix_s(Fr(39, 4), pipeline)
+    matrix = dc.hessian_matrix_s(Fr(39, 4))
     assert matrix.is_symmetric()
     assert matrix.max_entry_degree() == 2
 
@@ -357,22 +362,31 @@ def test_hessian_bound_reproduces_published_columns():
         assert bound.display == display, f"c={c}: got {bound.display}"
 
 
-def test_hessian_bound_rejects_indefinite_weight(pipeline, monkeypatch):
-    # the pipeline fixture is built first: its ring needs a (Laplace) determinant
-    def no_determinant(*args, **kwargs):
-        raise AssertionError("determinant computed before the definiteness check")
+def no_determinant(*args, **kwargs):
+    raise AssertionError("determinant computed before the definiteness check")
 
+
+def test_hessian_bound_rejects_indefinite_weight(pipeline, monkeypatch):
     monkeypatch.setattr(dc, "det_poly", no_determinant)
     with pytest.raises(dc.IndefiniteWeightError):
         dc.hessian_bound(Fr(14))
+
+
+@pytest.mark.parametrize("c", [Fr(14), Fr(20)])
+def test_hessian_section_rejects_indefinite_weight(monkeypatch, c):
+    # at s = 0 the section's matrix is the full one, so the smoke mode refuses
+    # the same weights as condition (iv), before any determinant
+    monkeypatch.setattr(dc, "det_poly", no_determinant)
+    with pytest.raises(dc.IndefiniteWeightError):
+        dc.hessian_section_bound(c)
 
 
 @pytest.mark.parametrize("c", [Fr(39, 4), Fr(14)])
 def test_hessian_matrix_at_zero_is_quadratic_form_hessian(pipeline, c):
     # condition (iv) decides definiteness on the s-matrix at 0; with no
     # offset in t = T s that is the Hessian of the aggregate's quadratic part
-    at_zero = dc.hessian_matrix_s(c, pipeline).evaluate([QS2_ZERO] * dc.NVARS)
+    at_zero = dc.hessian_matrix_s(c).evaluate([QS2_ZERO] * dc.NVARS)
     h_aggregate = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
     assert at_zero == dc.quadratic_form_hessian(h_aggregate)
-    cert = dc.local_maximality_certificate(c, pipeline)
+    cert = dc.local_maximality_certificate(c)
     assert cert.full_hessian_negative_definite == (c == Fr(39, 4))

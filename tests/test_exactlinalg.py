@@ -8,6 +8,7 @@ from widthcert.exactlinalg import (
     PolyMatrix,
     QMatrix,
     SingularMatrixError,
+    _det_laplace,
     adjugate_poly,
     characteristic_polynomial,
     det_field,
@@ -144,7 +145,7 @@ def _poly_matrix_of_lattice(pipeline):
 
 def test_perturbed_matrix_degrees(pipeline):
     M = _poly_matrix_of_lattice(pipeline)
-    det = det_poly(M, method="laplace")
+    det = _det_laplace(M)
     adj = adjugate_poly(M)
     assert det.degree() == 3
     assert max(e.degree() for row in adj.rows for e in row) == 2
@@ -152,7 +153,7 @@ def test_perturbed_matrix_degrees(pipeline):
 
 def test_adjugate_identity_on_perturbed_matrix(pipeline):
     M = _poly_matrix_of_lattice(pipeline)
-    det = det_poly(M, method="laplace")
+    det = _det_laplace(M)
     adj = adjugate_poly(M)
     n = M.nrows
     for i in range(n):
@@ -169,14 +170,13 @@ def test_det_of_diagonal_poly_matrix():
     x1 = MvPoly.variable(1, 2)
     zero = MvPoly.zero(2)
     M = PolyMatrix([[x0, zero], [zero, x1]])
-    for method in ("laplace", "modular"):
-        assert det_poly(M, method=method) == x0 * x1
+    assert _det_laplace(M) == det_poly(M) == x0 * x1
 
 
 def test_det_poly_matches_field_det_at_random_points(pipeline):
     rng = random.Random(13)
     M = _poly_matrix_of_lattice(pipeline)
-    det = det_poly(M, method="laplace")
+    det = _det_laplace(M)
     for _ in range(20):
         point = [QSqrt2(Fr(rng.randint(-4, 4), rng.randint(1, 4)),
                         Fr(rng.randint(-2, 2), rng.randint(1, 3)))

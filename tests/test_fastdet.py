@@ -11,7 +11,7 @@ import pytest
 
 from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
-from widthcert.exactlinalg import PolyMatrix, det_poly
+from widthcert.exactlinalg import PolyMatrix, _det_laplace
 from widthcert.fastdet import (
     _integerize,
     _is_prime,
@@ -65,7 +65,7 @@ def test_norm_bound_dominates_small_case():
     entries = [[{m: (int(c.rat * 4), int(c.irr * 4)) for m, c in e.terms.items()}
                 for e in row] for row in M.rows]
     bound = coefficient_norm_bound(entries)
-    det = det_poly(M, method="laplace")
+    det = _det_laplace(M)
     for c in det.terms.values():
         assert abs(c.rat * 64) <= bound
         assert abs(c.irr * 64) <= bound
@@ -75,12 +75,12 @@ def test_norm_bound_dominates_small_case():
 def test_modular_matches_laplace_random(n, nvars):
     rng = random.Random(100 * n + nvars)
     M = _random_poly_matrix(rng, n, nvars)
-    assert det_poly_modular(M) == det_poly(M, method="laplace")
+    assert det_poly_modular(M) == _det_laplace(M)
 
 
 def test_modular_matches_laplace_linear_entries(pipeline):
     M = pipeline.ring.matrix
-    assert det_poly_modular(M) == det_poly(M, method="laplace")
+    assert det_poly_modular(M) == _det_laplace(M)
 
 
 def test_modular_on_hessian_section_matches_laplace():
@@ -100,7 +100,7 @@ def test_modular_on_hessian_section_matches_laplace():
 
     reduced = matrix.map_entries(section)
     fast = det_poly_modular(reduced)
-    slow = det_poly(reduced, method="laplace")
+    slow = _det_laplace(reduced)
     assert fast == slow
     assert fast.degree() <= 16
     assert len(fast.terms) > 50

@@ -72,6 +72,24 @@ def test_integer_cap_rejects_a_failed_certificate():
         gb._report(replace(row, claimed=Fr(44)), gb.DEFAULT_PRECISION)
 
 
+def test_global_bounds_certifies_each_inequality_once(monkeypatch, capsys):
+    from widthcert.cli import EXIT_OK, main
+    from widthcert.exactnum import certify_less
+
+    calls = []
+
+    def counting_certify_less(a, b):
+        calls.append((a, b))
+        return certify_less(a, b)
+
+    # fresh rows: a row keeps its verdict once decided
+    monkeypatch.setattr(gb, "INEQUALITIES", tuple(replace(row) for row in gb.INEQUALITIES))
+    monkeypatch.setattr(gb, "certify_less", counting_certify_less)
+    assert main(["--format", "kv", "global-bounds"]) == EXIT_OK
+    assert "verdict=pass" in capsys.readouterr().out
+    assert len(calls) == len(gb.INEQUALITIES) == 8
+
+
 def test_all_reports_certified():
     reports = gb.all_reports()
     assert [r.name for r in reports] == [
