@@ -16,9 +16,11 @@ Exit codes, all decided in `main`:
      polytope file, or a degenerate polytope
 
 `--precision` and `--tol` accept no value below `MIN_RESOLUTION` (1e-100),
-so a user-chosen resolution cannot stall the tool.  `--smoke-hessian` fails
-with exit 1, as `--with-hessian` does, for a weight c at which the aggregate
-Hessian is not negative definite at 0.
+and the weight c (`--c` and each `--sweep` value) must be a positive
+rational whose numerator and denominator are at most `MAX_WEIGHT_TERM`
+(10^100), so neither a resolution nor a weight can stall the tool.
+`--smoke-hessian` fails with exit 1, as `--with-hessian` does, for a weight
+c at which the aggregate Hessian is not negative definite at 0.
 
 Any exception `main` maps prints one `error: ...` line on stderr and
 nothing on stdout; no failure ends in a traceback.  Output formats: human
@@ -47,17 +49,16 @@ EXIT_USAGE = 2
 #: grow with the digits asked for, and past about 4300 digits Python's
 #: int-to-str limit makes printing the result fail.
 MIN_RESOLUTION = Fraction(1, 10**100)
-
-
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})")
+#: the largest numerator or denominator accepted for the weight c, for the
+#: same reason: the certificates' exact arithmetic grows with its digits.
+MAX_WEIGHT_TERM = 10**100
 
 
 def _positive_rational(text: str) -> Fraction:
-    value = _rational(text)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({err})")
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
@@ -68,6 +69,21 @@ def _resolution(text: str) -> Fraction:
     if value < MIN_RESOLUTION:
         raise argparse.ArgumentTypeError("must be at least 1e-100")
     return value
+
+
+def _weight(text: str) -> Fraction:
+    value = _positive_rational(text)
+    if max(value.numerator, value.denominator) > MAX_WEIGHT_TERM:
+        raise argparse.ArgumentTypeError(
+            f"numerator and denominator must be at most 1e100: {text}")
+    return value
+
+
+def _weights(text: str) -> list[Fraction]:
+    values = [_weight(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,11 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify-delta", help="verify width, hollowness and facet incidences")
 
     p_local = sub.add_parser("certify-local", help="local maximality certificate")
-    p_local.add_argument("--c", type=_positive_rational, default=Fraction(39, 4),
-                         help="aggregate weight (default 39/4)")
+    p_local.add_argument("--c", type=_weight, default=Fraction(39, 4),
+                         help="aggregate weight (default 39/4; positive, numerator "
+                              "and denominator at most 1e100)")
 
     p_n = sub.add_parser("certify-neighborhood", help="explicit neighborhood radii")
-    p_n.add_argument("--c", type=_positive_rational, default=Fraction(39, 4))
+    p_n.add_argument("--c", type=_weight, default=Fraction(39, 4),
+                     help="aggregate weight (default 39/4; positive, numerator "
+                          "and denominator at most 1e100)")
     p_n.add_argument("--with-hessian", action="store_true",
                      help="include the long-running degree-16 determinant condition")
     p_n.add_argument("--smoke-hessian", action="store_true",
@@ -96,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "it fails where the Hessian is indefinite at 0")
     p_n.add_argument("--tol", type=_resolution, default=Fraction(1, 10**7),
                      help="root-bound bisection tolerance (default 1e-7, at least 1e-100)")
-    p_n.add_argument("--sweep", type=str, default=None,
-                     help="comma-separated list of c values; prints one row each")
+    p_n.add_argument("--sweep", type=_weights, default=None,
+                     help="comma-separated list of c values, each bounded as --c; "
+                          "prints one row each")
 
     p_w = sub.add_parser("width", help="exact lattice width of a polytope file")
     p_w.add_argument("--polytope", required=True, help="input file path")
@@ -271,16 +291,7 @@ def _row_text(report: deltacert.CertificateReport) -> list[str]:
 
 
 def _cmd_certify_neighborhood(args) -> int:
-    cs = [args.c]
-    if args.sweep:
-        try:
-            cs = [Fraction(tok.strip()) for tok in args.sweep.split(",") if tok.strip()]
-        except (ValueError, ZeroDivisionError) as err:
-            print(f"error: bad --sweep value ({err})", file=sys.stderr)
-            return EXIT_USAGE
-        if any(c <= 0 for c in cs):
-            print("error: --sweep values must be positive", file=sys.stderr)
-            return EXIT_USAGE
+    cs = args.sweep or [args.c]
     rows = []
     texts = []
     ok = True

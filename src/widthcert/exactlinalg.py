@@ -2,6 +2,12 @@
 determinants, inverses, kernels, quadratic-form restriction, and the
 Sylvester definiteness test.  Everything is exact; there is no numerical
 (floating point) path in this module.
+
+Every field operation derives from one forward elimination, `_echelon`:
+the determinant is the signed product of its pivots, the rank is their
+number, kernels and inverses back-substitute from its echelon rows, and
+Sylvester's test reads the pivot signs (the k-th pivot of a swap-free pass
+is D_k / D_{k-1}, the ratio of consecutive leading principal minors).
 """
 
 from __future__ import annotations
@@ -92,107 +98,95 @@ class QMatrix:
         return "QMatrix([" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
 
 
-def det_field(matrix: QMatrix) -> QSqrt2:
-    """Exact determinant by fraction-producing Gaussian elimination (QSqrt2 is
-    a field, so exact division is fine)."""
-    if not matrix.is_square():
-        raise ValueError("determinant of non-square matrix")
-    n = matrix.nrows
-    rows = [list(r) for r in matrix.rows]
-    det = QS2_ONE
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot_row is None:
-            return QS2_ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det = det * pivot
-        inv = pivot.inverse()
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                for j in range(col, n):
-                    rows[i][j] = rows[i][j] - factor * rows[col][j]
-    return det
-
-
-def inverse_field(matrix: QMatrix) -> QMatrix:
-    """Exact inverse by Gauss-Jordan elimination."""
-    if not matrix.is_square():
-        raise ValueError("inverse of non-square matrix")
-    n = matrix.nrows
-    aug = [list(r) + [QS2_ONE if i == j else QS2_ZERO for j in range(n)]
-           for i, r in enumerate(matrix.rows)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return QMatrix([row[n:] for row in aug])
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[QSqrt2]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[QSqrt2]], list[int], int]:
+    """The one elimination loop of this module: forward elimination, pivoting
+    on the first nonzero entry of each column, without rescaling rows, and
+    updating only the columns right of the pivot.  Returns the echelon rows
+    (zero past the last pivot row), the pivot columns and the row swaps."""
     work = [list(_coerce_vector(r)) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    ncols = len(work[0]) if work else 0
     pivots: list[int] = []
-    r = 0
+    swaps = 0
     for col in range(ncols):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][col].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            swaps += 1
+        top = work[r]
+        inv = top[col].inverse()
+        for row in work[r + 1:]:
+            if row[col]:
+                factor = row[col] * inv
+                row[col] = QS2_ZERO
+                for j in range(col + 1, ncols):
+                    row[j] = row[j] - factor * top[j]
         pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    return work, pivots, swaps
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[QSqrt2, ...]]:
-    """Basis of the common kernel {v : row . v = 0 for every row}."""
-    work = [list(_coerce_vector(r)) for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    reduced, pivots = rref(work)
-    free_cols = [j for j in range(ncols) if j not in pivots]
+def _back_substitute(echelon: list[list[QSqrt2]], pivots: list[int]) -> list[tuple[QSqrt2, ...]]:
+    """One kernel vector of the echelon rows per free column: 1 there, 0 at
+    the other free columns, pivot entries solved from the last pivot row up."""
+    ncols = len(echelon[0]) if echelon else 0
+    solve = [(row, pc, row[pc].inverse()) for row, pc in zip(echelon, pivots)][::-1]
     basis = []
-    for fc in free_cols:
+    for fc in (j for j in range(ncols) if j not in pivots):
         v = [QS2_ZERO] * ncols
         v[fc] = QS2_ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
+        for row, pc, inv in solve:
+            acc = sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j]), QS2_ZERO)
+            v[pc] = -(acc * inv)
         basis.append(tuple(v))
     return basis
 
 
+def det_field(matrix: QMatrix) -> QSqrt2:
+    """Exact determinant: the signed product of the `_echelon` pivots."""
+    if not matrix.is_square():
+        raise ValueError("determinant of non-square matrix")
+    echelon, pivots, swaps = _echelon(matrix.rows)
+    if len(pivots) < matrix.nrows:
+        return QS2_ZERO
+    det = QS2_ONE
+    for row, pc in zip(echelon, pivots):
+        det = det * row[pc]
+    return -det if swaps % 2 else det
+
+
+def inverse_field(matrix: QMatrix) -> QMatrix:
+    """Exact inverse: eliminate [M | -I]; the kernel vector of its free column
+    n + j carries column j of M^{-1} in its first n entries."""
+    if not matrix.is_square():
+        raise ValueError("inverse of non-square matrix")
+    n = matrix.nrows
+    echelon, pivots, _ = _echelon([
+        list(r) + [-QS2_ONE if i == j else QS2_ZERO for j in range(n)]
+        for i, r in enumerate(matrix.rows)
+    ])
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    cols = _back_substitute(echelon, pivots)
+    return QMatrix([[col[i] for col in cols] for i in range(n)])
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(_echelon(rows)[1])
+
+
+def kernel_basis(rows: Sequence[Sequence]) -> list[tuple[QSqrt2, ...]]:
+    """Basis of the common kernel {v : row . v = 0 for every row}, one vector
+    per free column of the echelon form."""
+    echelon, pivots, _ = _echelon(rows)
+    return _back_substitute(echelon, pivots)
+
+
 def spans_same_space(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> bool:
     """Mutual containment of row spans, checked by rank."""
-    a = [list(_coerce_vector(r)) for r in basis_a]
-    b = [list(_coerce_vector(r)) for r in basis_b]
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(a + b)
+    ra, rb = rank(basis_a), rank(basis_b)
+    return ra == rb == rank([*basis_a, *basis_b])
 
 
 def restrict_quadratic_form(H: QMatrix, basis: Sequence[Sequence]) -> QMatrix:
@@ -210,23 +204,17 @@ def restrict_quadratic_form(H: QMatrix, basis: Sequence[Sequence]) -> QMatrix:
     ])
 
 
-def leading_principal_minors(H: QMatrix) -> list[QSqrt2]:
-    return [
-        det_field(QMatrix([row[: k + 1] for row in H.rows[: k + 1]]))
-        for k in range(H.nrows)
-    ]
-
-
 def is_negative_definite(H: QMatrix) -> bool:
-    """Sylvester criterion: (-1)^k * (k-th leading principal minor) > 0 for
-    every k, all signs decided exactly."""
+    """Sylvester's criterion read off one `_echelon` pass: while no swap is
+    made, the k-th pivot is D_k / D_{k-1}, the ratio of consecutive leading
+    principal minors.  So H is negative definite iff the pass makes no swap
+    (a swap means some D_k = 0), yields n pivots, and every pivot is
+    negative; all signs are decided exactly."""
     if not H.is_symmetric():
         raise ValueError("definiteness test requires a symmetric matrix")
-    for k, minor in enumerate(leading_principal_minors(H), start=1):
-        expected = 1 if k % 2 == 0 else -1
-        if minor.sign() != expected:
-            return False
-    return True
+    echelon, pivots, swaps = _echelon(H.rows)
+    return (swaps == 0 and len(pivots) == H.nrows
+            and all(row[pc].sign() < 0 for row, pc in zip(echelon, pivots)))
 
 
 def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:

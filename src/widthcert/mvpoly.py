@@ -62,7 +62,7 @@ class MvPoly:
         return MvPoly(nvars, {tuple(e): QSqrt2.coerce(coeff)})
 
     @staticmethod
-    def linear_form(coeffs: Sequence, constant=QS2_ZERO) -> "MvPoly":
+    def linear_form(coeffs: Sequence) -> "MvPoly":
         n = len(coeffs)
         terms: dict[Monomial, QSqrt2] = {}
         for i, c in enumerate(coeffs):
@@ -71,9 +71,6 @@ class MvPoly:
                 e = [0] * n
                 e[i] = 1
                 terms[tuple(e)] = c
-        constant = QSqrt2.coerce(constant)
-        if constant:
-            terms[(0,) * n] = constant
         return MvPoly(n, terms)
 
     # -- ring operations --------------------------------------------------------
@@ -214,8 +211,8 @@ class MvPoly:
         scale = den_c * den_x ** maxdeg
         return QSqrt2(Fraction(total_a, scale), Fraction(total_b, scale))
 
-    def substitute_linear(self, matrix: Sequence[Sequence], offset: Sequence | None = None) -> "MvPoly":
-        """Compose with an affine change of variables: returns p(A*x + b).
+    def substitute_linear(self, matrix: Sequence[Sequence]) -> "MvPoly":
+        """Compose with a linear change of variables: returns p(A*x).
 
         `matrix` is nvars x nvars (row i gives the expansion of old variable i
         in the new variables); degree never increases.
@@ -223,13 +220,7 @@ class MvPoly:
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("substitution matrix must be square of matching dimension")
-        if offset is None:
-            offset = [QS2_ZERO] * n
-        images = [
-            MvPoly.linear_form([QSqrt2.coerce(matrix[i][j]) for j in range(n)],
-                               QSqrt2.coerce(offset[i]))
-            for i in range(n)
-        ]
+        images = [MvPoly.linear_form(row) for row in matrix]
         # cache powers of each image to keep repeated exponents cheap
         powers: list[list[MvPoly]] = [[MvPoly.constant(1, n)] for _ in range(n)]
         result = MvPoly.zero(n)

@@ -66,24 +66,12 @@ class Polytope:
     def is_simplex(self) -> bool:
         if len(self.vertices) != 4:
             return False
-        return bool(self._simplex_volume_det())
-
-    def _simplex_volume_det(self) -> QSqrt2:
         v0 = self.vertices[0]
-        rows = [_vsub(v, v0) for v in self.vertices[1:4]]
-        return det_field(QMatrix(rows))
+        return bool(det_field(QMatrix([_vsub(v, v0) for v in self.vertices[1:]])))
 
     def require_simplex(self):
-        if len(self.vertices) != 4 or not self._simplex_volume_det():
+        if not self.is_simplex():
             raise DegeneratePolytopeError("operation requires a non-degenerate simplex")
-
-    def is_full_dimensional(self) -> bool:
-        v0 = self.vertices[0]
-        diffs = [_vsub(v, v0) for v in self.vertices[1:]]
-        for rows in combinations(diffs, 3):
-            if det_field(QMatrix(rows)):
-                return True
-        return False
 
     def translate(self, offset: Sequence) -> "Polytope":
         off = _vec(offset)
@@ -215,13 +203,11 @@ def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     """
     v0 = K.vertices[0]
     diffs = [_vsub(v, v0) for v in K.vertices[1:]]
-    indep = None
-    for rows in combinations(diffs, 3):
-        if det_field(QMatrix(rows)):
-            indep = rows
+    for indep in combinations(diffs, 3):
+        if det_field(QMatrix(indep)):
             break
-    if indep is None:
-        raise DegeneratePolytopeError("polytope is not full-dimensional")
+    else:
+        raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
     D = QMatrix(indep)
     MB = L.basis_matrix().matmul(inverse_field(D))
     bounds = []
@@ -235,8 +221,6 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
     """Exact lattice width of K over the dual of the linear lattice of L,
     together with the complete set of attaining functionals (one per +/-
     pair, first nonzero coordinate positive, sorted deterministically)."""
-    if not K.is_full_dimensional():
-        raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
     duals = dual_lattice(L)
     w0 = None
     for d in duals:

@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 
@@ -13,10 +11,9 @@ def pytest_addoption(parser):
 
 
 def pytest_collection_modifyitems(config, items):
-    run_slow = config.getoption("--run-slow") or os.environ.get("WIDTHCERT_RUN_SLOW") == "1"
-    if run_slow:
+    if config.getoption("--run-slow"):
         return
-    skip = pytest.mark.skip(reason="long-running; enable with --run-slow or WIDTHCERT_RUN_SLOW=1")
+    skip = pytest.mark.skip(reason="long-running; enable with --run-slow")
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)

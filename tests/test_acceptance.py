@@ -1,6 +1,6 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line.  Criterion 4 (the full degree-16 determinant sweep) is long-running
-and sits behind --run-slow / WIDTHCERT_RUN_SLOW=1."""
+and sits behind --run-slow."""
 
 import random
 import time

@@ -267,6 +267,33 @@ def test_resolution_floor_itself_is_accepted():
     assert parser.parse_args(["certify-neighborhood", "--tol", "1e-100"]).tol == MIN_RESOLUTION
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify-local", "--c", "1e-101"),
+    ("certify-local", "--c", "1e101"),
+    ("certify-neighborhood", "--c", "1e-101"),
+    ("certify-neighborhood", "--sweep", "7,1e-5000"),
+    ("certify-neighborhood", "--sweep", ","),
+    ("certify-neighborhood", "--sweep", "7,x"),
+    ("certify-neighborhood", "--sweep", "7,-1"),
+])
+def test_weight_flags_reject_unbounded_or_empty_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {argv[1]}: " in err
+
+
+def test_weight_bound_itself_is_accepted():
+    parser = build_parser()
+    for command in ("certify-local", "certify-neighborhood"):
+        for text, value in (("1e-100", Fraction(1, 10**100)), ("1e100", Fraction(10**100))):
+            assert parser.parse_args([command, "--c", text]).c == value
+    assert parser.parse_args(["certify-neighborhood", "--sweep", " 7, 1e-100 ,"]).sweep \
+        == [7, Fraction(1, 10**100)]
+
+
 # -- byte-stable machine output --------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "golden"

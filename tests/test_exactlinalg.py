@@ -39,6 +39,9 @@ def test_inverse_triangular():
 def test_inverse_of_singular_raises():
     with pytest.raises(SingularMatrixError):
         inverse_field(QMatrix([[1, 1], [1, 1]]))
+    # rank 2: a pivot exists in every column, but not on the diagonal
+    with pytest.raises(SingularMatrixError):
+        inverse_field(QMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
 
 
 def test_inverse_times_matrix_is_identity():
@@ -49,6 +52,10 @@ def test_inverse_times_matrix_is_identity():
         if not det_field(m):
             continue
         assert m.matmul(inverse_field(m)) == QMatrix.identity(3)
+    # a zero at (0, 0) forces a row swap before the first pivot
+    m = QMatrix([[0, 1, QSqrt2(0, 1)], [2, 0, 1], [1, 3, 0]])
+    inv = inverse_field(m)
+    assert m.matmul(inv) == inv.matmul(m) == QMatrix.identity(3)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -60,6 +67,10 @@ def test_kernel_of_single_row():
     assert len(basis) == 7
     for v in basis:
         assert sum((QSqrt2.coerce(r) * x for r, x in zip(rows[0], v)), QSqrt2(0)) == QSqrt2(0)
+    # pivots in columns 1 and 3 leave the free columns 0 and 2; the basis by
+    # hand is e0 and e2 - 2 e1
+    gap = kernel_basis([[0, 1, 2, 0], [0, 0, 0, 1]])
+    assert gap == [tuple(QSqrt2(x) for x in v) for v in ((1, 0, 0, 0), (0, -2, 1, 0))]
 
 
 def test_gradient_kernel_rank_and_dimension(pipeline):
@@ -120,6 +131,17 @@ def test_restriction_output_symmetric():
 def test_negative_definite_examples():
     assert is_negative_definite(QMatrix([[-1, 0], [0, -1]]))
     assert not is_negative_definite(QMatrix([[-1, 0], [0, 0]]))
+    # D1 = 0: elimination must swap rows, and the form is indefinite
+    assert not is_negative_definite(QMatrix([[0, 1], [1, -1]]))
+    # indefinite (eigenvalues 1 and -1), though swapping its rows would
+    # leave two negative pivots
+    assert not is_negative_definite(QMatrix([[0, -1], [-1, 0]]))
+    # D1 = -1 < 0 but D2 = -3 < 0, so the second pivot D2/D1 is positive
+    assert not is_negative_definite(QMatrix([[-1, 2], [2, -1]]))
+    # D1 = -2, D2 = 1: both pivots negative
+    assert is_negative_definite(QMatrix([[-2, 1], [1, -1]]))
+    # singular: D2 = 0 although D1 and the last diagonal entry are negative
+    assert not is_negative_definite(QMatrix([[-1, 1, 0], [1, -1, 0], [0, 0, -1]]))
     with pytest.raises(ValueError):
         is_negative_definite(QMatrix([[0, 1], [0, 0]]))
 
@@ -128,12 +150,36 @@ def test_negative_definite_agrees_with_char_poly_oracle():
     # a symmetric matrix is real-rooted, so all eigenvalues are negative iff
     # every coefficient of det(xI - H) is strictly positive
     rng = random.Random(9)
-    for n in (3, 4):
+    seen = set()
+    for n in range(2, 6):
         for _ in range(30):
             H = _random_symmetric(rng, n)
+            # a diagonal shift makes negative definite samples common
+            shift = rng.choice((0, 8, 16, 32))
+            H = QMatrix([[x - shift if i == j else x for j, x in enumerate(row)]
+                         for i, row in enumerate(H.rows)])
             coeffs = characteristic_polynomial(H)
             oracle = all(qs2_sign(c) > 0 for c in coeffs)
             assert is_negative_definite(H) == oracle
+            seen.add(oracle)
+    assert seen == {True, False}
+
+
+def test_det_agrees_with_char_poly_constant_term():
+    # det(H) = (-1)^n * chi_H(0); a zero at (0, 0) and sparse entries make
+    # the elimination swap rows, so the sign of every swap is checked
+    rng = random.Random(21)
+    nonzero = 0
+    for n in range(2, 6):
+        for _ in range(20):
+            entries = [[QSqrt2(rng.randint(-3, 3), rng.randint(-1, 1))
+                        if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+            entries[0][0] = 0
+            H = QMatrix(entries)
+            det = det_field(H)
+            assert det == (-1) ** n * characteristic_polynomial(H)[0]
+            nonzero += bool(det)
+    assert nonzero >= 20
 
 
 # -- polynomial matrices -----------------------------------------------------------------
