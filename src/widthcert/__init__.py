@@ -6,15 +6,12 @@ from .exactnum import (
     AlgExpr,
     QSqrt2,
     RatInterval,
-    Rational,
     SQRT2,
     UndecidedComparison,
     alg,
     cbrt,
     certify_less,
     interval_eval,
-    qs2_floor,
-    qs2_sign,
     sqrt,
 )
 from .mvpoly import (
@@ -39,7 +36,6 @@ from .widthlab import (
     Functional,
     Polytope,
     WidthResult,
-    difference_body_vertices,
     dual_lattice,
     facet_hyperplanes,
     hollow_check,
@@ -70,7 +66,6 @@ __all__ = [
     "QMatrix",
     "QSqrt2",
     "RatInterval",
-    "Rational",
     "SQRT2",
     "UndecidedComparison",
     "UniPoly",
@@ -86,7 +81,6 @@ __all__ = [
     "companion_root_enclosure",
     "det_field",
     "det_poly",
-    "difference_body_vertices",
     "dual_lattice",
     "facet_hyperplanes",
     "hollow_check",
@@ -96,8 +90,6 @@ __all__ = [
     "kernel_basis",
     "lattice_width",
     "local_maximality_certificate",
-    "qs2_floor",
-    "qs2_sign",
     "replay_inequality_chain",
     "restrict_quadratic_form",
     "sqrt",

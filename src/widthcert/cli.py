@@ -18,7 +18,9 @@ Exit codes, all decided in `main`:
 `--precision` and `--tol` accept no value below `MIN_RESOLUTION` (1e-100),
 and the weight c (`--c` and each `--sweep` value) must be a positive
 rational whose numerator and denominator are at most `MAX_WEIGHT_TERM`
-(10^100), so neither a resolution nor a weight can stall the tool.
+(10^100), so neither a resolution nor a weight can stall the tool.  The
+text of each is refused first if its decimal exponent exceeds
+`MAX_EXPONENT` (1000) in size.
 `--smoke-hessian` fails with exit 1, as `--with-hessian` does, for a weight
 c at which the aggregate Hessian is not negative definite at 0.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -52,9 +55,20 @@ MIN_RESOLUTION = Fraction(1, 10**100)
 #: the largest numerator or denominator accepted for the weight c, for the
 #: same reason: the certificates' exact arithmetic grows with its digits.
 MAX_WEIGHT_TERM = 10**100
+#: the largest decimal exponent read from the text of a rational.  `Fraction`
+#: expands an exponent into a full integer before either bound above can be
+#: checked (1e-10000000 takes seconds), so the text is screened first; 1000
+#: is far past any exponent a bounded value needs.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def _positive_rational(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > MAX_EXPONENT:
+            raise argparse.ArgumentTypeError(f"decimal exponent beyond {MAX_EXPONENT}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as err:
@@ -180,18 +194,15 @@ def _flatten(data, prefix="") -> dict:
 
 
 def _cmd_verify_delta(args) -> int:
-    from .widthlab import barycentric_coordinates, facet_hyperplanes, hollow_check
-
-    model = deltacert.build_delta_model(check=True)
-    wr = lattice_width(model.polytope, model.lattice)
-    hollow = hollow_check(model.polytope, model.lattice)
-    facets = facet_hyperplanes(model.polytope)
+    checked = deltacert.check_model(deltacert.build_delta_model(check=False))
+    wr = checked.width
+    hollow = checked.hollowness
     facet_rows = []
-    for i in range(4):
-        bary = barycentric_coordinates(model.facet_points[i], model.polytope)
+    for i, bary in enumerate(checked.barycentric):
         facet_rows.append({
             "facet_point": i + 1,
-            "on_facet_plane": facets[i](model.facet_points[i]).sign() == 0,
+            # barycentric coordinate i vanishes exactly on the facet opposite vertex i
+            "on_facet_plane": bary[i].sign() == 0,
             "barycentric": [str(b) for b in bary],
             "strictly_interior": all(b.sign() > 0 for j, b in enumerate(bary) if j != i),
         })

@@ -37,7 +37,9 @@ from .exactlinalg import (
 from .mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from .widthlab import (
     AffineLattice,
+    HollownessResult,
     Polytope,
+    WidthResult,
     barycentric_coordinates,
     dual_functional,
     dual_lattice,
@@ -112,9 +114,7 @@ class DeltaModel:
 
 def build_delta_model(check: bool = True) -> DeltaModel:
     """Construct the model constants and (by default) verify every structural
-    invariant: facet incidences, hollowness, the exact width with exactly
-    seven attaining directions, and their match with the dual-basis vectors.
-    """
+    invariant with `check_model`."""
     a = tuple(tuple(QSqrt2.coerce(x) for x in v) for v in _A_VERTICES)
     p = tuple(tuple(QSqrt2.coerce(x) for x in v) for v in _FACET_POINTS)
     basis = tuple(
@@ -135,13 +135,26 @@ def build_delta_model(check: bool = True) -> DeltaModel:
         polytope=poly,
     )
     if check:
-        _check_model(model)
+        check_model(model)
     return model
 
 
-def _check_model(model: DeltaModel):
+@dataclass(frozen=True)
+class ModelCheck:
+    """What `check_model` verified; `barycentric[i]` holds facet point i's."""
+
+    width: WidthResult
+    hollowness: HollownessResult
+    barycentric: tuple
+
+
+def check_model(model: DeltaModel) -> ModelCheck:
+    """Verify facet incidences, hollowness, the exact width with exactly
+    seven attaining directions, their match with the dual-basis vectors, and
+    the multiplier dependence of the gradients (`CertificationError` if not)."""
     # each facet point lies strictly inside the facet opposite the same-index vertex
     facets = facet_hyperplanes(model.polytope)
+    rows = []
     for i in range(4):
         if facets[i](model.facet_points[i]).sign() != 0:
             raise CertificationError(f"facet point {i} is off its facet plane")
@@ -150,10 +163,11 @@ def _check_model(model: DeltaModel):
             raise CertificationError(f"facet point {i} has nonzero coordinate on its vertex")
         if any(bary[j].sign() <= 0 for j in range(4) if j != i):
             raise CertificationError(f"facet point {i} is not interior to its facet")
+        rows.append(bary)
 
-    result = hollow_check(model.polytope, model.lattice)
-    if not result.hollow:
-        raise CertificationError(f"model polytope is not hollow: witness {result.witness}")
+    hollowness = hollow_check(model.polytope, model.lattice)
+    if not hollowness.hollow:
+        raise CertificationError(f"model polytope is not hollow: witness {hollowness.witness}")
 
     wr = lattice_width(model.polytope, model.lattice)
     if wr.width != WIDTH_VALUE:
@@ -169,6 +183,7 @@ def _check_model(model: DeltaModel):
     if not check_dependence(grads, model.multipliers):
         raise CertificationError(
             "multiplier combination of gradients is not zero, or their rank is not 5")
+    return ModelCheck(width=wr, hollowness=hollowness, barycentric=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +457,6 @@ class SCoords:
         """Rewrite a polynomial in t as a polynomial in s (substitute t = T s)."""
         return p.substitute_linear(self.t_from_s.rows)
 
-    def to_t(self, p: MvPoly) -> MvPoly:
-        return p.substitute_linear(self.s_from_t.rows)
-
     def s_of_facet_displacement(self, i: int, t1, t2) -> tuple[QSqrt2, QSqrt2]:
         """(s^h_i, s^v_i) of an in-facet displacement (t_i1, t_i2)."""
         t1, t2 = QSqrt2.coerce(t1), QSqrt2.coerce(t2)
@@ -691,12 +703,19 @@ def linear_bound(c: Fraction) -> RadiusBound:
 
 def attainment_bound(tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:
     """Condition (iii): each of the six directions keeps attaining its width
-    at the designated difference-body vertex.
+    at its designated vertex v_i of Delta - Delta.
 
-    6 directions x 11 competing vertices give 66 quadratic comparisons; each
-    is positive at 0 (verified exactly) and stays positive inside the ball
-    whose radius is the unique positive root of its coefficient companion.
-    Returns the minimum over all 66.
+    6 directions x 11 competing differences give 66 quadratic comparisons;
+    each is positive at 0 (verified exactly) and stays positive inside the
+    ball whose radius is the unique positive root of its coefficient
+    companion.  Returns the minimum over all 66.
+
+    Premise: the width of Delta in any direction is the maximum over all
+    differences a_i - a_j of its vertices, so the comparisons must run over
+    exactly those twelve; `attainment_polynomials` checks that.  That each
+    v_i is a vertex of Delta - Delta needs no check of its own: positivity
+    at 0 makes v_i the strict maximizer of its direction over the other
+    eleven differences, and a strict maximizer is a vertex.
     """
     polys = attainment_polynomials()
     if len(polys) != 66:
@@ -708,18 +727,28 @@ def attainment_bound(tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:
 
 
 def attainment_polynomials() -> list[MvPoly]:
-    """The 66 quadratics (v_i - v) . adj(M)(s) . u_i over competing
-    difference-body vertices v."""
+    """The 66 quadratics (v_i - w) . adj(M)(s) . u_i over the competing
+    differences w.
+
+    The twelve comparison vectors, the six v_i and their negatives, must be
+    exactly the differences {a_i - a_j : i != j} of the vertices of Delta,
+    since the width is a maximum over all of them (see `attainment_bound`);
+    `CertificationError` otherwise."""
     pl = get_pipeline()
     model = pl.model
-    vertices = list(model.attainment_diffs) + [
+    comparison = list(model.attainment_diffs) + [
         tuple(-x for x in v) for v in model.attainment_diffs
     ]
+    differences = {tuple(x - y for x, y in zip(a, b))
+                   for a in model.vertices for b in model.vertices if a != b}
+    if len(set(comparison)) != len(comparison) or set(comparison) != differences:
+        raise CertificationError(
+            "the comparison vectors of (iii) are not the differences a_i - a_j")
     out = []
     for idx in range(6):
         vi = model.attainment_diffs[idx]
         u = model.dual_int_vectors[idx]
-        for w in vertices:
+        for w in comparison:
             if w != vi:
                 out.append(_bilinear([vi[r] - w[r] for r in range(3)], pl.adjugate_s, u))
     return out

@@ -217,27 +217,6 @@ def is_negative_definite(H: QMatrix) -> bool:
             and all(row[pc].sign() < 0 for row, pc in zip(echelon, pivots)))
 
 
-def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
-    """Coefficients (ascending) of det(x*I - H), via the Faddeev-LeVerrier
-    recurrence; used as an eigenvalue-free definiteness oracle in tests."""
-    if not H.is_square():
-        raise ValueError("characteristic polynomial of non-square matrix")
-    n = H.nrows
-    coeffs = [QS2_ZERO] * (n + 1)
-    coeffs[n] = QS2_ONE
-    M = QMatrix.identity(n)
-    for k in range(1, n + 1):
-        HM = H.matmul(M)
-        trace = sum((HM.rows[i][i] for i in range(n)), QS2_ZERO)
-        c = -(trace / k)
-        coeffs[n - k] = c
-        M = QMatrix([
-            [HM.rows[i][j] + (c if i == j else QS2_ZERO) for j in range(n)]
-            for i in range(n)
-        ])
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Polynomial matrices
 # ---------------------------------------------------------------------------
@@ -274,12 +253,6 @@ class PolyMatrix:
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows) for j in range(i + 1, self.ncols)
-        )
 
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in row] for row in self.rows])

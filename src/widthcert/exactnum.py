@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-#: Exact rational scalar.  `fractions.Fraction` already maintains the two
-#: invariants we need: reduced form and positive denominator.
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction, "QSqrt2"]
 
 
@@ -91,9 +87,6 @@ class QSqrt2:
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QSqrt2":
-        return QSqrt2(self.rat, -self.irr)
 
     def inverse(self) -> "QSqrt2":
         """Field inverse via the conjugate: 1/(a+b*sqrt2) = (a-b*sqrt2)/(a^2-2b^2)."""
@@ -232,14 +225,6 @@ def _refine_sqrt2(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return lo, mid
 
 
-def qs2_sign(x: ScalarLike) -> int:
-    return QSqrt2.coerce(x).sign()
-
-
-def qs2_floor(x: ScalarLike) -> int:
-    return QSqrt2.coerce(x).floor()
-
-
 # ---------------------------------------------------------------------------
 # Rational interval arithmetic
 # ---------------------------------------------------------------------------
@@ -264,13 +249,6 @@ class RatInterval:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __add__(self, other):
         other = _as_interval(other)

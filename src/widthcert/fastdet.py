@@ -6,10 +6,11 @@ a graded monomial table and are reduced modulo several word-size primes.
 The exact integer coefficients are recovered by CRT.  Exactness is
 unconditional, not heuristic:
 
-* the product of the primes is required to exceed twice a certified bound on
-  every coefficient of the determinant (the bound runs the same subset
-  recursion on the coefficient-norm ``sum(|a| + 2|b|)`` of each entry, which
-  is submultiplicative for Z[sqrt2] polynomials);
+* the primes are the fewest whose product exceeds four times a certified
+  bound on every coefficient of the determinant (the symmetric residue range
+  needs twice; the bound runs the same subset recursion on the
+  coefficient-norm ``sum(|a| + 2|b|)`` of each entry, which is
+  submultiplicative for Z[sqrt2] polynomials);
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
@@ -148,16 +149,29 @@ def _is_prime(x: int) -> bool:
     return True
 
 
-def primes_below(bound: int, count: int) -> list[int]:
-    out = []
-    c = bound - 1 if bound % 2 == 0 else bound - 2
-    while len(out) < count:
+def _odd_primes_below(bound: int):
+    """The odd primes below `bound`, largest first."""
+    for c in range(bound - 1 if bound % 2 == 0 else bound - 2, 2, -2):
         if _is_prime(c):
-            out.append(c)
-        c -= 2
-        if c < 3:
+            yield c
+
+
+def crt_primes(bound: int, terms: int) -> list[int]:
+    """The fewest primes (at least one) whose product exceeds 4 * bound,
+    largest first, among the primes p small enough that a sum of `terms`
+    products of residue pairs, 3 * terms * (p-1)^2, stays below 2^63 (at
+    most 25 bits)."""
+    pmax_sq = 2**63 // (3 * terms) - 1
+    pbits = min(25, max(3, (pmax_sq.bit_length() - 1) // 2))
+    primes, modulus = [], 1
+    candidates = _odd_primes_below(1 << pbits)
+    while modulus <= 4 * bound or not primes:
+        p = next(candidates, None)
+        if p is None:
             raise ValueError("ran out of primes")
-    return out
+        primes.append(p)
+        modulus *= p
+    return primes
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +237,9 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     entries, scale = _integerize(M)
     bound = coefficient_norm_bound(entries)
 
-    # overflow-free accumulation needs k*nq*3*(p-1)^2 < 2^63
+    # a level-k pass sums k*nq products per output coefficient, k <= n
     nq = table.size_up_to[entry_deg]
-    pmax_sq = 2**63 // (3 * n * nq) - 1
-    pbits = min(25, max(3, (pmax_sq.bit_length() - 1) // 2))
-    nprimes = max(2, (2 * bound).bit_length() // (pbits - 1) + 1)
-    primes = primes_below(1 << pbits, nprimes)
-    while prod(primes) <= 4 * bound:
-        primes = primes_below(1 << pbits, len(primes) + 1)
+    primes = crt_primes(bound, n * nq)
 
     qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
 

@@ -212,17 +212,3 @@ def all_reports(precision: Fraction = DEFAULT_PRECISION) -> list[BoundReport]:
     rows = {row.report_name: row for row in INEQUALITIES}
     return [_report(rows[name], precision) for name in _REPORT_ORDER]
 
-
-@dataclass(frozen=True)
-class InscribedBound:
-    report: BoundReport
-    integer_cap: int
-    volume_cap: Fraction
-
-
-def inscribed_volume_bounds(precision: Fraction = DEFAULT_PRECISION) -> list[InscribedBound]:
-    """Volume caps for an inscribed empty 3-polytope P, via the integrality
-    of 6 vol(P): the general cap 22/3 and the tetrahedron cap 17/6."""
-    return [InscribedBound(_report(row, precision), row.integer_cap,
-                           Fraction(row.integer_cap, 6))
-            for row in INEQUALITIES if row.integer_cap is not None]

@@ -3,8 +3,8 @@ coefficient-companion machinery that turns a polynomial's coefficients into a
 certified lower bound on the size of its smallest zero.
 
 Polynomials are immutable maps from exponent tuples to nonzero QSqrt2
-coefficients; equality is term-map equality, and the canonical serialization
-orders terms by graded lexicographic order.
+coefficients; equality is term-map equality, and `repr` lists the terms in
+graded lexicographic order.
 """
 
 from __future__ import annotations
@@ -148,9 +148,6 @@ class MvPoly:
     def constant_term(self) -> QSqrt2:
         return self.terms.get((0,) * self.nvars, QS2_ZERO)
 
-    def coefficient(self, m: Monomial) -> QSqrt2:
-        return self.terms.get(tuple(m), QS2_ZERO)
-
     def partial(self, i: int) -> "MvPoly":
         terms: dict[Monomial, QSqrt2] = {}
         for m, c in self.terms.items():
@@ -235,31 +232,6 @@ class MvPoly:
                 term = term * cache[e]
             result = result + term
         return result
-
-    # -- serialization -------------------------------------------------------------
-
-    def serialize(self) -> str:
-        """Canonical text form: one `e1 e2 ... en : coeff` line per term in
-        graded lexicographic order."""
-        lines = [f"nvars {self.nvars}"]
-        for m in sorted(self.terms, key=graded_lex_key):
-            lines.append(" ".join(str(e) for e in m) + " : " + str(self.terms[m]))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def deserialize(text: str) -> "MvPoly":
-        from .polyfile import parse_scalar  # deferred: avoids import cycle
-
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("nvars "):
-            raise ValueError("serialized polynomial must start with 'nvars <n>'")
-        nvars = int(lines[0].split()[1])
-        terms: dict[Monomial, QSqrt2] = {}
-        for ln in lines[1:]:
-            mono_part, _, coeff_part = ln.partition(":")
-            m = tuple(int(tok) for tok in mono_part.split())
-            terms[m] = parse_scalar(coeff_part.strip())
-        return MvPoly(nvars, terms)
 
     def __repr__(self):
         if not self.terms:

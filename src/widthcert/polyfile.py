@@ -144,15 +144,3 @@ def parse_polytope_file(text: str) -> tuple[Polytope, AffineLattice]:
         raise PolytopeFileError(str(err)) from err
     return polytope, lattice
 
-
-def format_polytope_file(polytope: Polytope, lattice: AffineLattice | None = None) -> str:
-    lines = ["vertices:"]
-    for v in polytope.vertices:
-        lines.append(", ".join(format_scalar(x) for x in v))
-    if lattice is not None:
-        lines.append("lattice origin:")
-        lines.append(", ".join(format_scalar(x) for x in lattice.origin))
-        lines.append("lattice basis:")
-        for b in lattice.basis:
-            lines.append(", ".join(format_scalar(x) for x in b))
-    return "\n".join(lines) + "\n"

@@ -73,10 +73,6 @@ class Polytope:
         if not self.is_simplex():
             raise DegeneratePolytopeError("operation requires a non-degenerate simplex")
 
-    def translate(self, offset: Sequence) -> "Polytope":
-        off = _vec(offset)
-        return Polytope([tuple(x + o for x, o in zip(v, off)) for v in self.vertices])
-
 
 class AffineLattice:
     """Affine lattice origin + Z b1 + Z b2 + Z b3 with QSqrt2 coordinates."""
@@ -327,104 +323,3 @@ def hollow_check(K: Polytope, L: AffineLattice) -> HollownessResult:
         if all(f(x).sign() > 0 for f in facets):
             return HollownessResult(hollow=False, witness=x)
     return HollownessResult(hollow=True, witness=None)
-
-
-def difference_body_vertices(K: Polytope) -> list[Vec3]:
-    """Vertices of conv{v_i - v_j}: pairwise differences filtered down to the
-    actual vertex set by exact linear-programming feasibility (a candidate is
-    a vertex iff it is not a convex combination of the other candidates)."""
-    candidates: list[Vec3] = []
-    seen = set()
-    for a in K.vertices:
-        for b in K.vertices:
-            d = _vsub(a, b)
-            if d not in seen:
-                seen.add(d)
-                candidates.append(d)
-    out = []
-    for i, cand in enumerate(candidates):
-        others = [c for j, c in enumerate(candidates) if j != i]
-        if not _in_convex_hull(cand, others):
-            out.append(cand)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact LP feasibility (phase-1 simplex over the ordered field QSqrt2)
-# ---------------------------------------------------------------------------
-
-
-def _in_convex_hull(point: Vec3, points: list[Vec3]) -> bool:
-    """Does `point` lie in conv(points)?  Solves the convex-combination
-    equality system with a phase-1 simplex using Bland's rule."""
-    if not points:
-        return False
-    m = len(points)
-    # rows: sum a_i = 1 ; sum a_i p_i = point
-    A = [[QS2_ONE] * m] + [[p[r] for p in points] for r in range(3)]
-    b = [QS2_ONE, point[0], point[1], point[2]]
-    return _solve_eq_nonneg_feasible(A, b)
-
-
-def _solve_eq_nonneg_feasible(A: list[list[QSqrt2]], b: list[QSqrt2]) -> bool:
-    """Feasibility of {A x = b, x >= 0} by minimizing the sum of artificial
-    variables; exact pivoting with Bland's rule guarantees termination."""
-    nrows = len(A)
-    ncols = len(A[0])
-    # make right-hand sides non-negative
-    rows = []
-    rhs = []
-    for i in range(nrows):
-        if b[i].sign() < 0:
-            rows.append([-x for x in A[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(A[i]))
-            rhs.append(b[i])
-    total = ncols + nrows  # artificials appended
-    tableau = [rows[i] + [QS2_ONE if j == i else QS2_ZERO for j in range(nrows)] + [rhs[i]]
-               for i in range(nrows)]
-    basis = [ncols + i for i in range(nrows)]
-    # objective: minimize the sum of artificials.  Reduced-cost row for the
-    # all-artificial starting basis: c_j minus the column sums (c is 1 on
-    # artificials, 0 elsewhere), so artificial columns start at zero.
-    cost = [QS2_ZERO] * (total + 1)
-    for i in range(nrows):
-        for j in range(total + 1):
-            cost[j] = cost[j] - tableau[i][j]
-    for k in range(nrows):
-        cost[ncols + k] = cost[ncols + k] + QS2_ONE
-    while True:
-        enter = next((j for j in range(total) if cost[j].sign() < 0), None)
-        if enter is None:
-            break
-        # ratio test, Bland tie-break on basis index
-        leave = None
-        best = None
-        for i in range(nrows):
-            coeff = tableau[i][enter]
-            if coeff.sign() > 0:
-                ratio = tableau[i][total] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise AssertionError("phase-1 objective unbounded")
-        _pivot(tableau, cost, basis, leave, enter, total)
-    objective = -cost[total]
-    return objective.sign() == 0
-
-
-def _pivot(tableau, cost, basis, leave, enter, total):
-    pivot = tableau[leave][enter]
-    inv = pivot.inverse()
-    tableau[leave] = [x * inv for x in tableau[leave]]
-    for i in range(len(tableau)):
-        if i != leave and tableau[i][enter]:
-            f = tableau[i][enter]
-            tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
-    if cost[enter]:
-        f = cost[enter]
-        for j in range(total + 1):
-            cost[j] = cost[j] - f * tableau[leave][j]
-    basis[leave] = enter

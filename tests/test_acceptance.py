@@ -10,7 +10,7 @@ import pytest
 
 from widthcert import deltacert as dc
 from widthcert import globalbounds as gb
-from widthcert.exactnum import QSqrt2, interval_eval, qs2_sign
+from widthcert.exactnum import QSqrt2, interval_eval
 from widthcert.exactlinalg import _det_laplace, adjugate_poly
 from widthcert.mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from widthcert.widthlab import Functional, dual_lattice, hollow_check, lattice_width
@@ -113,9 +113,9 @@ def test_criterion_5_global_bounds():
         assert certify_less(gb.flatness3_cap_expr(), alg(Fr("3.972")))
         assert certify_less(alg(Fr("2.653")), alg(QSqrt2(Fr(20, 15), Fr(14, 15))))
         assert certify_less(1 / gb.min_shrink_expr() ** 3, alg(Fr("19.919")))
-        general, tetra = gb.inscribed_volume_bounds()
-        assert general.volume_cap == Fr(22, 3)
-        assert tetra.volume_cap == Fr(17, 6)
+        caps = {row.report_name: Fr(row.integer_cap, 6)
+                for row in gb.INEQUALITIES if row.integer_cap is not None}
+        assert caps == {"inscribed_general": Fr(22, 3), "inscribed_tetrahedron": Fr(17, 6)}
         assert all(r.verdict for r in gb.all_reports())
 
 
@@ -142,11 +142,11 @@ def test_criterion_6_property_suites():
             if not f.constant_term():
                 continue
             r = companion_root_enclosure(cauchy_companion(f), Fr(1, 10**6))[0]
-            base = qs2_sign(f.constant_term())
+            base = f.constant_term().sign()
             for _ in range(200):
                 z = [QSqrt2(Fr(rng.randint(-999, 999), 1000) * r * Fr(999, 1000))
                      for _ in range(3)]
-                assert qs2_sign(f.evaluate(z)) == base
+                assert f.evaluate(z).sign() == base
             polys_done += 1
 
         # lattice width equals the brute-force oracle on 100 random tetrahedra
@@ -190,9 +190,8 @@ def test_criterion_6_property_suites():
             i1, i2 = RatInterval(lo1, hi1), RatInterval(lo2, hi2)
             x = (lo1 + hi1) / 2
             y = (lo2 + hi2) / 2
-            assert (i1 + i2).contains(x + y)
-            assert (i1 - i2).contains(x - y)
-            assert (i1 * i2).contains(x * y)
+            for image, value in ((i1 + i2, x + y), (i1 - i2, x - y), (i1 * i2, x * y)):
+                assert image.lo <= value <= image.hi
 
 
 def test_criterion_7_barycentric_radius():

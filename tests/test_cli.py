@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,14 +11,15 @@ from widthcert.cli import (
     EXIT_MATH_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_EXPONENT,
     MIN_RESOLUTION,
     build_parser,
     main,
 )
-from widthcert.exactnum import UndecidedComparison
+from widthcert.exactnum import QSqrt2, UndecidedComparison
 from widthcert.polyfile import (
     PolytopeFileError,
-    format_polytope_file,
+    format_scalar,
     parse_polytope_file,
     parse_scalar,
 )
@@ -78,13 +81,13 @@ def test_parse_scalar_rejects_floats():
         parse_scalar("1e-3")
 
 
-def test_polytope_file_round_trip():
-    polytope, lattice = parse_polytope_file(MODEL_FILE)
-    text = format_polytope_file(polytope, lattice)
-    polytope2, lattice2 = parse_polytope_file(text)
-    assert polytope.vertices == polytope2.vertices
-    assert lattice.origin == lattice2.origin
-    assert lattice.basis == lattice2.basis
+def test_scalar_format_round_trip():
+    rng = random.Random(17)
+    for _ in range(200):
+        # either part may be zero
+        x = QSqrt2(Fraction(rng.choice((0, rng.randint(-10**6, 10**6))), rng.randint(1, 10**4)),
+                   Fraction(rng.choice((0, rng.randint(-999, 999))), rng.randint(1, 999)))
+        assert parse_scalar(format_scalar(x)) == x
 
 
 def test_polytope_file_reports_line_numbers():
@@ -99,11 +102,8 @@ def test_polytope_file_reports_line_numbers():
 
 def test_verify_delta_text(capsys):
     code, out, err = run_cli(capsys, "verify-delta")
-    assert code == EXIT_OK
-    assert "width: 2 + 1*sqrt2" in out
-    assert "minimizers: 7" in out
-    assert "hollow: True" in out
-    assert out.count("interior") >= 4
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (GOLDEN / "verify_delta.txt").read_text(encoding="utf-8")
 
 
 def test_verify_delta_json_round_trips(capsys):
@@ -248,6 +248,7 @@ def test_global_bounds_precision_flag(capsys):
     ("global-bounds", "--precision", "1e-101"),
     ("global-bounds", "--precision", "1/1" + "0" * 3000),
     ("certify-neighborhood", "--tol", "1e-300"),
+    ("certify-neighborhood", "--tol", "1e-1000"),  # at the exponent cap
     ("certify-neighborhood", "--tol", "1/1" + "0" * 3000),
 ])
 def test_resolution_flags_reject_values_below_the_floor(argv, capsys):
@@ -285,10 +286,31 @@ def test_weight_flags_reject_unbounded_or_empty_values(argv, capsys):
     assert f"argument {argv[1]}: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify-local", "--c", "1e-10000000"),
+    ("certify-neighborhood", "--c", "1E+10000000"),
+    ("certify-neighborhood", "--sweep", "7,1e-10000000"),
+    ("certify-neighborhood", "--tol", "1e-10000000"),
+    ("certify-neighborhood", "--tol", "1e-1_0000000"),
+    ("global-bounds", "--precision", "1e-10000000"),
+])
+def test_long_decimal_exponents_are_refused_from_the_text(argv, capsys):
+    # Fraction would first expand the exponent into a ten-million-digit integer
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert time.monotonic() - start < 0.5
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {argv[1]}: decimal exponent beyond {MAX_EXPONENT}" in err
+
+
 def test_weight_bound_itself_is_accepted():
     parser = build_parser()
     for command in ("certify-local", "certify-neighborhood"):
-        for text, value in (("1e-100", Fraction(1, 10**100)), ("1e100", Fraction(10**100))):
+        for text, value in (("1e-100", Fraction(1, 10**100)), ("1e100", Fraction(10**100)),
+                            ("1e-0000000100", Fraction(1, 10**100))):
             assert parser.parse_args([command, "--c", text]).c == value
     assert parser.parse_args(["certify-neighborhood", "--sweep", " 7, 1e-100 ,"]).sweep \
         == [7, Fraction(1, 10**100)]

@@ -179,7 +179,8 @@ def test_scoords_round_trip_on_random_polys(pipeline):
                 m[rng.randrange(8)] += 1
             terms[tuple(m)] = QSqrt2(rng.randint(-5, 5), rng.randint(-3, 3))
         p = MvPoly(8, terms)
-        assert pipeline.scoords.to_t(pipeline.scoords.to_s(p)) == p
+        back = pipeline.scoords.to_s(p).substitute_linear(pipeline.scoords.s_from_t.rows)
+        assert back == p
 
 
 def test_linear_parts_in_s_match_published_displays(pipeline):
@@ -306,6 +307,25 @@ def test_attainment_polynomials_positive_constants(pipeline):
         assert p.degree() <= 2
 
 
+def test_attainment_premise_rejects_a_duplicate_pair(monkeypatch):
+    # with one pair repeated, the twelve comparison vectors miss two of the
+    # differences a_i - a_j, over which the width is a maximum
+    fresh = dc.Pipeline()
+    monkeypatch.setattr(dc, "_PIPELINE", fresh)
+    original = dc._ATTAINMENT_PAIRS
+    for idx in range(6):
+        for dup in original:
+            if dup == original[idx]:
+                continue
+            monkeypatch.setattr(dc, "_ATTAINMENT_PAIRS",
+                                original[:idx] + (dup,) + original[idx + 1:])
+            fresh.model = dc.build_delta_model(check=False)
+            with pytest.raises(dc.CertificationError, match="not the differences a_i - a_j"):
+                dc.attainment_polynomials()
+    with pytest.raises(dc.CertificationError, match="not the differences a_i - a_j"):
+        dc.attainment_bound()
+
+
 def test_attainment_soundness_spot_check(pipeline):
     # inside the certified radius every comparison polynomial stays positive
     rng = random.Random(43)
@@ -319,7 +339,7 @@ def test_attainment_soundness_spot_check(pipeline):
 
 def test_hessian_matrix_entries_quadratic(pipeline):
     matrix = dc.hessian_matrix_s(Fr(39, 4))
-    assert matrix.is_symmetric()
+    assert all(matrix[i, j] == matrix[j, i] for i in range(8) for j in range(i + 1, 8))
     assert matrix.max_entry_degree() == 2
 
 

@@ -3,14 +3,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from widthcert.exactnum import QSqrt2, qs2_sign
+from widthcert.exactnum import QS2_ONE, QS2_ZERO, QSqrt2
 from widthcert.exactlinalg import (
     PolyMatrix,
     QMatrix,
     SingularMatrixError,
     _det_laplace,
     adjugate_poly,
-    characteristic_polynomial,
     det_field,
     det_poly,
     inverse_field,
@@ -21,6 +20,27 @@ from widthcert.exactlinalg import (
     spans_same_space,
 )
 from widthcert.mvpoly import MvPoly
+
+
+def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
+    """Coefficients (ascending) of det(x*I - H), via the Faddeev-LeVerrier
+    recurrence; used as an eigenvalue-free definiteness oracle in tests."""
+    if not H.is_square():
+        raise ValueError("characteristic polynomial of non-square matrix")
+    n = H.nrows
+    coeffs = [QS2_ZERO] * (n + 1)
+    coeffs[n] = QS2_ONE
+    M = QMatrix.identity(n)
+    for k in range(1, n + 1):
+        HM = H.matmul(M)
+        trace = sum((HM.rows[i][i] for i in range(n)), QS2_ZERO)
+        c = -(trace / k)
+        coeffs[n - k] = c
+        M = QMatrix([
+            [HM.rows[i][j] + (c if i == j else QS2_ZERO) for j in range(n)]
+            for i in range(n)
+        ])
+    return coeffs
 
 
 def test_det_identity():
@@ -159,7 +179,7 @@ def test_negative_definite_agrees_with_char_poly_oracle():
             H = QMatrix([[x - shift if i == j else x for j, x in enumerate(row)]
                          for i, row in enumerate(H.rows)])
             coeffs = characteristic_polynomial(H)
-            oracle = all(qs2_sign(c) > 0 for c in coeffs)
+            oracle = all(c.sign() > 0 for c in coeffs)
             assert is_negative_definite(H) == oracle
             seen.add(oracle)
     assert seen == {True, False}

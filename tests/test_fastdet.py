@@ -4,7 +4,8 @@ and its evaluation check must catch a wrong coefficient."""
 
 import random
 from fractions import Fraction as Fr
-from math import isqrt
+from itertools import islice
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -15,13 +16,18 @@ from widthcert.exactlinalg import PolyMatrix, _det_laplace
 from widthcert.fastdet import (
     _integerize,
     _is_prime,
+    _odd_primes_below,
     _verify_against_field_det,
     coefficient_norm_bound,
+    crt_primes,
     det_poly_modular,
     monomial_table,
-    primes_below,
 )
 from widthcert.mvpoly import MvPoly
+
+
+def primes_below(bound, count):
+    return list(islice(_odd_primes_below(bound), count))
 
 
 def _random_poly_matrix(rng, n, nvars, max_degree=2, density=0.7):
@@ -155,6 +161,40 @@ def _level_inputs(rng, p, nsub=3, k=2, nq=6, size_k=40, size_prev=30, extreme=Fa
     src_rows = np.array([[rng.randrange(nrows) for _ in range(k)] for _ in range(nsub)],
                         dtype=np.int32)
     return prev_a, prev_b, maps, coeff_a, coeff_b, src_rows
+
+
+def _assert_fewest_primes(primes, bound, terms):
+    # the primes are the largest of their bit size, within the overflow guard,
+    # so no fewer primes of that size can clear 4*bound
+    assert primes == primes_below(1 << primes[0].bit_length(), len(primes))
+    assert 3 * terms * (primes[0] - 1) ** 2 < 2**63
+    assert prod(primes) > 4 * bound
+    assert len(primes) == 1 or prod(primes[:-1]) <= 4 * bound
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2**23, 2**24, 2**49, 2**144, 3**200],
+                         ids=lambda b: f"{b.bit_length()}-bits")
+def test_crt_primes_are_the_fewest(bound):
+    for terms in (1, 8 * 45, 10**6):
+        _assert_fewest_primes(crt_primes(bound, terms), bound, terms)
+
+
+@pytest.mark.parametrize("keep_vars,bits,count", [(8, 144, 6), (6, 137, 6)])
+def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
+    # condition (iv) at c = 39/4 and its 6-variable section; only the bound is
+    # computed, no determinant
+    from widthcert import deltacert as dc
+
+    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
+        lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
+                                     if not any(m[keep_vars:])}))
+    bound = coefficient_norm_bound(_integerize(matrix)[0])
+    assert bound.bit_length() == bits
+    terms = 8 * monomial_table(keep_vars, 2).size_up_to[2]
+    primes = crt_primes(bound, terms)
+    assert len(primes) == count
+    assert all(p < 1 << 25 for p in primes)
+    _assert_fewest_primes(primes, bound, terms)
 
 
 def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):

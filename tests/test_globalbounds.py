@@ -51,11 +51,14 @@ def test_volume_floor_exact_value():
 
 
 def test_inscribed_bounds_with_integrality_floor():
-    general, tetra = gb.inscribed_volume_bounds()
+    general, tetra = (row for row in gb.INEQUALITIES if row.integer_cap is not None)
+    assert (general.report_name, tetra.report_name) == ("inscribed_general",
+                                                        "inscribed_tetrahedron")
     assert general.integer_cap == 44
-    assert general.volume_cap == Fr(22, 3)
+    assert Fr(general.integer_cap, 6) == Fr(22, 3)
     assert tetra.integer_cap == 17
-    assert tetra.volume_cap == Fr(17, 6)
+    assert Fr(tetra.integer_cap, 6) == Fr(17, 6)
+    assert all(row.verdict for row in (general, tetra))
     enc = interval_eval(1 / gb.min_shrink_expr() ** 2, Fr(1, 10**6))
     assert Fr("7.34") < enc.lo and enc.hi < Fr("7.35")
     enc6 = interval_eval(6 / gb.min_shrink_expr() ** 2, Fr(1, 10**6))
@@ -121,4 +124,4 @@ def test_tightening_precision_preserves_verdicts():
     for a, b in zip(coarse, fine):
         assert a.name == b.name
         assert a.verdict == b.verdict
-        assert a.enclosure.contains_interval(b.enclosure)
+        assert a.enclosure.lo <= b.enclosure.lo and b.enclosure.hi <= a.enclosure.hi

@@ -11,7 +11,6 @@ from widthcert.widthlab import (
     Functional,
     Polytope,
     barycentric_coordinates,
-    difference_body_vertices,
     dual_lattice,
     facet_hyperplanes,
     hollow_check,
@@ -207,7 +206,8 @@ def test_width_invariant_under_unimodular_rebasing(delta_model):
 def test_width_invariant_under_translation(delta_model):
     K = delta_model.polytope
     L = delta_model.lattice
-    moved = K.translate((Fr(3, 7), QSqrt2(0, 1), Fr(-2, 5)))
+    offset = (Fr(3, 7), QSqrt2(0, 1), Fr(-2, 5))
+    moved = Polytope([tuple(x + o for x, o in zip(v, offset)) for v in K.vertices])
     r1 = lattice_width(K, L)
     r2 = lattice_width(moved, L)
     assert r1.width == r2.width
@@ -300,31 +300,3 @@ def test_facet_points_strictly_interior(delta_model):
             if j != i:
                 assert bary[j].sign() > 0
         assert sum(bary, QSqrt2(0)) == QSqrt2(1)
-
-
-# -- difference body --------------------------------------------------------------------------
-
-
-def test_difference_body_of_model_has_twelve_vertices(delta_model):
-    verts = difference_body_vertices(delta_model.polytope)
-    assert len(verts) == 12
-    for v in delta_model.attainment_diffs:
-        assert v in verts
-
-
-def test_difference_body_of_segment():
-    seg = Polytope([(0, 0, 0), (1, 0, 0)])
-    verts = difference_body_vertices(seg)
-    assert sorted(verts) != []
-    assert set(verts) == {(QSqrt2(1), QSqrt2(0), QSqrt2(0)),
-                          (QSqrt2(-1), QSqrt2(0), QSqrt2(0))}
-
-
-def test_difference_body_centrally_symmetric():
-    rng = random.Random(21)
-    for _ in range(10):
-        K = _random_rational_tetrahedron(rng)
-        verts = difference_body_vertices(K)
-        vset = set(verts)
-        for v in verts:
-            assert tuple(-x for x in v) in vset
