@@ -777,8 +777,19 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
     before any determinant is computed.  Since t = T s has no offset, that
     value is the Hessian of the aggregate's quadratic part, the same matrix
     `local_maximality_certificate` tests for `full_hessian_negative_definite`.
+
+    The determinant must be invariant under the (s^h, s^v) pair shift that
+    `symmetry_check` verifies; every coefficient is checked.
     """
     return hessian_section_bound(c, NVARS, tol)
+
+
+def _check_pair_shift_invariant(p: MvPoly) -> None:
+    """Raise `CertificationError` unless p(s) is unchanged when the four
+    (s^h, s^v) pairs are shifted cyclically, that is, unless every exponent
+    tuple rotated by two places keeps its coefficient."""
+    if {m[-2:] + m[:-2]: coeff for m, coeff in p.terms.items()} != p.terms:
+        raise CertificationError("Hessian determinant is not invariant under the pair shift")
 
 
 def hessian_section_bound(c: Fraction, keep_vars: int = 4,
@@ -805,6 +816,7 @@ def hessian_section_bound(c: Fraction, keep_vars: int = 4,
     det = det_poly(matrix.map_entries(section))
     lo, hi = _positive_radius(det, tol, "Hessian determinant")
     if keep_vars == NVARS:
+        _check_pair_shift_invariant(det)
         return RadiusBound.from_enclosure("(iv)", lo, hi, det_degree=det.degree(),
                                           det_terms=len(det.terms))
     return RadiusBound.from_enclosure("(iv-section)", lo, hi, non_certifying=True,

@@ -2,13 +2,16 @@
 
 The expansion is the same memoized column-subset Laplace scheme as
 `exactlinalg._det_laplace`, but coefficients live in dense arrays indexed by
-a graded monomial table and are reduced modulo several word-size primes.
-The exact integer coefficients are recovered by CRT.  Exactness is
-unconditional, not heuristic:
+a graded monomial table and are reduced modulo several word-size primes
+p = 7 (mod 8).  For those, r = 2^((p+1)/4) is a square root of 2 mod p, so
+sqrt2 -> r and sqrt2 -> -r are two ring maps Z[sqrt2] -> F_p, and each prime
+costs two plain scalar determinants x+ and x-.  The residues of a + b*sqrt2
+come back as a = (x+ + x-)/2 and b = (x+ - x-)/(2r) mod p, and the exact
+integer coefficients by CRT.  Exactness is unconditional, not heuristic:
 
-* the primes are the fewest whose product exceeds four times a certified
-  bound on every coefficient of the determinant (the symmetric residue range
-  needs twice; the bound runs the same subset recursion on the
+* the primes are the fewest such primes whose product exceeds four times a
+  certified bound on every coefficient of the determinant (the symmetric
+  residue range needs twice; the bound runs the same subset recursion on the
   coefficient-norm ``sum(|a| + 2|b|)`` of each entry, which is
   submultiplicative for Z[sqrt2] polynomials);
 * the reconstructed constant term is compared against an exact field
@@ -149,22 +152,22 @@ def _is_prime(x: int) -> bool:
     return True
 
 
-def _odd_primes_below(bound: int):
-    """The odd primes below `bound`, largest first."""
-    for c in range(bound - 1 if bound % 2 == 0 else bound - 2, 2, -2):
+def _split_primes_below(bound: int):
+    """The primes p = 7 (mod 8) below `bound`, largest first."""
+    for c in range(bound - 1 - (bound - 8) % 8, 6, -8):
         if _is_prime(c):
             yield c
 
 
 def crt_primes(bound: int, terms: int) -> list[int]:
-    """The fewest primes (at least one) whose product exceeds 4 * bound,
-    largest first, among the primes p small enough that a sum of `terms`
-    products of residue pairs, 3 * terms * (p-1)^2, stays below 2^63 (at
-    most 25 bits)."""
-    pmax_sq = 2**63 // (3 * terms) - 1
+    """The fewest primes p = 7 (mod 8) (at least one) whose product
+    exceeds 4 * bound, largest first, among those small enough that a sum of
+    `terms` products of residues, terms * (p-1)^2, stays below 2^63 (at most
+    25 bits)."""
+    pmax_sq = 2**63 // terms - 1
     pbits = min(25, max(3, (pmax_sq.bit_length() - 1) // 2))
     primes, modulus = [], 1
-    candidates = _odd_primes_below(1 << pbits)
+    candidates = _split_primes_below(1 << pbits)
     while modulus <= 4 * bound or not primes:
         p = next(candidates, None)
         if p is None:
@@ -270,36 +273,38 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
 
 
 def _det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Residues mod p of the a- and b-parts of every determinant coefficient,
+    from the scalar lanes a + b*r and a - b*r (see the module docstring)."""
+    r = pow(2, (p + 1) // 4, p)
+    if r * r % p != 2:
+        raise ValueError(f"2^((p+1)/4) is not a square root of 2 mod {p}")
     nq = coeff_int.shape[2]
     cf = (coeff_int % p).astype(np.int64)
+    lanes = np.stack([(cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p])
 
-    prev_a = np.zeros((1, table.size_up_to[0] + 1), dtype=np.int64)
-    prev_b = np.zeros((1, table.size_up_to[0] + 1), dtype=np.int64)
-    prev_a[0, 0] = 1
+    prev = np.zeros((2, 1, table.size_up_to[0] + 1), dtype=np.int64)
+    prev[:, 0, 0] = 1
     prev_subsets: list[tuple[int, ...]] = [()]
     for k in range(1, n + 1):
         size_k = table.size_up_to[entry_deg * k]
-        maps = maps_by_level[k]
         subsets = list(combinations(range(n), k))
         prev_index = {s: i for i, s in enumerate(prev_subsets)}
-        coeff_a = np.zeros((len(subsets), k, nq), dtype=np.int64)
-        coeff_b = np.zeros((len(subsets), k, nq), dtype=np.int64)
+        coeff = np.zeros((2, len(subsets), k, nq), dtype=np.int64)
         src_rows = np.zeros((len(subsets), k), dtype=np.int32)
         for si, subset in enumerate(subsets):
             for t, j in enumerate(subset):
                 rest = subset[:t] + subset[t + 1:]
                 src_rows[si, t] = prev_index[rest]
                 sign = -1 if (k - 1 + t) % 2 else 1
-                coeff_a[si, t] = (sign * cf[k - 1, j, :, 0]) % p
-                coeff_b[si, t] = (sign * cf[k - 1, j, :, 1]) % p
-        out_a = np.zeros((len(subsets), size_k + 1), dtype=np.int64)
-        out_b = np.zeros((len(subsets), size_k + 1), dtype=np.int64)
-        _kernels.level_pass(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows,
-                            out_a[:, :size_k], out_b[:, :size_k], p)
-        prev_a, prev_b = out_a, out_b
+                coeff[:, si, t] = (sign * lanes[:, k - 1, j]) % p
+        out = np.zeros((2, len(subsets), size_k + 1), dtype=np.int64)
+        _kernels.level_pass(prev[0], prev[1], maps_by_level[k], coeff[0], coeff[1], src_rows,
+                            out[0, :, :size_k], out[1, :, :size_k], p)
+        prev = out
         prev_subsets = subsets
-    final_size = table.size_up_to[entry_deg * n]
-    return prev_a[0, :final_size].copy(), prev_b[0, :final_size].copy()
+    plus, minus = prev[:, 0, :table.size_up_to[entry_deg * n]]
+    return ((plus + minus) * ((p + 1) // 2) % p,
+            (plus - minus) % p * pow(2 * r, -1, p) % p)
 
 
 def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:

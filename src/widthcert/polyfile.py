@@ -82,14 +82,7 @@ def parse_scalar(text: str, line: int | None = None) -> QSqrt2:
 
 
 def format_scalar(x: QSqrt2) -> str:
-    if x.irr == 0:
-        return str(x.rat)
-    irr_part = f"{x.irr}*sqrt2"
-    if x.rat == 0:
-        return irr_part
-    if x.irr > 0:
-        return f"{x.rat} + {x.irr}*sqrt2"
-    return f"{x.rat} - {-x.irr}*sqrt2"
+    return str(x)
 
 
 def _parse_vector(text: str, line: int) -> tuple[QSqrt2, QSqrt2, QSqrt2]:

@@ -375,6 +375,47 @@ def test_truncate_rational():
 # -- the long-running full Hessian condition -------------------------------------------------------------
 
 
+def test_hessian_bound_at_39_4(monkeypatch):
+    # condition (iv) itself, the paper's headline column, at one weight; the
+    # other published weights stay behind --run-slow
+    from widthcert import fastdet
+
+    primes = []
+    one_prime = fastdet._det_one_prime
+
+    def recording(*args):
+        primes.append(args[5])
+        return one_prime(*args)
+
+    monkeypatch.setattr(fastdet, "_det_one_prime", recording)
+    bound = dc.hessian_bound(Fr(39, 4))
+    assert bound.display == "0.02646"
+    assert bound.certified == Fr(264573, 10000000)
+    assert bound.detail == {"det_degree": 16, "det_terms": 374459}
+    assert len(primes) == 6
+    assert all(p % 8 == 7 for p in primes)
+
+
+def test_pair_shift_invariance_check_reads_every_coefficient():
+    rng = random.Random(17)
+    terms = {}
+    for _ in range(40):
+        m = tuple(rng.randrange(3) for _ in range(dc.NVARS))
+        coeff = QSqrt2(rng.randint(1, 9), rng.randint(-9, 9))
+        for places in (0, 2, 4, 6):
+            terms[m[places:] + m[:places]] = coeff
+    dc._check_pair_shift_invariant(MvPoly(dc.NVARS, terms))
+    for m in rng.sample(sorted(terms), 10):
+        tampered = dict(terms)
+        tampered[m] = tampered[m] + QSqrt2(0, 1)
+        with pytest.raises(dc.CertificationError):
+            dc._check_pair_shift_invariant(MvPoly(dc.NVARS, tampered))
+    # invariant under the shift by four places only: s^h_1 + s^h_3
+    half_turn = MvPoly.variable(0, dc.NVARS) + MvPoly.variable(4, dc.NVARS)
+    with pytest.raises(dc.CertificationError):
+        dc._check_pair_shift_invariant(half_turn)
+
+
 @pytest.mark.slow
 def test_hessian_bound_reproduces_published_columns():
     for c, display in ((Fr(39, 4), "0.02646"), (Fr(7), "0.03185"), (Fr(12), "0.01501")):

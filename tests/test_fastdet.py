@@ -14,9 +14,10 @@ from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
 from widthcert.exactlinalg import PolyMatrix, _det_laplace
 from widthcert.fastdet import (
+    _det_one_prime,
     _integerize,
     _is_prime,
-    _odd_primes_below,
+    _split_primes_below,
     _verify_against_field_det,
     coefficient_norm_bound,
     crt_primes,
@@ -26,8 +27,8 @@ from widthcert.fastdet import (
 from widthcert.mvpoly import MvPoly
 
 
-def primes_below(bound, count):
-    return list(islice(_odd_primes_below(bound), count))
+def split_primes_below(bound, count):
+    return list(islice(_split_primes_below(bound), count))
 
 
 def _random_poly_matrix(rng, n, nvars, max_degree=2, density=0.7):
@@ -57,12 +58,18 @@ def test_monomial_table_sizes():
 
 
 def test_primes_are_prime_and_descending():
-    ps = primes_below(1 << 25, 5)
+    ps = split_primes_below(1 << 25, 5)
     assert ps == sorted(ps, reverse=True)
     for p in ps:
         assert p < 1 << 25
+        assert p % 8 == 7
         for q in range(2, 200):
             assert p % q != 0 or p == q
+    # none is skipped, whatever the residue of the bound mod 8
+    for bound in range(2, 300):
+        want = [p for p in range(bound - 1, 1, -1)
+                if p % 8 == 7 and all(p % q for q in range(2, p))]
+        assert list(_split_primes_below(bound)) == want
 
 
 def test_norm_bound_dominates_small_case():
@@ -112,32 +119,28 @@ def test_modular_on_hessian_section_matches_laplace():
     assert len(fast.terms) > 50
 
 
-def _reference_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
-    """One Laplace level in Python ints: the oracle for `level_pass`."""
-    nsub, k, nq = coeff_a.shape
+def _reference_lane(prev, maps, coeff, src_rows, p):
+    """One Laplace level of one scalar lane in Python ints: the oracle for
+    each lane of `level_pass`."""
+    nsub, k, nq = coeff.shape
     size_k = maps.shape[1]
-    out_a = np.zeros((nsub, size_k), dtype=np.int64)
-    out_b = np.zeros((nsub, size_k), dtype=np.int64)
+    out = np.zeros((nsub, size_k), dtype=np.int64)
     for si in range(nsub):
         for r in range(size_k):
-            acc_a = acc_b = 0
+            acc = 0
             for t in range(k):
                 row = int(src_rows[si, t])
                 for q in range(nq):
-                    ca, cb = int(coeff_a[si, t, q]), int(coeff_b[si, t, q])
-                    m = int(maps[q, r])
-                    sa, sb = int(prev_a[row, m]), int(prev_b[row, m])
-                    acc_a += ca * sa + 2 * cb * sb
-                    acc_b += ca * sb + cb * sa
-            out_a[si, r] = acc_a % p
-            out_b[si, r] = acc_b % p
-    return out_a, out_b
+                    acc += int(coeff[si, t, q]) * int(prev[row, int(maps[q, r])])
+            out[si, r] = acc % p
+    return out
 
 
 def _level_inputs(rng, p, nsub=3, k=2, nq=6, size_k=40, size_prev=30, extreme=False):
     """Seeded kernel inputs; the last source column is the zero pad slot.
-    Coefficient pairs cycle through (0, 0), (a, 0), (0, b) and (a, b), and
-    maps hit the pad sentinel.  `extreme` sets every residue to p - 1."""
+    Coefficients of the two lanes cycle through (0, 0), (a, 0), (0, b) and
+    (a, b), and maps hit the pad sentinel.  `extreme` sets every residue to
+    p - 1."""
     nrows = nsub + 1
 
     def residue():
@@ -164,10 +167,11 @@ def _level_inputs(rng, p, nsub=3, k=2, nq=6, size_k=40, size_prev=30, extreme=Fa
 
 
 def _assert_fewest_primes(primes, bound, terms):
-    # the primes are the largest of their bit size, within the overflow guard,
-    # so no fewer primes of that size can clear 4*bound
-    assert primes == primes_below(1 << primes[0].bit_length(), len(primes))
-    assert 3 * terms * (primes[0] - 1) ** 2 < 2**63
+    # the primes are the largest split primes of their bit size, within the
+    # overflow guard, so no fewer primes of that size can clear 4*bound
+    assert primes == split_primes_below(1 << primes[0].bit_length(), len(primes))
+    assert all(p % 8 == 7 for p in primes)
+    assert terms * (primes[0] - 1) ** 2 < 2**63
     assert prod(primes) > 4 * bound
     assert len(primes) == 1 or prod(primes[:-1]) <= 4 * bound
 
@@ -208,9 +212,12 @@ def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
 
 
 def _largest_admitted_prime(k, nq):
-    # the guard admits p exactly when k*nq*3*(p-1)^2 < 2^63
-    limit = 1 + isqrt((2**63 - 1) // (3 * k * nq))
-    return primes_below(limit + 1, 1)[0]
+    # the guard admits p exactly when k*nq*(p-1)^2 < 2^63; the kernel itself
+    # takes any prime, split or not
+    p = 1 + isqrt((2**63 - 1) // (k * nq))
+    while not _is_prime(p):
+        p -= 1
+    return p
 
 
 @pytest.mark.parametrize("seed,p,extreme", [
@@ -223,11 +230,10 @@ def test_level_pass_matches_python_reference(seed, p, extreme):
     rng = random.Random(seed)
     if p is None:
         p = _largest_admitted_prime(2, 6)
-    inputs = _level_inputs(rng, p, extreme=extreme)
-    got_a, got_b = _run_level(*inputs, p)
-    want_a, want_b = _reference_level(*inputs, p)
-    assert np.array_equal(got_a, want_a)
-    assert np.array_equal(got_b, want_b)
+    prev_a, prev_b, maps, coeff_a, coeff_b, src_rows = _level_inputs(rng, p, extreme=extreme)
+    got_a, got_b = _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p)
+    assert np.array_equal(got_a, _reference_lane(prev_a, maps, coeff_a, src_rows, p))
+    assert np.array_equal(got_b, _reference_lane(prev_b, maps, coeff_b, src_rows, p))
 
 
 def test_level_pass_guard_rejects_next_prime():
@@ -246,6 +252,52 @@ def test_level_pass_rejects_map_past_pad_slot():
     maps[0, 0] = prev_a.shape[1]
     with pytest.raises(IndexError):
         _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, 7)
+
+
+def _prime_residues(M, p):
+    """`_det_one_prime` on M, set up as `det_poly_modular` does, and the
+    monomial of each residue slot."""
+    n = M.nrows
+    entries = _integerize(M)[0]
+    entry_deg = M.max_entry_degree()
+    table = monomial_table(M.nvars, entry_deg * n)
+    nq = table.size_up_to[entry_deg]
+    qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
+    maps = {k: table.shift_maps(entry_deg * k, entry_deg * (k - 1)) for k in range(1, n + 1)}
+    coeff_int = np.zeros((n, n, nq, 2), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            for m, pair in entries[i][j].items():
+                coeff_int[i, j, qindex[m]] = pair
+    det_a, det_b = _det_one_prime(n, table, entry_deg, maps, coeff_int, p)
+    return det_a, det_b, [tuple(int(x) for x in e) for e in table.exps[:len(det_a)]]
+
+
+@pytest.mark.parametrize("seed,n,nvars", [(21, 3, 2), (22, 4, 2), (23, 3, 3)])
+def test_det_one_prime_residues_match_laplace(seed, n, nvars):
+    # the a- and b-parts come back from the two scalar lanes; a lane with the
+    # wrong sign, a lost 1/2 or swapped lanes would show in the b-part or a-part
+    M = _random_poly_matrix(random.Random(seed), n, nvars)
+    exact = _det_laplace(M)
+    scale = _integerize(M)[1]
+    want = {m: (int(c.rat * scale**n), int(c.irr * scale**n)) for m, c in exact.terms.items()}
+    assert sum(1 for a, b in want.values() if a and b) > 10
+    terms = n * monomial_table(nvars, 2).size_up_to[2]
+    largest = crt_primes(0, terms)[0]
+    for p in (7, 31, *split_primes_below(1 << 16, 2), largest):
+        det_a, det_b, monomials = _prime_residues(M, p)
+        assert set(want) <= set(monomials)
+        for idx, m in enumerate(monomials):
+            a, b = want.get(m, (0, 0))
+            assert (int(det_a[idx]), int(det_b[idx])) == (a % p, b % p), (p, m)
+        assert any(int(x) for x in det_b)
+
+
+def test_det_one_prime_refuses_a_prime_not_7_mod_8():
+    M = _random_poly_matrix(random.Random(24), 2, 2)
+    for p in (3, 5, 11, 13, 17):
+        with pytest.raises(ValueError):
+            _prime_residues(M, p)
 
 
 def test_verify_catches_a_single_tampered_coefficient():
