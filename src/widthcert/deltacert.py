@@ -543,10 +543,11 @@ def symmetry_check() -> SymmetryCheck:
 
 
 class Pipeline:
-    """One-time construction of everything the condition bounds share."""
+    """One-time construction of everything the condition bounds share, on a
+    model that `check_model` has verified."""
 
     def __init__(self):
-        self.model = build_delta_model(check=False)
+        self.model = build_delta_model()
         self.ring = PerturbationRing(self.model)
         self.h_polys = build_h_polys(self.ring, self.model)
         self.scoords = SCoords()

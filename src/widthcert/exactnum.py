@@ -2,15 +2,18 @@
 rational interval arithmetic for expressions involving square and cube roots.
 
 All certification in this package bottoms out in this module.  Nothing here
-ever touches floating point: signs are decided by integer comparisons, and
-radicals are only ever represented by rational enclosures produced by
-bisection, so every comparison made through `certify_less` is unconditional.
+ever touches floating point.  An element of Q(sqrt 2) is three Python ints
+(a, b, d) meaning (a + b*sqrt2)/d, so its arithmetic, sign and floor are
+integer operations; radicals are only ever represented by rational
+enclosures produced by bisection, so every comparison made through
+`certify_less` is unconditional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Union
 
 ScalarLike = Union[int, Fraction, "QSqrt2"]
@@ -35,20 +38,26 @@ class IntervalDomainError(ExactNumError):
 
 
 class QSqrt2:
-    """Element ``rat + irr*sqrt(2)`` of the real quadratic field Q(sqrt 2).
+    """Element ``(a + b*sqrt2)/d`` of the real quadratic field Q(sqrt 2).
 
-    Values are immutable and canonical: two elements are equal iff their
-    rational and irrational parts are equal.  Comparisons are exact, decided
-    by `sign` without any numeric approximation.
+    Values are immutable and canonical: a, b and d are Python ints with
+    d > 0 and gcd(a, b, d) = 1, so two elements are equal iff their triples
+    are.  Each operation does its integer arithmetic and then one gcd.
+    `rat` and `irr` are the parts a/d and b/d as `Fraction`s.  Comparisons
+    are exact, decided by `sign` without any numeric approximation.
     """
 
-    __slots__ = ("rat", "irr")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, rat: ScalarLike = 0, irr: ScalarLike = 0):
+    def __new__(cls, rat: ScalarLike = 0, irr: ScalarLike = 0):
         if isinstance(rat, QSqrt2) or isinstance(irr, QSqrt2):
             raise TypeError("components of QSqrt2 must be rational")
-        object.__setattr__(self, "rat", Fraction(rat))
-        object.__setattr__(self, "irr", Fraction(irr))
+        if type(rat) is int and type(irr) is int:
+            return QSqrt2.from_ints(rat, irr, 1)
+        rat, irr = Fraction(rat), Fraction(irr)
+        d = lcm(rat.denominator, irr.denominator)
+        return QSqrt2.from_ints(rat.numerator * (d // rat.denominator),
+                                irr.numerator * (d // irr.denominator), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QSqrt2 is immutable")
@@ -61,39 +70,63 @@ class QSqrt2:
             return x
         return QSqrt2(x)
 
+    @staticmethod
+    def from_ints(a: int, b: int, d: int) -> "QSqrt2":
+        """The element (a + b*sqrt2)/d of Python ints with d > 0, reduced by one gcd."""
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        x = _NEW(QSqrt2)
+        _SET_A(x, a)
+        _SET_B(x, b)
+        _SET_D(x, d)
+        return x
+
+    # the parts a/d and b/d, read-only
+    rat = property(lambda self: Fraction(self.a, self.d))
+    irr = property(lambda self: Fraction(self.b, self.d))
+
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         other = QSqrt2.coerce(other)
-        return QSqrt2(self.rat + other.rat, self.irr + other.irr)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return QSqrt2.from_ints(self.a + other.a, self.b + other.b, d1)
+        return QSqrt2.from_ints(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSqrt2(-self.rat, -self.irr)
+        return QSqrt2.from_ints(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = QSqrt2.coerce(other)
-        return QSqrt2(self.rat - other.rat, self.irr - other.irr)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return QSqrt2.from_ints(self.a - other.a, self.b - other.b, d1)
+        return QSqrt2.from_ints(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         return QSqrt2.coerce(other) - self
 
     def __mul__(self, other):
         other = QSqrt2.coerce(other)
-        return QSqrt2(
-            self.rat * other.rat + 2 * self.irr * other.irr,
-            self.rat * other.irr + self.irr * other.rat,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return QSqrt2.from_ints(a1 * a2 + 2 * b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrt2":
-        """Field inverse via the conjugate: 1/(a+b*sqrt2) = (a-b*sqrt2)/(a^2-2b^2)."""
-        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        """Field inverse via the conjugate: d/(a+b*sqrt2) = d*(a-b*sqrt2)/(a^2-2b^2)."""
+        a, b, d = self.a, self.b, self.d
+        norm = a * a - 2 * b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return QSqrt2(self.rat / norm, -self.irr / norm)
+        if norm < 0:
+            a, b, norm = -a, -b, -norm
+        return QSqrt2.from_ints(d * a, -d * b, norm)
 
     def __truediv__(self, other):
         return self * QSqrt2.coerce(other).inverse()
@@ -118,84 +151,72 @@ class QSqrt2:
     # -- order ----------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of ``rat + irr*sqrt(2)`` as a real number.
+        """Exact sign of ``(a + b*sqrt(2))/d`` as a real number (see `_sign`)."""
+        return _sign(self.a, self.b)
 
-        Decided by comparing the signs of the two parts and, when they
-        disagree, by comparing ``rat**2`` against ``2*irr**2``.
-        """
-        a, b = self.rat, self.irr
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # parts of opposite sign: |a| vs |b|*sqrt2, i.e. a^2 vs 2 b^2
-        big_rational = a * a > 2 * b * b
-        if a > 0:
-            return 1 if big_rational else -1
-        return -1 if big_rational else 1
+    def _cmp(self, other) -> int:
+        """Sign of self - other, from the numerator over the product of denominators."""
+        other = QSqrt2.coerce(other)
+        d1, d2 = self.d, other.d
+        return _sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QSqrt2)):
             other = QSqrt2.coerce(other)
-            return self.rat == other.rat and self.irr == other.irr
+            return self.a == other.a and self.b == other.b and self.d == other.d
         return NotImplemented
 
     def __hash__(self):
-        if self.irr == 0:
+        if self.b == 0:
             return hash(self.rat)
-        return hash((self.rat, self.irr))
+        return hash((self.a, self.b, self.d))
 
     def __lt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        return (self - QSqrt2.coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def __bool__(self):
-        return self.rat != 0 or self.irr != 0
+        return self.a != 0 or self.b != 0
 
     # -- rounding and enclosures ----------------------------------------------
 
     def floor(self) -> int:
-        """Greatest integer <= self, computed from rational brackets of sqrt2."""
-        if self.irr == 0:
-            return self.rat.numerator // self.rat.denominator
-        lo, hi = _SQRT2_SEED
-        while True:
-            if self.irr > 0:
-                vlo, vhi = self.rat + self.irr * lo, self.rat + self.irr * hi
-            else:
-                vlo, vhi = self.rat + self.irr * hi, self.rat + self.irr * lo
-            flo = vlo.numerator // vlo.denominator
-            fhi = vhi.numerator // vhi.denominator
-            if flo == fhi:
-                return flo
-            # value is irrational, so the bracket eventually settles
-            lo, hi = _refine_sqrt2(lo, hi)
+        """Greatest integer <= self.  For b != 0, 2b^2 is not a square, so
+        b*sqrt2 lies strictly between m = floor(b*sqrt2) and m + 1, and the
+        floor of (a + b*sqrt2)/d is (a + m) // d."""
+        a, b = self.a, self.b
+        if b > 0:
+            a += isqrt(2 * b * b)
+        elif b < 0:
+            a -= isqrt(2 * b * b) + 1
+        return a // self.d
 
     def enclosure(self, tol: Fraction = Fraction(1, 10**12)) -> "RatInterval":
-        """Rational interval containing self, of width <= tol."""
-        if self.irr == 0:
-            return RatInterval(self.rat, self.rat)
-        lo, hi = _SQRT2_SEED
-        while (hi - lo) * abs(self.irr) > tol:
-            lo, hi = _refine_sqrt2(lo, hi)
-        if self.irr > 0:
-            return RatInterval(self.rat + self.irr * lo, self.rat + self.irr * hi)
-        return RatInterval(self.rat + self.irr * hi, self.rat + self.irr * lo)
+        """Rational interval containing self, of width <= tol.
+
+        It is the image of the first bracket [j/2^e, (j+1)/2^e] of sqrt2 in the
+        bisection of [1, 3/2] with |b|/(d*2^e) <= tol.  The bisection never
+        hits sqrt2, so that bracket has j = floor(sqrt2*2^e) = isqrt(2^(2e+1))."""
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return RatInterval.point(self.rat)
+        tol = Fraction(tol)
+        need = -(-abs(b) * tol.denominator // (tol.numerator * d))  # 2^e >= need
+        e = max(1, (need - 1).bit_length())
+        j = isqrt(1 << (2 * e + 1))
+        ends = sorted(Fraction((a << e) + b * k, d << e) for k in (j, j + 1))
+        return RatInterval(*ends)
 
     # -- display ----------------------------------------------------------------
 
@@ -203,26 +224,31 @@ class QSqrt2:
         return f"QSqrt2({self.rat!r}, {self.irr!r})"
 
     def __str__(self):
-        if self.irr == 0:
+        if self.b == 0:
             return str(self.rat)
-        if self.rat == 0:
+        if self.a == 0:
             return f"{self.irr}*sqrt2"
-        sep = "+" if self.irr > 0 else "-"
+        sep = "+" if self.b > 0 else "-"
         return f"{self.rat} {sep} {abs(self.irr)}*sqrt2"
 
+
+_NEW = object.__new__
+_SET_A, _SET_B, _SET_D = (QSqrt2.__dict__[name].__set__ for name in QSqrt2.__slots__)
 
 SQRT2 = QSqrt2(0, 1)
 QS2_ZERO = QSqrt2(0)
 QS2_ONE = QSqrt2(1)
 
-_SQRT2_SEED = (Fraction(1), Fraction(3, 2))
 
-
-def _refine_sqrt2(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    mid = (lo + hi) / 2
-    if mid * mid < 2:
-        return mid, hi
-    return lo, mid
+def _sign(a: int, b: int) -> int:
+    """Exact sign of a + b*sqrt2 for ints a, b: the common sign of the parts,
+    or, when they disagree, that of the larger of a^2 and 2b^2."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0 or a * a < 2 * b * b:
+        return sb
+    return sa
 
 
 # ---------------------------------------------------------------------------

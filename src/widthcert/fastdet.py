@@ -17,9 +17,11 @@ integer coefficients by CRT.  Exactness is unconditional, not heuristic:
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
-  Q(sqrt2)^nvars.  `MvPoly.evaluate` does the polynomial side of that
-  comparison in exact integer arithmetic: all denominators are cleared up
-  front and the sum runs over Python-int pairs (a, b) meaning a + b*sqrt2.
+  Q(sqrt2)^nvars (`MvPoly.evaluate` sums that side on Python ints).
+
+Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
+the pairs (a, b) scaled to their common denominator, and each coefficient
+leaves as the triple (a, b, scale^n) reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -183,18 +185,11 @@ def crt_primes(bound: int, terms: int) -> list[int]:
 
 
 def _integerize(M: PolyMatrix) -> tuple[list[list[dict]], int]:
-    """Scale all entries by the global denominator LCM so coefficients become
-    integer pairs (a, b) meaning a + b*sqrt2."""
-    scale = 1
-    for row in M.rows:
-        for e in row:
-            for c in e.terms.values():
-                scale = lcm(scale, c.rat.denominator, c.irr.denominator)
+    """Scale all entries by the lcm of their coefficients' denominators `d`,
+    so coefficients become integer pairs (a, b) meaning a + b*sqrt2."""
+    scale = lcm(*(c.d for row in M.rows for e in row for c in e.terms.values()))
     entries = [
-        [
-            {m: (int(c.rat * scale), int(c.irr * scale)) for m, c in e.terms.items()}
-            for e in row
-        ]
+        [{m: (c.a * (scale // c.d), c.b * (scale // c.d)) for m, c in e.terms.items()} for e in row]
         for row in M.rows
     ]
     return entries, scale
@@ -262,11 +257,11 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     det_a, det_b = _crt_reconstruct(residues, primes)
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
-    denom = Fraction(scale) ** n
+    denom = scale ** n
     terms = {}
     for idx in np.flatnonzero((det_a != 0) | (det_b != 0)).tolist():
         m = tuple(int(x) for x in table.exps[idx])
-        terms[m] = QSqrt2(Fraction(det_a[idx]) / denom, Fraction(det_b[idx]) / denom)
+        terms[m] = QSqrt2.from_ints(det_a[idx], det_b[idx], denom)
     result = MvPoly(nvars, terms)
     _verify_against_field_det(M, result)
     return result

@@ -177,22 +177,21 @@ class MvPoly:
         """Exact value at a point of Q(sqrt2)^nvars, summed on Python-int
         pairs (a, b) meaning a + b*sqrt2.
 
-        With D the common denominator of the point and C that of the
-        coefficients, X = D*point is integral and C * D^maxdeg * self(point)
+        With D the lcm of the point's denominators `d` and C that of the
+        coefficients', X = D*point is integral and C * D^maxdeg * self(point)
         is the sum over terms of (C*c_m) * D^(maxdeg - |m|) * X^m, an element
-        of Z[sqrt2]; one division at the end gives the value."""
+        of Z[sqrt2]; one gcd at the end gives the canonical value."""
         pt = [QSqrt2.coerce(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("evaluation point has wrong dimension")
-        den_x = lcm(*(f.denominator for x in pt for f in (x.rat, x.irr)))
-        den_c = lcm(*(f.denominator for c in self.terms.values() for f in (c.rat, c.irr)))
+        den_x = lcm(*(x.d for x in pt))
+        den_c = lcm(*(c.d for c in self.terms.values()))
         maxdeg = max(map(sum, self.terms), default=0)
         weights = [den_x ** (maxdeg - d) for d in range(maxdeg + 1)]
-        powers = [[(1, 0), (int(x.rat * den_x), int(x.irr * den_x))] for x in pt]
+        powers = [[(1, 0), (x.a * (den_x // x.d), x.b * (den_x // x.d))] for x in pt]
         total_a = total_b = 0
         for m, c in self.terms.items():
-            a = c.rat.numerator * (den_c // c.rat.denominator)
-            b = c.irr.numerator * (den_c // c.irr.denominator)
+            a, b = c.a * (den_c // c.d), c.b * (den_c // c.d)
             deg = 0
             for i, e in enumerate(m):
                 if e:
@@ -205,8 +204,7 @@ class MvPoly:
                     a, b = a * xa + 2 * b * xb, a * xb + b * xa
             total_a += a * weights[deg]
             total_b += b * weights[deg]
-        scale = den_c * den_x ** maxdeg
-        return QSqrt2(Fraction(total_a, scale), Fraction(total_b, scale))
+        return QSqrt2.from_ints(total_a, total_b, den_c * den_x ** maxdeg)
 
     def substitute_linear(self, matrix: Sequence[Sequence]) -> "MvPoly":
         """Compose with a linear change of variables: returns p(A*x).

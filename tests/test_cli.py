@@ -387,6 +387,16 @@ def test_main_maps_mathematical_failures_to_exit_1(exc, monkeypatch, capsys):
     assert err == "error: injected failure\n"
 
 
+@pytest.mark.parametrize("command", ["certify-local", "certify-neighborhood"])
+def test_certifying_commands_check_their_model(command, monkeypatch, capsys):
+    # a fresh pipeline against a wrong width: `check_model` must refuse it
+    monkeypatch.setattr(deltacert, "_PIPELINE", None)
+    monkeypatch.setattr(deltacert, "WIDTH_VALUE", QSqrt2(3, 1))
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (EXIT_MATH_FAIL, "")
+    assert err == "error: lattice width is 2 + 1*sqrt2, expected 3 + 1*sqrt2\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,4 +1,8 @@
+from __future__ import annotations
+
+from fractions import Fraction
 from fractions import Fraction as Fr
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from widthcert.exactnum import (
     IntervalDomainError,
     QSqrt2,
     RatInterval,
+    ScalarLike,
     SQRT2,
     UndecidedComparison,
     alg,
@@ -212,3 +217,310 @@ def test_certify_less_reciprocal_cube_both_directions():
 def test_certify_less_equal_values_undecided():
     with pytest.raises(UndecidedComparison):
         certify_less(sqrt(2), sqrt(2), min_width=Fr(1, 10**6))
+
+
+# -- the integer scalar against the two-Fraction scalar it replaced ---------------------
+#
+# `FractionQSqrt2` is the earlier implementation of `QSqrt2`, which stored
+# the two parts as `Fraction`s; it is kept here unchanged (bar its name) as
+# the oracle for the (a, b, d) form.
+
+
+class FractionQSqrt2:
+    """Element ``rat + irr*sqrt(2)`` of the real quadratic field Q(sqrt 2).
+
+    Values are immutable and canonical: two elements are equal iff their
+    rational and irrational parts are equal.  Comparisons are exact, decided
+    by `sign` without any numeric approximation.
+    """
+
+    __slots__ = ("rat", "irr")
+
+    def __init__(self, rat: ScalarLike = 0, irr: ScalarLike = 0):
+        if isinstance(rat, FractionQSqrt2) or isinstance(irr, FractionQSqrt2):
+            raise TypeError("components of QSqrt2 must be rational")
+        object.__setattr__(self, "rat", Fraction(rat))
+        object.__setattr__(self, "irr", Fraction(irr))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QSqrt2 is immutable")
+
+    # -- construction helpers ------------------------------------------------
+
+    @staticmethod
+    def coerce(x: ScalarLike) -> "FractionQSqrt2":
+        if isinstance(x, FractionQSqrt2):
+            return x
+        return FractionQSqrt2(x)
+
+    # -- ring operations -----------------------------------------------------
+
+    def __add__(self, other):
+        other = FractionQSqrt2.coerce(other)
+        return FractionQSqrt2(self.rat + other.rat, self.irr + other.irr)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQSqrt2(-self.rat, -self.irr)
+
+    def __sub__(self, other):
+        other = FractionQSqrt2.coerce(other)
+        return FractionQSqrt2(self.rat - other.rat, self.irr - other.irr)
+
+    def __rsub__(self, other):
+        return FractionQSqrt2.coerce(other) - self
+
+    def __mul__(self, other):
+        other = FractionQSqrt2.coerce(other)
+        return FractionQSqrt2(
+            self.rat * other.rat + 2 * self.irr * other.irr,
+            self.rat * other.irr + self.irr * other.rat,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionQSqrt2":
+        """Field inverse via the conjugate: 1/(a+b*sqrt2) = (a-b*sqrt2)/(a^2-2b^2)."""
+        norm = self.rat * self.rat - 2 * self.irr * self.irr
+        if norm == 0:
+            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
+        return FractionQSqrt2(self.rat / norm, -self.irr / norm)
+
+    def __truediv__(self, other):
+        return self * FractionQSqrt2.coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return FractionQSqrt2.coerce(other) * self.inverse()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = FractionQSqrt2(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- order ----------------------------------------------------------------
+
+    def sign(self) -> int:
+        """Exact sign of ``rat + irr*sqrt(2)`` as a real number.
+
+        Decided by comparing the signs of the two parts and, when they
+        disagree, by comparing ``rat**2`` against ``2*irr**2``.
+        """
+        a, b = self.rat, self.irr
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return 1 if b > 0 else -1
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        # parts of opposite sign: |a| vs |b|*sqrt2, i.e. a^2 vs 2 b^2
+        big_rational = a * a > 2 * b * b
+        if a > 0:
+            return 1 if big_rational else -1
+        return -1 if big_rational else 1
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction, FractionQSqrt2)):
+            other = FractionQSqrt2.coerce(other)
+            return self.rat == other.rat and self.irr == other.irr
+        return NotImplemented
+
+    def __hash__(self):
+        if self.irr == 0:
+            return hash(self.rat)
+        return hash((self.rat, self.irr))
+
+    def __lt__(self, other):
+        return (self - FractionQSqrt2.coerce(other)).sign() < 0
+
+    def __le__(self, other):
+        return (self - FractionQSqrt2.coerce(other)).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - FractionQSqrt2.coerce(other)).sign() > 0
+
+    def __ge__(self, other):
+        return (self - FractionQSqrt2.coerce(other)).sign() >= 0
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __bool__(self):
+        return self.rat != 0 or self.irr != 0
+
+    # -- rounding and enclosures ----------------------------------------------
+
+    def floor(self) -> int:
+        """Greatest integer <= self, computed from rational brackets of sqrt2."""
+        if self.irr == 0:
+            return self.rat.numerator // self.rat.denominator
+        lo, hi = _SQRT2_SEED
+        while True:
+            if self.irr > 0:
+                vlo, vhi = self.rat + self.irr * lo, self.rat + self.irr * hi
+            else:
+                vlo, vhi = self.rat + self.irr * hi, self.rat + self.irr * lo
+            flo = vlo.numerator // vlo.denominator
+            fhi = vhi.numerator // vhi.denominator
+            if flo == fhi:
+                return flo
+            # value is irrational, so the bracket eventually settles
+            lo, hi = _refine_sqrt2(lo, hi)
+
+    def enclosure(self, tol: Fraction = Fraction(1, 10**12)) -> "RatInterval":
+        """Rational interval containing self, of width <= tol."""
+        if self.irr == 0:
+            return RatInterval(self.rat, self.rat)
+        lo, hi = _SQRT2_SEED
+        while (hi - lo) * abs(self.irr) > tol:
+            lo, hi = _refine_sqrt2(lo, hi)
+        if self.irr > 0:
+            return RatInterval(self.rat + self.irr * lo, self.rat + self.irr * hi)
+        return RatInterval(self.rat + self.irr * hi, self.rat + self.irr * lo)
+
+    # -- display ----------------------------------------------------------------
+
+    def __repr__(self):
+        return f"QSqrt2({self.rat!r}, {self.irr!r})"
+
+    def __str__(self):
+        if self.irr == 0:
+            return str(self.rat)
+        if self.rat == 0:
+            return f"{self.irr}*sqrt2"
+        sep = "+" if self.irr > 0 else "-"
+        return f"{self.rat} {sep} {abs(self.irr)}*sqrt2"
+
+
+_SQRT2_SEED = (Fraction(1), Fraction(3, 2))
+
+
+def _refine_sqrt2(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    mid = (lo + hi) / 2
+    if mid * mid < 2:
+        return mid, hi
+    return lo, mid
+
+
+# zero parts, negative parts and denominators above 2^64
+wide_rationals = st.one_of(
+    st.just(Fr(0)),
+    rationals,
+    st.builds(Fr, st.integers(-(2**90), 2**90), st.integers(1, 2**90)),
+    st.builds(Fr, st.integers(-5, 5), st.integers(2**64 + 1, 2**70)),
+)
+pairs = st.tuples(wide_rationals, wide_rationals)
+TOLS = (Fr(1), Fr(1, 3), Fr(1, 10**12), Fr(7, 2**70), Fr(1, 10**40))
+
+
+def both(pair):
+    return QSqrt2(*pair), FractionQSqrt2(*pair)
+
+
+def agrees(new, old) -> bool:
+    return (new.rat, new.irr, str(new), repr(new)) == (old.rat, old.irr, str(old), repr(old))
+
+
+def is_canonical(x: QSqrt2) -> bool:
+    return x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_arithmetic_matches_fraction_scalar(p, q):
+    (x, fx), (y, fy) = both(p), both(q)
+    pairs_out = [(x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy), (-x, -fx),
+                 (x + p[0], fx + p[0]), (p[1] - x, p[1] - fx), (p[0] * y, p[0] * fy)]
+    if fy:
+        pairs_out += [(x / y, fx / fy), (y.inverse(), fy.inverse()), (p[0] / y, p[0] / fy)]
+    for n in (-3, -1, 0, 2, 5):
+        if n >= 0 or fx:
+            pairs_out.append((x ** n, fx ** n))
+    for new, old in pairs_out:
+        assert agrees(new, old)
+        assert is_canonical(new)
+
+
+@given(pairs, pairs)
+@settings(max_examples=300)
+def test_order_matches_fraction_scalar(p, q):
+    (x, fx), (y, fy) = both(p), both(q)
+    assert x.sign() == fx.sign()
+    assert ((x < y, x <= y, x > y, x >= y, x == y)
+            == (fx < fy, fx <= fy, fx > fy, fx >= fy, fx == fy))
+    assert (x < p[1], x >= p[1], x == p[0]) == (fx < p[1], fx >= p[1], fx == p[0])
+    assert x.floor() == fx.floor()
+
+
+@given(pairs)
+@settings(max_examples=200)
+def test_enclosure_matches_fraction_scalar(p):
+    x, fx = both(p)
+    for tol in TOLS:
+        assert x.enclosure(tol) == fx.enclosure(tol)
+    assert x.enclosure() == fx.enclosure()
+
+
+def _pell_pairs():
+    """(a, -b) and (-a, b) with a^2 - 2b^2 = +-1, where the sign is hardest to decide."""
+    a, b = 1, 1
+    for _ in range(40):
+        yield from ((a, -b), (-a, b), (Fr(a, 7), Fr(-b, 7)))
+        a, b = a + 2 * b, a + b
+
+
+def test_oracle_cases_at_the_edges():
+    edges = [(0, 0), (0, Fr(-1, 2**65 + 1)), (Fr(-(2**80), 3), 0), (2**70 + 1, -(2**69))]
+    for p in edges + list(_pell_pairs()):
+        x, fx = both(p)
+        assert agrees(x, fx) and x.floor() == fx.floor() and x.sign() == fx.sign()
+        assert all(x.enclosure(tol) == fx.enclosure(tol) for tol in TOLS)
+
+
+# -- the (a, b, d) representation --------------------------------------------------------
+
+
+@given(pairs)
+def test_constructor_is_canonical(p):
+    x = QSqrt2(*p)
+    assert is_canonical(x)
+    assert (x.rat, x.irr) == (Fr(p[0]), Fr(p[1]))
+    assert type(x.rat) is Fraction and type(x.irr) is Fraction
+
+
+def test_triple_examples():
+    x = QSqrt2(Fr(1, 2), Fr(-1, 3))
+    assert (x.a, x.b, x.d) == (3, -2, 6)
+    assert (x * 6).d == 1 and (x * 6).a == 3
+    y = QSqrt2(Fr(2, 4), Fr(3, 6))
+    assert (y.a, y.b, y.d) == (1, 1, 2)
+    assert QSqrt2(1, 1).inverse() == QSqrt2(-1, 1)
+
+
+@pytest.mark.parametrize("name", ["rat", "irr", "a", "b", "d", "other"])
+def test_attributes_are_read_only(name):
+    x = QSqrt2(Fr(1, 2), 3)
+    with pytest.raises(AttributeError):
+        setattr(x, name, 1)
+    assert x == QSqrt2(Fr(1, 2), 3)
+
+
+def test_rational_values_hash_as_int_and_fraction():
+    assert QSqrt2(3) == 3 and hash(QSqrt2(3)) == hash(3)
+    half = QSqrt2(Fr(1, 2))
+    assert half == Fr(1, 2) and hash(half) == hash(Fr(1, 2))
+    table = {Fr(1, 2): "half", 3: "three"}
+    assert table[half] == "half" and table[QSqrt2(3)] == "three"
+    assert {half: 1}[Fr(1, 2)] == 1
+    assert hash(QSqrt2(1, 1)) == hash(QSqrt2(Fr(2, 2), Fr(3, 3)))
