@@ -13,7 +13,8 @@ Exit codes, all decided in `main`:
      `CertificationError`, `IndefiniteWeightError` or
      `UndecidedComparison` was raised
   2  usage or parse error: bad arguments, an unreadable or malformed
-     polytope file, or a degenerate polytope
+     polytope file, a degenerate polytope, or a polytope whose width
+     sweep would exceed `widthlab.MAX_SWEEP` candidates
 
 `--precision` and `--tol` accept no value below `MIN_RESOLUTION` (1e-100),
 and the weight c (`--c` and each `--sweep` value) must be a positive
@@ -42,7 +43,7 @@ from . import deltacert, globalbounds
 from .deltacert import format_decimals
 from .exactnum import UndecidedComparison
 from .polyfile import PolytopeFileError, format_scalar, parse_polytope_file
-from .widthlab import DegeneratePolytopeError, lattice_width
+from .widthlab import DegeneratePolytopeError, SweepTooLargeError, lattice_width
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -156,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             "global-bounds": _cmd_global_bounds,
         }[args.command]
         return handler(args)
-    except (PolytopeFileError, DegeneratePolytopeError, OSError) as err:
+    except (PolytopeFileError, DegeneratePolytopeError, SweepTooLargeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (deltacert.CertificationError, deltacert.IndefiniteWeightError,

@@ -141,11 +141,14 @@ def build_delta_model(check: bool = True) -> DeltaModel:
 
 @dataclass(frozen=True)
 class ModelCheck:
-    """What `check_model` verified; `barycentric[i]` holds facet point i's."""
+    """What `check_model` verified; `barycentric[i]` holds facet point i's.
+    `ring` and `h_polys` are the perturbation model it checked them on."""
 
     width: WidthResult
     hollowness: HollownessResult
     barycentric: tuple
+    ring: PerturbationRing
+    h_polys: list[MvPoly]
 
 
 def check_model(model: DeltaModel) -> ModelCheck:
@@ -179,11 +182,13 @@ def check_model(model: DeltaModel) -> ModelCheck:
     if set(wr.minimizers) != expected:
         raise CertificationError("width minimizers do not match the dual-basis vectors")
 
-    grads = [hp.gradient_at_zero() for hp in build_h_polys(PerturbationRing(model), model)]
-    if not check_dependence(grads, model.multipliers):
+    ring = PerturbationRing(model)
+    h_polys = build_h_polys(ring, model)
+    if not check_dependence([hp.gradient_at_zero() for hp in h_polys], model.multipliers):
         raise CertificationError(
             "multiplier combination of gradients is not zero, or their rank is not 5")
-    return ModelCheck(width=wr, hollowness=hollowness, barycentric=tuple(rows))
+    return ModelCheck(width=wr, hollowness=hollowness, barycentric=tuple(rows),
+                      ring=ring, h_polys=h_polys)
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +552,10 @@ class Pipeline:
     model that `check_model` has verified."""
 
     def __init__(self):
-        self.model = build_delta_model()
-        self.ring = PerturbationRing(self.model)
-        self.h_polys = build_h_polys(self.ring, self.model)
+        self.model = build_delta_model(check=False)
+        checked = check_model(self.model)
+        self.ring = checked.ring
+        self.h_polys = checked.h_polys
         self.scoords = SCoords()
         self.linear_s = [
             self.scoords.to_s(l)

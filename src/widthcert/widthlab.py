@@ -1,17 +1,40 @@
 """Lattice width and hollowness for 3-polytopes with QSqrt2 vertex
 coordinates over affine lattices.
 
-Width enumeration is exact: a first dual-basis direction gives an upper bound
-w0, vertex differences of the body give an exact box containing every integer
-dual coefficient vector whose direction could do at least as well, and the
-box is swept with exact comparisons.  Hollowness is implemented for simplices
-(the only case the certification pipeline needs), where the facet structure
-is immediate.
+Both computations run in three steps: reduction, then box, then fibres.
+
+Reduction.  Three independent vertex differences d_j of K and the dual
+basis give G[i][j] = dual_i . d_j, the values of the dual basis functionals
+on edges of K.  Its integer image floor(G * 2^k), with k large enough for the
+image to be well conditioned, is LLL-reduced (delta = 3/4, exact integer and
+rational arithmetic) into a unimodular U.  The lattice basis U^-T . basis
+spans the same lattice, and its dual basis U . duals consists of short
+functionals on K, whatever the skew of the given basis or the length of K
+(Lenstra 1983; Lenstra, Lenstra and Lovasz 1982).  The approximation only
+steers the reduction: every decision after it is exact and sound for any
+unimodular U.
+
+Box (width).  The shortest reduced dual gives an upper bound w0, the vertex
+differences give an exact box of reduced dual coefficient vectors whose
+direction could do at least as well, and the box is swept with exact
+comparisons.  Each attaining vector c' maps back to the coefficients
+c = U^T c' of the given dual basis, so the minimizers come out in the same
+order as a sweep in the given basis would give.
+
+Fibres (hollowness, for simplices: the only case the certification pipeline
+needs).  In reduced lattice coordinates, the two coordinates with the
+shortest ranges over K span a box of fibres; along each fibre the four facet
+inequalities give an exact open interval of the third coordinate, and only
+the integers in it are tested.
+
+`MAX_SWEEP` caps both the width candidates and the hollowness fibres of one
+call; a larger sweep raises `SweepTooLargeError` before it starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
@@ -19,6 +42,12 @@ from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
 from .exactlinalg import QMatrix, SingularMatrixError, det_field, inverse_field
 
 Vec3 = tuple[QSqrt2, QSqrt2, QSqrt2]
+
+#: the most width candidates, and the most hollowness fibres, one call sweeps
+MAX_SWEEP = 10**6
+#: bits by which the integer image of G must be better conditioned than its
+#: rounding error, so the reduction of the image is a reduction of G
+_GUARD_BITS = 20
 
 
 def _vec(v: Sequence) -> Vec3:
@@ -45,6 +74,10 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
 
 class DegeneratePolytopeError(ValueError):
     pass
+
+
+class SweepTooLargeError(ValueError):
+    """A width or hollowness sweep would exceed `MAX_SWEEP`."""
 
 
 class Polytope:
@@ -105,12 +138,6 @@ class AffineLattice:
             for i in range(3):
                 out[i] = out[i] + b[i] * c
         return tuple(out)  # type: ignore[return-value]
-
-    def coordinates(self, x: Sequence) -> Vec3:
-        """Coefficients of x - origin in the lattice basis."""
-        diff = _vsub(_vec(x), self.origin)
-        inv = inverse_field(self.basis_matrix().transpose())
-        return inv.apply(diff)  # type: ignore[return-value]
 
 
 class Functional:
@@ -187,6 +214,16 @@ def dual_functional(duals: Sequence[Functional], u: Sequence[int]) -> Functional
     ])
 
 
+def _independent_differences(K: Polytope) -> tuple[Vec3, Vec3, Vec3]:
+    """The first three linearly independent differences v - v0 of K's vertices."""
+    v0 = K.vertices[0]
+    diffs = [_vsub(v, v0) for v in K.vertices[1:]]
+    for indep in combinations(diffs, 3):
+        if det_field(QMatrix(indep)):
+            return indep  # type: ignore[return-value]
+    raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
+
+
 def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     """Exact per-coordinate bounds B with the guarantee: any nonzero integer
     vector c whose functional sum(c_i dual_i) gives width <= w0 on K satisfies
@@ -197,14 +234,7 @@ def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     c = M_basis . f with f = D^{-1} y, |y_j| <= w0; the row sums of
     M_basis . D^{-1} therefore bound the coefficients.
     """
-    v0 = K.vertices[0]
-    diffs = [_vsub(v, v0) for v in K.vertices[1:]]
-    for indep in combinations(diffs, 3):
-        if det_field(QMatrix(indep)):
-            break
-    else:
-        raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
-    D = QMatrix(indep)
+    D = QMatrix(_independent_differences(K))
     MB = L.basis_matrix().matmul(inverse_field(D))
     bounds = []
     for i in range(3):
@@ -213,18 +243,110 @@ def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     return bounds
 
 
+def _det3(m: Sequence[Sequence[int]]) -> int:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _integer_image(G: Sequence[Sequence[QSqrt2]]) -> list[list[int]]:
+    """floor(G * 2^k) for a k at which the image A is well conditioned.
+
+    A differs from 2^k G by a matrix E of entries in [0, 1), so |E| < 3 in
+    the spectral norm, and the smallest singular value of A is at least
+    |det A| / (3m)^2 for the largest entry m.  |det A| >= 2^(_GUARD_BITS + 5)
+    m^2 therefore keeps |E| below 2^-_GUARD_BITS of it.  G is invertible, and
+    each further bit of k gains about one bit of that margin.
+    """
+    k = _GUARD_BITS
+    while True:
+        scale = 1 << k
+        A = [[(x * scale).floor() for x in row] for row in G]
+        det = _det3(A)
+        m = max(abs(x) for row in A for x in row)
+        short = 2 * m.bit_length() + _GUARD_BITS + 6 - det.bit_length()
+        if det and short <= 0:
+            return A
+        k += short if det else k
+
+
+def _lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """LLL reduction (delta = 3/4) of linearly independent integer rows, in
+    exact arithmetic.  Returns the unimodular U with U . rows reduced."""
+    n = len(rows)
+    b = [list(r) for r in rows]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 1
+    while k < n:
+        # Gram-Schmidt of the current rows: squared norms of b*_i and mu[i][j]
+        star: list[list[Fraction]] = []
+        norms: list[Fraction] = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = sum((x * y for x, y in zip(b[i], star[j])), Fraction(0)) / norms[j]
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+            norms.append(sum((x * x for x in v), Fraction(0)))
+        # size-reduce row k; this leaves every b*_i unchanged
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                U[k] = [x - q * y for x, y in zip(U[k], U[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            U[k - 1], U[k] = U[k], U[k - 1]
+            k = max(k - 1, 1)
+    return U
+
+
+def _reduce(K: Polytope, L: AffineLattice
+            ) -> tuple[AffineLattice, list[Functional], list[list[int]]]:
+    """Change L's basis by a unimodular U that makes the dual basis short on K.
+    Returns L with the basis U^-T . basis, its dual basis U . duals, and U."""
+    duals = dual_lattice(L)
+    diffs = _independent_differences(K)
+    U = _lll(_integer_image([[d(e) for e in diffs] for d in duals]))
+    # U^-T is the signed cofactor matrix of U times det U = +-1
+    det = _det3(U)
+    cof = [[U[(i + 1) % 3][(j + 1) % 3] * U[(i + 2) % 3][(j + 2) % 3]
+            - U[(i + 1) % 3][(j + 2) % 3] * U[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    basis = [tuple(sum((L.basis[k][r] * (det * cof[i][k]) for k in range(3)), QS2_ZERO)
+                   for r in range(3)) for i in range(3)]
+    return AffineLattice(L.origin, basis), [dual_functional(duals, row) for row in U], U
+
+
+def _check_sweep(size: int, what: str) -> None:
+    if size > MAX_SWEEP:
+        raise SweepTooLargeError(
+            f"{what} sweep of {size} exceeds the cap of {MAX_SWEEP} (MAX_SWEEP)")
+
+
 def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
     """Exact lattice width of K over the dual of the linear lattice of L,
     together with the complete set of attaining functionals (one per +/-
-    pair, first nonzero coordinate positive, sorted deterministically)."""
-    duals = dual_lattice(L)
+    pair, first nonzero coordinate positive, sorted by their coefficient
+    vectors in the dual basis of L)."""
+    reduced_lattice, reduced_duals, U = _reduce(K, L)
     w0 = None
-    for d in duals:
+    for d in reduced_duals:
         w = width_in_direction(K, d)
         if w0 is None or w < w0:
             w0 = w
     assert w0 is not None
-    bounds = _coefficient_box(K, L, w0)
+    bounds = _coefficient_box(K, reduced_lattice, w0)
+    size = 1
+    for b in bounds:
+        size *= 2 * b + 1
+    _check_sweep(size // 2, "lattice width candidate")
     best = w0
     best_coeffs: list[tuple[int, int, int]] = []
     for c in product(*[range(-b, b + 1) for b in bounds]):
@@ -233,15 +355,24 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
         first = next(x for x in c if x)
         if first < 0:
             continue  # -c covered by c
-        w = width_in_direction(K, dual_functional(duals, c))
+        w = width_in_direction(K, dual_functional(reduced_duals, c))
         cmp = (w - best).sign()
         if cmp < 0:
             best = w
             best_coeffs = [c]
         elif cmp == 0:
             best_coeffs.append(c)
-    best_coeffs.sort()
-    minimizers = tuple(dual_functional(duals, c).canonical_sign() for c in best_coeffs)
+    # sort by the coefficients c = U^T c' in the dual basis of L, each with
+    # its first nonzero coordinate positive
+    keyed = []
+    for reduced in best_coeffs:
+        c = tuple(sum(U[i][k] * reduced[i] for i in range(3)) for k in range(3))
+        if next(x for x in c if x) < 0:
+            c = tuple(-x for x in c)
+        keyed.append((c, reduced))
+    keyed.sort()
+    minimizers = tuple(dual_functional(reduced_duals, reduced).canonical_sign()
+                       for _, reduced in keyed)
     if not minimizers:
         raise AssertionError("width enumeration produced no minimizer")
     for f in minimizers:
@@ -300,26 +431,44 @@ class HollownessResult:
 
 
 def hollow_check(K: Polytope, L: AffineLattice) -> HollownessResult:
-    """Simplex hollowness: sweep lattice points in the bounding box of K (in
-    lattice coordinates) and test strict interiority against the four facet
-    inequalities.  Returns the first interior witness if any."""
+    """Simplex hollowness by fibres of reduced lattice coordinates: every
+    integer point strictly inside the interval a fibre meets K in is tested
+    against the four facet inequalities.  Returns an interior witness if any."""
     K.require_simplex()
     facets = facet_hyperplanes(K)
-    lows = [None, None, None]
-    highs = [None, None, None]
-    for v in K.vertices:
-        coords = L.coordinates(v)
-        for i, x in enumerate(coords):
-            if lows[i] is None or x < lows[i]:
-                lows[i] = x
-            if highs[i] is None or x > highs[i]:
-                highs[i] = x
+    lattice, duals, _ = _reduce(K, L)
+    origin, basis = lattice.origin, lattice.basis
+    # the integers strictly inside the range of each reduced coordinate over K
     ranges = []
-    for lo, hi in zip(lows, highs):
-        ceil_hi = -((-hi).floor())
-        ranges.append(range(lo.floor(), ceil_hi + 1))
-    for coeffs in product(*ranges):
-        x = L.point(coeffs)
-        if all(f(x).sign() > 0 for f in facets):
-            return HollownessResult(hollow=False, witness=x)
+    for d in duals:
+        values = [d(_vsub(v, origin)) for v in K.vertices]
+        ranges.append(range(min(values).floor() + 1, -((-max(values)).floor())))
+    counts = [max(0, r.stop - r.start) for r in ranges]  # len() overflows past 2^63
+    axis = max(range(3), key=counts.__getitem__)
+    a, b = (i for i in range(3) if i != axis)
+    _check_sweep(counts[a] * counts[b], "hollowness fibre")
+    # facet value at origin + ca*basis[a] + cb*basis[b] + t*basis[axis]
+    lines = [(f(origin), _dot(f.normal, basis[a]), _dot(f.normal, basis[b]),
+              _dot(f.normal, basis[axis])) for f in facets]
+    coeffs = [0, 0, 0]
+    for ca, cb in product(ranges[a], ranges[b]):
+        lo, hi = ranges[axis].start, ranges[axis].stop - 1
+        for value0, step_a, step_b, slope in lines:
+            value = value0 + step_a * ca + step_b * cb
+            s = slope.sign()
+            if s == 0:
+                if value.sign() <= 0:
+                    hi = lo - 1
+                continue
+            root = -value / slope  # the facet value is positive on one side of t = root
+            if s > 0:
+                lo = max(lo, root.floor() + 1)
+            else:
+                hi = min(hi, -((-root).floor()) - 1)
+        coeffs[a], coeffs[b] = ca, cb
+        for t in range(lo, hi + 1):
+            coeffs[axis] = t
+            x = lattice.point(coeffs)
+            if all(f(x).sign() > 0 for f in facets):
+                return HollownessResult(hollow=False, witness=x)
     return HollownessResult(hollow=True, witness=None)

@@ -205,6 +205,37 @@ def test_width_subcommand_on_cube(tmp_path, capsys):
     assert "minimizers: 3" in out
 
 
+def test_width_subcommand_on_a_long_needle(tmp_path, capsys):
+    # conv{0, (1000, 1000, 1001), e1, e2}: a box sweep in the given basis
+    # would need about 1.6e10 candidates
+    path = tmp_path / "needle.poly"
+    path.write_text("vertices:\n0, 0, 0\n1000, 1000, 1001\n1, 0, 0\n0, 1, 0\n")
+    code, out, err = run_cli(capsys, "--format", "kv", "width", "--polytope", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == [
+        "minimizer_count=3",
+        "minimizers.0.0=0", "minimizers.0.1=1", "minimizers.0.2=-1",
+        "minimizers.1.0=1", "minimizers.1.1=-1", "minimizers.1.2=0",
+        "minimizers.2.0=1", "minimizers.2.1=0", "minimizers.2.2=-1",
+        "width=2",
+        "width_decimal_high=2.000000000",
+        "width_decimal_low=2.000000000",
+    ]
+
+
+def test_width_sweep_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    from widthcert import widthlab
+
+    monkeypatch.setattr(widthlab, "MAX_SWEEP", 1)
+    path = tmp_path / "delta.poly"
+    path.write_text(MODEL_FILE)
+    code, out, err = run_cli(capsys, "width", "--polytope", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: lattice width candidate sweep of ")
+    assert err.endswith("exceeds the cap of 1 (MAX_SWEEP)\n")
+    assert err.count("\n") == 1
+
+
 def test_width_subcommand_rejects_floats(tmp_path, capsys):
     path = tmp_path / "bad.poly"
     path.write_text("vertices:\n0.5, 0, 0\n1, 0, 0\n0, 1, 0\n0, 0, 1\n")

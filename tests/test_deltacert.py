@@ -307,6 +307,26 @@ def test_attainment_polynomials_positive_constants(pipeline):
         assert p.degree() <= 2
 
 
+def test_pipeline_builds_its_perturbation_model_once(monkeypatch):
+    rings, h_builds = [], []
+    build_h_polys = dc.build_h_polys
+
+    class CountedRing(dc.PerturbationRing):
+        def __init__(self, model):
+            rings.append(model)
+            super().__init__(model)
+
+    def counted_h_polys(ring, model):
+        h_builds.append(ring)
+        return build_h_polys(ring, model)
+
+    monkeypatch.setattr(dc, "PerturbationRing", CountedRing)
+    monkeypatch.setattr(dc, "build_h_polys", counted_h_polys)
+    fresh = dc.Pipeline()
+    assert len(rings) == len(h_builds) == 1
+    assert fresh.ring is h_builds[0]
+
+
 def test_attainment_premise_rejects_a_duplicate_pair(monkeypatch):
     # with one pair repeated, the twelve comparison vectors miss two of the
     # differences a_i - a_j, over which the width is a maximum

@@ -1,16 +1,24 @@
 import random
 from fractions import Fraction as Fr
 from itertools import product
+from math import prod
 
 import pytest
 
+from widthcert import widthlab
+from widthcert.exactlinalg import inverse_field
 from widthcert.exactnum import QSqrt2
+from widthcert.polyfile import format_scalar
 from widthcert.widthlab import (
     AffineLattice,
     DegeneratePolytopeError,
     Functional,
     Polytope,
+    SweepTooLargeError,
+    WidthResult,
+    _coefficient_box,
     barycentric_coordinates,
+    dual_functional,
     dual_lattice,
     facet_hyperplanes,
     hollow_check,
@@ -155,8 +163,6 @@ def random_tetrahedron_oracle_check(rng, box_cap=20):
     """One comparison of lattice_width against the brute-force oracle over
     integer functionals; resamples until the enumeration box fits inside the
     oracle's search box so both scan the same candidate set."""
-    from widthcert.widthlab import _coefficient_box
-
     while True:
         K = _random_rational_tetrahedron(rng)
         duals = dual_lattice(Z3)
@@ -249,9 +255,15 @@ def test_hollow_check_needs_simplex():
         hollow_check(UNIT_CUBE, Z3)
 
 
+def _lattice_coordinates(L, x):
+    """Coefficients of x - origin in the basis of L."""
+    diff = [a - b for a, b in zip(x, L.origin)]
+    return inverse_field(L.basis_matrix().transpose()).apply(diff)
+
+
 def _brute_force_hollow(K, L, margin=1):
     facets = facet_hyperplanes(K)
-    coords = [L.coordinates(v) for v in K.vertices]
+    coords = [_lattice_coordinates(L, v) for v in K.vertices]
     ranges = []
     for i in range(3):
         lo = min(c[i] for c in coords).floor() - margin
@@ -271,6 +283,192 @@ def test_hollow_agrees_with_wider_brute_force():
         K = _random_rational_tetrahedron(rng)
         assert hollow_check(K, Z3).hollow == _brute_force_hollow(K, Z3)
         checked += 1
+
+
+# -- the reduced sweeps against the box sweep in the given basis ---------------------------
+
+
+def box_sweep_lattice_width(K, L):
+    """`lattice_width` as it was before the basis reduction: it sweeps the
+    whole coefficient box of the given dual basis.  The oracle of the reduced
+    sweep, which must give the same width and the same minimizers in the
+    same order."""
+    duals = dual_lattice(L)
+    w0 = None
+    for d in duals:
+        w = width_in_direction(K, d)
+        if w0 is None or w < w0:
+            w0 = w
+    assert w0 is not None
+    bounds = _coefficient_box(K, L, w0)
+    best = w0
+    best_coeffs = []
+    for c in product(*[range(-b, b + 1) for b in bounds]):
+        if c == (0, 0, 0):
+            continue
+        first = next(x for x in c if x)
+        if first < 0:
+            continue  # -c covered by c
+        w = width_in_direction(K, dual_functional(duals, c))
+        cmp = (w - best).sign()
+        if cmp < 0:
+            best = w
+            best_coeffs = [c]
+        elif cmp == 0:
+            best_coeffs.append(c)
+    best_coeffs.sort()
+    minimizers = tuple(dual_functional(duals, c).canonical_sign() for c in best_coeffs)
+    return WidthResult(width=best, minimizers=minimizers)
+
+
+def _random_unimodular(rng, steps=3):
+    """A seeded integer matrix of determinant +-1: row shears, then a signed
+    permutation of the rows."""
+    m = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(steps):
+        i, j = rng.sample(range(3), 2)
+        q = rng.choice((-1, 1))
+        m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    rng.shuffle(m)
+    return [[x * sign for x in row] for row, sign in zip(m, rng.choices((-1, 1), k=3))]
+
+
+def _rebased(L, u, shift=(0, 0, 0)):
+    """L with basis u . basis and its origin moved by a lattice vector."""
+    basis = [tuple(sum((L.basis[k][r] * u[i][k] for k in range(3)), QSqrt2(0))
+                   for r in range(3)) for i in range(3)]
+    return AffineLattice(L.point(shift), basis)
+
+
+def _delta_images(delta_model, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = _random_unimodular(rng)
+        shift = [rng.randint(-3, 3) for _ in range(3)]
+        yield delta_model.polytope, _rebased(delta_model.lattice, u, shift)
+
+
+def test_reduced_width_matches_box_sweep_on_delta_images(delta_model):
+    for K, L in _delta_images(delta_model, 20, seed=5):
+        result = lattice_width(K, L)
+        oracle = box_sweep_lattice_width(K, L)
+        assert result.width == oracle.width == QSqrt2(2, 1)
+        assert result.minimizers == oracle.minimizers
+        assert len(result.minimizers) == 7
+
+
+def test_reduced_width_matches_box_sweep_on_random_tetrahedra():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 20:
+        K = _random_rational_tetrahedron(rng)
+        L = Z3 if checked % 2 == 0 else _rebased(Z3, _random_unimodular(rng, steps=2))
+        # the oracle's box reaches 201 x 111 x 57 here; keep it to seconds
+        w0 = min(width_in_direction(K, d) for d in dual_lattice(L))
+        if prod(2 * b + 1 for b in _coefficient_box(K, L, w0)) > 20000:
+            continue
+        checked += 1
+        result = lattice_width(K, L)
+        oracle = box_sweep_lattice_width(K, L)
+        assert result.width == oracle.width
+        assert result.minimizers == oracle.minimizers
+
+
+def test_reduced_width_matches_box_sweep_on_short_needles():
+    for n in range(1, 7):
+        K = _needle(n)
+        assert lattice_width(K, Z3) == box_sweep_lattice_width(K, Z3)
+
+
+def test_hollow_check_matches_brute_force_on_rebased_bodies(delta_model):
+    rng = random.Random(31)
+    bodies = [(K, L, True) for K, L in _delta_images(delta_model, 4, seed=6)]
+    for k in (3, 4, 5):
+        dilated = Polytope([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)])
+        bodies.append((dilated, _rebased(Z3, _random_unimodular(rng)), k < 4))
+    for _ in range(8):
+        K = _random_rational_tetrahedron(rng)
+        bodies.append((K, _rebased(Z3, _random_unimodular(rng, steps=2)), None))
+    for K, L, expected in bodies:
+        result = hollow_check(K, L)
+        assert result.hollow == _brute_force_hollow(K, L)
+        if expected is not None:
+            assert result.hollow == expected
+        if not result.hollow:
+            assert all(x.floor() == x for x in _lattice_coordinates(L, result.witness))
+            assert all(f(result.witness).sign() > 0 for f in facet_hyperplanes(K))
+
+
+# -- needles: bounded work whatever their length -----------------------------------------
+
+
+def _needle(n):
+    """conv{0, (n, n, n+1), e1, e2}: lattice width 1 or 2, length about n."""
+    return Polytope([(0, 0, 0), (n, n, n + 1), (1, 0, 0), (0, 1, 0)])
+
+
+# width, number of minimizers and hollowness of each needle over Z^3
+NEEDLES = {
+    1: ("1", 3, True),
+    2: ("1", 1, True),
+    3: ("2", 9, False),
+    10: ("2", 3, False),
+    30: ("2", 3, False),
+    1000: ("2", 3, False),
+}
+# a skew unimodular basis, so the given basis is far from reduced
+SKEW = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
+
+
+@pytest.mark.parametrize("skew", [False, True])
+@pytest.mark.parametrize("n", sorted(NEEDLES))
+def test_needle_invariants_within_a_fixed_amount_of_work(n, skew, monkeypatch):
+    calls = {"candidates": 0, "points": 0}
+    width = widthlab.width_in_direction
+    point = AffineLattice.point
+
+    def counted_width(K, f):
+        calls["candidates"] += 1
+        return width(K, f)
+
+    def counted_point(self, coeffs):
+        calls["points"] += 1
+        return point(self, coeffs)
+
+    L = _rebased(Z3, SKEW) if skew else Z3
+    monkeypatch.setattr(widthlab, "width_in_direction", counted_width)
+    monkeypatch.setattr(AffineLattice, "point", counted_point)
+    result = lattice_width(_needle(n), L)
+    hollow = hollow_check(_needle(n), L).hollow
+    assert (format_scalar(result.width), len(result.minimizers), hollow) == NEEDLES[n]
+    assert calls["candidates"] <= 200
+    assert calls["points"] <= 20
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_long_hollow_simplex_takes_one_fibre(skew, monkeypatch):
+    # conv{0, 2e1, 2e2, 10^7 e3}: one integer strictly inside the range of x
+    # and of y, 10^7 - 1 inside that of z; fibres must run along z
+    monkeypatch.setattr(widthlab, "MAX_SWEEP", 1)
+    K = Polytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 10**7)])
+    assert hollow_check(K, _rebased(Z3, SKEW) if skew else Z3).hollow
+
+
+def test_sweeps_over_the_cap_are_refused_before_they_start(delta_model, monkeypatch):
+    calls = []
+    width = widthlab.width_in_direction
+
+    def counted_width(K, f):
+        calls.append(f)
+        return width(K, f)
+
+    monkeypatch.setattr(widthlab, "width_in_direction", counted_width)
+    monkeypatch.setattr(widthlab, "MAX_SWEEP", 2)
+    with pytest.raises(SweepTooLargeError, match="lattice width candidate sweep"):
+        lattice_width(delta_model.polytope, delta_model.lattice)
+    assert len(calls) == 3  # the three reduced dual directions that bound w0
+    with pytest.raises(SweepTooLargeError, match="hollowness fibre sweep"):
+        hollow_check(Polytope([(0, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)]), Z3)
 
 
 # -- facets and barycentrics -------------------------------------------------------------------
