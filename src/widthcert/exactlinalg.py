@@ -46,10 +46,6 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix([[QS2_ONE if i == j else QS2_ZERO for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -1,8 +1,10 @@
 """Structured text format for polytopes and affine lattices.
 
 Scalars are written exactly, never as floating point: ``p``, ``p/q``,
-``r/s*sqrt2``, or ``p/q + r/s*sqrt2`` (also with ``-``).  Coordinates on a
-line are comma-separated.  Layout::
+``r/s*sqrt2``, or ``p/q + r/s*sqrt2`` (also with ``-``), where ``r/s*`` may
+be left out and the whole may carry one leading sign.  Spaces may surround
+the operators; anything else is an error.  Coordinates on a line are
+comma-separated.  Layout::
 
     # comments and blank lines are ignored
     vertices:
@@ -36,16 +38,22 @@ class PolytopeFileError(ValueError):
         super().__init__(message)
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+# the docstring's forms; {q} is an unsigned p or p/q
+_SCALAR = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<rat>{q})(?:\s*(?P<op>[+-])\s*(?P<irr>{q}\s*\*\s*)?sqrt2)?"
+    r"|(?P<lone>{q}\s*\*\s*)?sqrt2)".format(q=r"\d+(?:\s*/\s*\d+)?"))
 
 
-def _parse_rational(tok: str, line: int | None = None) -> Fraction:
-    tok = tok.strip()
-    if "." in tok or "e" in tok.lower():
-        raise PolytopeFileError(f"floating-point literal not allowed: {tok!r}", line)
-    if not _RATIONAL.match(tok):
-        raise PolytopeFileError(f"invalid rational literal: {tok!r}", line)
-    return Fraction(tok)
+def _rational(tok: str | None, line: int | None) -> Fraction:
+    if tok is None:
+        return Fraction(1)
+    tok = re.sub(r"[\s*]", "", tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise PolytopeFileError(f"zero denominator in {tok!r}", line) from None
+    except ValueError as err:  # more digits than int() converts
+        raise PolytopeFileError(str(err), line) from None
 
 
 def parse_scalar(text: str, line: int | None = None) -> QSqrt2:
@@ -53,32 +61,19 @@ def parse_scalar(text: str, line: int | None = None) -> QSqrt2:
     s = text.strip()
     if not s:
         raise PolytopeFileError("empty scalar", line)
-    # split into signed terms at top level
-    terms = re.findall(r"[+-]?[^+-]+", s.replace(" ", ""))
-    rat = Fraction(0)
+    if "." in s or "e" in s.lower():
+        raise PolytopeFileError(f"floating-point literal not allowed: {s!r}", line)
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise PolytopeFileError(f"invalid scalar {s!r}: expected p/q + r/s*sqrt2 or a part of it",
+                                line)
+    sign = -1 if m["sign"] == "-" else 1
+    if m["rat"] is None:
+        return QSqrt2(0, sign * _rational(m["lone"], line))
     irr = Fraction(0)
-    seen_rat = seen_irr = False
-    for term in terms:
-        if not term:
-            continue
-        if "sqrt2" in term:
-            if seen_irr:
-                raise PolytopeFileError(f"repeated sqrt2 term in {text!r}", line)
-            seen_irr = True
-            coeff = term.replace("sqrt2", "")
-            coeff = coeff.rstrip("*")
-            if coeff in ("", "+"):
-                irr = Fraction(1)
-            elif coeff == "-":
-                irr = Fraction(-1)
-            else:
-                irr = _parse_rational(coeff, line)
-        else:
-            if seen_rat:
-                raise PolytopeFileError(f"repeated rational term in {text!r}", line)
-            seen_rat = True
-            rat = _parse_rational(term, line)
-    return QSqrt2(rat, irr)
+    if m["op"]:
+        irr = (-1 if m["op"] == "-" else 1) * _rational(m["irr"], line)
+    return QSqrt2(sign * _rational(m["rat"], line), irr)
 
 
 def format_scalar(x: QSqrt2) -> str:

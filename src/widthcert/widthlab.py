@@ -5,14 +5,12 @@ Both computations run in three steps: reduction, then box, then fibres.
 
 Reduction.  Three independent vertex differences d_j of K and the dual
 basis give G[i][j] = dual_i . d_j, the values of the dual basis functionals
-on edges of K.  Its integer image floor(G * 2^k), with k large enough for the
-image to be well conditioned, is LLL-reduced (delta = 3/4, exact integer and
-rational arithmetic) into a unimodular U.  The lattice basis U^-T . basis
-spans the same lattice, and its dual basis U . duals consists of short
-functionals on K, whatever the skew of the given basis or the length of K
-(Lenstra 1983; Lenstra, Lenstra and Lovasz 1982).  The approximation only
-steers the reduction: every decision after it is exact and sound for any
-unimodular U.
+on edges of K.  The rows of G are LLL-reduced exactly over Q(sqrt2) (delta =
+3/4) into a unimodular U (Lenstra, Lenstra and Lovasz 1982).  The reduced
+dual basis U . duals consists of short functionals on K, whatever the skew
+of the given basis or the length of K (Lenstra 1983), and the reduced
+lattice basis is its exact inverse transpose.  Width and hollowness of the
+same (K, L) share one reduction.
 
 Box (width).  The shortest reduced dual gives an upper bound w0, the vertex
 differences give an exact box of reduced dual coefficient vectors whose
@@ -34,7 +32,7 @@ call; a larger sweep raises `SweepTooLargeError` before it starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Sequence
 
@@ -45,9 +43,6 @@ Vec3 = tuple[QSqrt2, QSqrt2, QSqrt2]
 
 #: the most width candidates, and the most hollowness fibres, one call sweeps
 MAX_SWEEP = 10**6
-#: bits by which the integer image of G must be better conditioned than its
-#: rounding error, so the reduction of the image is a reduction of G
-_GUARD_BITS = 20
 
 
 def _vec(v: Sequence) -> Vec3:
@@ -243,85 +238,58 @@ def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
     return bounds
 
 
-def _det3(m: Sequence[Sequence[int]]) -> int:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _integer_image(G: Sequence[Sequence[QSqrt2]]) -> list[list[int]]:
-    """floor(G * 2^k) for a k at which the image A is well conditioned.
-
-    A differs from 2^k G by a matrix E of entries in [0, 1), so |E| < 3 in
-    the spectral norm, and the smallest singular value of A is at least
-    |det A| / (3m)^2 for the largest entry m.  |det A| >= 2^(_GUARD_BITS + 5)
-    m^2 therefore keeps |E| below 2^-_GUARD_BITS of it.  G is invertible, and
-    each further bit of k gains about one bit of that margin.
-    """
-    k = _GUARD_BITS
-    while True:
-        scale = 1 << k
-        A = [[(x * scale).floor() for x in row] for row in G]
-        det = _det3(A)
-        m = max(abs(x) for row in A for x in row)
-        short = 2 * m.bit_length() + _GUARD_BITS + 6 - det.bit_length()
-        if det and short <= 0:
-            return A
-        k += short if det else k
-
-
-def _lll(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """LLL reduction (delta = 3/4) of linearly independent integer rows, in
-    exact arithmetic.  Returns the unimodular U with U . rows reduced."""
+def _lll(rows: Sequence[Sequence[QSqrt2]]) -> tuple[tuple[int, ...], ...]:
+    """LLL reduction (delta = 3/4) of linearly independent rows over Q(sqrt2),
+    in exact arithmetic.  Returns the unimodular U with U . rows reduced."""
     n = len(rows)
     b = [list(r) for r in rows]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
+    half = QSqrt2.from_ints(1, 0, 2)
     k = 1
     while k < n:
         # Gram-Schmidt of the current rows: squared norms of b*_i and mu[i][j]
-        star: list[list[Fraction]] = []
-        norms: list[Fraction] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
+        star: list[list[QSqrt2]] = []
+        norms: list[QSqrt2] = []
+        mu = [[QS2_ZERO] * n for _ in range(n)]
         for i in range(n):
-            v = [Fraction(x) for x in b[i]]
+            v = b[i]
             for j in range(i):
-                mu[i][j] = sum((x * y for x, y in zip(b[i], star[j])), Fraction(0)) / norms[j]
+                mu[i][j] = _dot(b[i], star[j]) / norms[j]
                 v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
             star.append(v)
-            norms.append(sum((x * x for x in v), Fraction(0)))
+            norms.append(_dot(v, v))
         # size-reduce row k; this leaves every b*_i unchanged
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            q = (mu[k][j] + half).floor()
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 U[k] = [x - q * y for x, y in zip(U[k], U[j])]
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
-        if norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+        # Lovasz: |b*_k|^2 >= (3/4 - mu^2) |b*_(k-1)|^2, times 4
+        if 4 * norms[k] >= (3 - 4 * mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k - 1], b[k] = b[k], b[k - 1]
             U[k - 1], U[k] = U[k], U[k - 1]
             k = max(k - 1, 1)
-    return U
+    return tuple(map(tuple, U))
 
 
+@lru_cache(maxsize=1)
 def _reduce(K: Polytope, L: AffineLattice
-            ) -> tuple[AffineLattice, list[Functional], list[list[int]]]:
+            ) -> tuple[AffineLattice, tuple[Functional, ...], tuple[tuple[int, ...], ...]]:
     """Change L's basis by a unimodular U that makes the dual basis short on K.
-    Returns L with the basis U^-T . basis, its dual basis U . duals, and U."""
+    Returns L with the basis U^-T . basis, its dual basis U . duals, and U.
+    Both classes hash by identity, so the one cached entry serves
+    `lattice_width` and `hollow_check` on the same objects."""
     duals = dual_lattice(L)
     diffs = _independent_differences(K)
-    U = _lll(_integer_image([[d(e) for e in diffs] for d in duals]))
-    # U^-T is the signed cofactor matrix of U times det U = +-1
-    det = _det3(U)
-    cof = [[U[(i + 1) % 3][(j + 1) % 3] * U[(i + 2) % 3][(j + 2) % 3]
-            - U[(i + 1) % 3][(j + 2) % 3] * U[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)] for i in range(3)]
-    basis = [tuple(sum((L.basis[k][r] * (det * cof[i][k]) for k in range(3)), QS2_ZERO)
-                   for r in range(3)) for i in range(3)]
-    return AffineLattice(L.origin, basis), [dual_functional(duals, row) for row in U], U
+    U = _lll([[d(e) for e in diffs] for d in duals])
+    reduced = tuple(dual_functional(duals, row) for row in U)
+    basis = inverse_field(QMatrix([f.coeffs for f in reduced])).transpose()
+    return AffineLattice(L.origin, basis.rows), reduced, U
 
 
 def _check_sweep(size: int, what: str) -> None:

@@ -81,6 +81,43 @@ def test_parse_scalar_rejects_floats():
         parse_scalar("1e-3")
 
 
+MALFORMED_SCALARS = ["2 - -1*sqrt2", "--1", "-+1", "1 2", "sqrt2sqrt2", "1-", "3 - sqrt2 - ",
+                     "sqrt2 + 1", "1 + 2", "- 1", "2sqrt2", "sqrt2*2", "1/2/3", "1*", "+", "1/0",
+                     "1 + 1/0*sqrt2", "1" * 5000]
+
+
+def test_parse_scalar_accepts_spaces_around_operators():
+    assert parse_scalar(" 1 / 2 - 3 * sqrt2 ") == QSqrt2(Fraction(1, 2), -3)
+    assert parse_scalar("1/2+sqrt2") == QSqrt2(Fraction(1, 2), 1)
+    assert parse_scalar("+sqrt2") == parse_scalar("1*sqrt2") == QSqrt2(0, 1)
+    assert parse_scalar("-3/4*sqrt2") == QSqrt2(0, Fraction(-3, 4))
+    assert parse_scalar("+7") == QSqrt2(7)
+
+
+@pytest.mark.parametrize("text", MALFORMED_SCALARS, ids=lambda t: t[:20])
+def test_parse_scalar_rejects_malformed_scalars(text):
+    with pytest.raises(PolytopeFileError, match="^line 5: "):
+        parse_scalar(text, 5)
+
+
+@pytest.mark.parametrize("text", ["2 - -1*sqrt2", "1 2", "1/0"])
+def test_width_subcommand_rejects_malformed_scalars(tmp_path, capsys, text):
+    path = tmp_path / "bad.poly"
+    path.write_text(f"vertices:\n0, 0, 0\n1, 0, 0\n0, 1, {text}\n0, 0, 1\n")
+    code, out, err = run_cli(capsys, "width", "--polytope", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: line 4: ") and err.count("\n") == 1
+
+
+def test_shipped_polytope_files_parse_to_the_model(delta_model):
+    root = Path(__file__).resolve().parents[1]
+    for path in (root / "tests" / "golden" / "delta.poly", root / "perfbench" / "data" / "delta.poly"):
+        if path.exists():
+            K, L = parse_polytope_file(path.read_text())
+            assert K.vertices == delta_model.polytope.vertices
+            assert (L.origin, L.basis) == (delta_model.lattice.origin, delta_model.lattice.basis)
+
+
 def test_scalar_format_round_trip():
     rng = random.Random(17)
     for _ in range(200):

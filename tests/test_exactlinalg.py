@@ -22,6 +22,10 @@ from widthcert.exactlinalg import (
 from widthcert.mvpoly import MvPoly
 
 
+def identity(n: int) -> QMatrix:
+    return QMatrix([[QS2_ONE if i == j else QS2_ZERO for j in range(n)] for i in range(n)])
+
+
 def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
     """Coefficients (ascending) of det(x*I - H), via the Faddeev-LeVerrier
     recurrence; used as an eigenvalue-free definiteness oracle in tests."""
@@ -30,7 +34,7 @@ def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
     n = H.nrows
     coeffs = [QS2_ZERO] * (n + 1)
     coeffs[n] = QS2_ONE
-    M = QMatrix.identity(n)
+    M = identity(n)
     for k in range(1, n + 1):
         HM = H.matmul(M)
         trace = sum((HM.rows[i][i] for i in range(n)), QS2_ZERO)
@@ -44,7 +48,7 @@ def characteristic_polynomial(H: QMatrix) -> list[QSqrt2]:
 
 
 def test_det_identity():
-    assert det_field(QMatrix.identity(3)) == QSqrt2(1)
+    assert det_field(identity(3)) == QSqrt2(1)
 
 
 def test_det_lattice_basis_is_sixteen(delta_model):
@@ -71,11 +75,11 @@ def test_inverse_times_matrix_is_identity():
                      for _ in range(3)])
         if not det_field(m):
             continue
-        assert m.matmul(inverse_field(m)) == QMatrix.identity(3)
+        assert m.matmul(inverse_field(m)) == identity(3)
     # a zero at (0, 0) forces a row swap before the first pivot
     m = QMatrix([[0, 1, QSqrt2(0, 1)], [2, 0, 1], [1, 3, 0]])
     inv = inverse_field(m)
-    assert m.matmul(inv) == inv.matmul(m) == QMatrix.identity(3)
+    assert m.matmul(inv) == inv.matmul(m) == identity(3)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -114,9 +118,9 @@ def test_kernel_matches_pinned_parametrization(pipeline):
 
 
 def test_restriction_to_coordinate_plane():
-    H = QMatrix.identity(4)
+    H = identity(4)
     basis = [[1, 0, 0, 0], [0, 0, 1, 0]]
-    assert restrict_quadratic_form(H, basis) == QMatrix.identity(2)
+    assert restrict_quadratic_form(H, basis) == identity(2)
 
 
 def test_restriction_of_zero_form():

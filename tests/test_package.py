@@ -1,4 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
 import widthcert
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_star_import_resolves_every_exported_name():
@@ -7,3 +19,37 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(widthcert.__all__)) == len(widthcert.__all__)
     for name in widthcert.__all__:
         assert namespace[name] is getattr(widthcert, name)
+
+
+# -- what the benchmark imports from the package ----------------------------------
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench/ in this checkout")
+@pytest.mark.parametrize("mode", [["env"], ["setup", "cli-certify"],
+                                  ["setup", "hessian-section"], ["setup", "width-scan"]])
+def test_benchmark_worker_starts(mode):
+    # `worker.py env` imports widthcert._kernels; a run whose worker exits
+    # early prints no report line at all
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), *mode], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert isinstance(json.loads(proc.stdout.splitlines()[-1]), dict)
+
+
+def test_section_bound_resolves_det_poly_through_deltacert(monkeypatch):
+    # the hessian-section worker reads the determinant's term count by
+    # wrapping `deltacert.det_poly`
+    from widthcert import deltacert
+
+    terms = []
+    det_poly = deltacert.det_poly
+
+    def counting_det_poly(*args, **kwargs):
+        det = det_poly(*args, **kwargs)
+        terms.append(len(det.terms))
+        return det
+
+    monkeypatch.setattr(deltacert, "det_poly", counting_det_poly)
+    deltacert.hessian_section_bound(Fraction(39, 4), keep_vars=2)
+    assert len(terms) == 1 and terms[0] > 0

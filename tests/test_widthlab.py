@@ -471,6 +471,121 @@ def test_sweeps_over_the_cap_are_refused_before_they_start(delta_model, monkeypa
         hollow_check(Polytope([(0, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)]), Z3)
 
 
+# -- the exact reduction ------------------------------------------------------------------
+
+
+def _random_qsqrt2_tetrahedron(rng):
+    def coordinate():
+        return QSqrt2(rng.randint(-4, 4), rng.randint(-4, 4)) / rng.randint(1, 3)
+
+    while True:
+        try:
+            K = Polytope([[coordinate() for _ in range(3)] for _ in range(4)])
+        except ValueError:
+            continue
+        if K.is_simplex():
+            return K
+
+
+def _reduction_bodies(delta_model):
+    """Seeded unimodular images of Delta, needles N = 1 ... 10^300 over Z^3 and a
+    skew basis, and random Q(sqrt2) tetrahedra over rebased Q(sqrt2) lattices."""
+    yield from _delta_images(delta_model, 8, seed=7)
+    for n in (1, 2, 3, 10, 10**3, 10**10, 10**30, 10**100, 10**300):
+        yield _needle(n), Z3
+        yield _needle(n), _rebased(Z3, SKEW)
+    rng = random.Random(43)
+    sqrt2_basis = AffineLattice((0, 0, 0), ((1, QSqrt2(0, 1), 0), (0, 1, QSqrt2(0, 1)), (1, 0, 2)))
+    for _ in range(12):
+        yield _random_qsqrt2_tetrahedron(rng), _rebased(sqrt2_basis, _random_unimodular(rng, 4))
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _gram_schmidt(rows):
+    """Squared norms of the Gram-Schmidt vectors b*_i and the mu[i, j]."""
+    star, norms, mu = [], [], {}
+    for i, row in enumerate(rows):
+        v = row
+        for j in range(i):
+            mu[i, j] = sum((x * y for x, y in zip(row, star[j])), QSqrt2(0)) / norms[j]
+            v = [x - mu[i, j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+        norms.append(sum((x * x for x in v), QSqrt2(0)))
+    return norms, mu
+
+
+def test_lll_rows_are_size_reduced_and_lovasz_exactly(delta_model):
+    for K, L in _reduction_bodies(delta_model):
+        diffs = widthlab._independent_differences(K)
+        G = [[d(e) for e in diffs] for d in dual_lattice(L)]
+        U = widthlab._lll(G)
+        assert abs(_det3(U)) == 1
+        norms, mu = _gram_schmidt([
+            [sum((G[k][j] * U[i][k] for k in range(3)), QSqrt2(0)) for j in range(3)]
+            for i in range(3)])
+        assert all(abs(m) <= QSqrt2(Fr(1, 2)) for m in mu.values())
+        for k in (1, 2):
+            assert norms[k] >= (QSqrt2(Fr(3, 4)) - mu[k, k - 1] ** 2) * norms[k - 1]
+
+
+def test_reduced_basis_pairs_with_reduced_duals(delta_model):
+    for K, L in _reduction_bodies(delta_model):
+        lattice, duals, U = widthlab._reduce(K, L)
+        assert abs(_det3(U)) == 1
+        assert lattice.origin == L.origin
+        assert duals == tuple(dual_functional(dual_lattice(L), row) for row in U)
+        for i, b in enumerate(lattice.basis):
+            assert [d(b) for d in duals] == [QSqrt2(int(i == j)) for j in range(3)]
+
+
+@pytest.fixture
+def lll_calls(monkeypatch):
+    """The rows of every `_lll` call from here on, with the reduction cache empty."""
+    calls = []
+    lll = widthlab._lll
+
+    def counted_lll(rows):
+        calls.append(rows)
+        return lll(rows)
+
+    monkeypatch.setattr(widthlab, "_lll", counted_lll)
+    widthlab._reduce.cache_clear()
+    return calls
+
+
+def test_one_reduction_serves_width_and_hollowness(delta_model, lll_calls):
+    K, L = delta_model.polytope, delta_model.lattice
+    assert lattice_width(K, L).width == QSqrt2(2, 1)
+    assert hollow_check(K, L).hollow
+    assert len(lll_calls) == 1
+    needle = _needle(3)
+    assert not hollow_check(needle, Z3).hollow
+    assert lattice_width(needle, Z3).width == QSqrt2(2)
+    assert len(lll_calls) == 2
+
+
+def test_consecutive_bodies_never_share_a_reduction(delta_model, lll_calls):
+    bodies = list(_reduction_bodies(delta_model))
+    fresh = []
+    for K, L in bodies:
+        widthlab._reduce.cache_clear()
+        fresh.append((lattice_width(K, L), hollow_check(K, L)))
+    widthlab._reduce.cache_clear()
+    del lll_calls[:]
+    # each body after another, the first again, then a copy of its polytope
+    for (K, L), expected in zip(bodies + bodies[:1], fresh + fresh[:1]):
+        assert lattice_width(K, L) == expected[0]
+        assert hollow_check(K, L) == expected[1]
+    K, L = bodies[0]
+    assert lattice_width(Polytope(K.vertices), L) == fresh[0][0]
+    assert len(lll_calls) == len(bodies) + 2
+
+
 # -- facets and barycentrics -------------------------------------------------------------------
 
 
