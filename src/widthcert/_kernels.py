@@ -5,6 +5,8 @@ Layout.  ``maps[q, r]`` is the slot of output monomial r minus entry
 monomial q in the previous level's arrays, stored q-major so that the
 gather for one q reads one contiguous int32 row.  A difference outside the
 previous block points at its pad slot, a zero appended to every source row.
+`fastdet` cuts these maps per level from the monomial table's one shift
+map, clamping every index past the previous block to the pad slot.
 
 Lanes.  Coefficients are plain residues in [0, p).  Each call runs two
 independent scalar lanes, the images of the same Z[sqrt2] determinant under

@@ -11,6 +11,7 @@ enclosures produced by bisection, so every comparison made through
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -498,30 +499,36 @@ def cbrt(x) -> AlgExpr:
 _MAX_STEPS = 1 << 14
 
 
-def interval_eval(expr: AlgExpr, precision: Fraction) -> RatInterval:
-    """Enclosure of the exact value of `expr` with width <= precision.
+def _deepening(*exprs: AlgExpr):
+    """Enclosures of `exprs` at 16, 32, ..., _MAX_STEPS bisection steps.
 
-    Radical leaves are refined by iterative deepening; since deeper runs
-    extend the same bisections, successive enclosures are nested.
+    Deeper runs extend the same bisections of the radical leaves, so
+    successive enclosures are nested.  A depth at which a divisor enclosure
+    straddles zero is skipped, as it may separate on refinement; the last
+    such error is raised once the depths run out.
     """
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
+    last_error: IntervalDomainError | None = None
     steps = 16
-    last_error: ExactNumError | None = None
     while steps <= _MAX_STEPS:
         try:
-            result = expr._eval(steps)
+            enclosures = [e._eval(steps) for e in exprs]
         except IntervalDomainError as err:
-            # a divisor enclosure straddling zero may separate on refinement
             last_error = err
-            steps *= 2
-            continue
-        if result.width() <= precision:
-            return result
+        else:
+            yield enclosures
         steps *= 2
     if last_error is not None:
         raise last_error
+
+
+def interval_eval(expr: AlgExpr, precision: Fraction) -> RatInterval:
+    """Enclosure of the exact value of `expr` with width <= precision."""
+    precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    for (result,) in _deepening(expr):
+        if result.width() <= precision:
+            return result
     raise UndecidedComparison(
         f"could not reach precision {precision} within {_MAX_STEPS} bisection steps"
     )
@@ -532,19 +539,12 @@ def certify_less(e1, e2, min_width: Fraction = Fraction(1, 10**20)) -> bool:
     reverse separation.  Raises UndecidedComparison if the enclosures still
     overlap at width `min_width` (values too close, or equal)."""
     e1, e2 = alg(e1), alg(e2)
-    steps = 16
-    while steps <= _MAX_STEPS:
-        try:
-            a = e1._eval(steps)
-            b = e2._eval(steps)
-        except IntervalDomainError:
-            steps *= 2
-            continue
-        if a.strictly_below(b):
-            return True
-        if b.strictly_below(a):
-            return False
-        if max(a.width(), b.width()) < min_width:
-            break
-        steps *= 2
+    with suppress(IntervalDomainError):  # out of depths after a skipped one: undecided
+        for a, b in _deepening(e1, e2):
+            if a.strictly_below(b):
+                return True
+            if b.strictly_below(a):
+                return False
+            if max(a.width(), b.width()) < min_width:
+                break
     raise UndecidedComparison(f"undecided at enclosure width {min_width}: {e1} vs {e2}")

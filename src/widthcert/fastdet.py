@@ -21,13 +21,17 @@ integer coefficients by CRT.  Exactness is unconditional, not heuristic:
 
 Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
 the pairs (a, b) scaled to their common denominator, and each coefficient
-leaves as the triple (a, b, scale^n) reduced by one gcd.
+leaves as the triple (a, b, scale^n) reduced by one gcd.  What no prime
+changes is derived once: the subsets, columns and signs of one Laplace plan
+per size n, which the bound walks as well, and one shift map per monomial
+table, which each level of each prime cuts to its degrees and then drops.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -43,7 +47,8 @@ _EXP_BITS = 6  # per-variable exponent field in packed keys
 
 class _MonomialTable:
     """Graded table of all monomials of total degree <= maxdeg in nvars
-    variables: exponent rows, packed sort keys, and per-degree sizes."""
+    variables: exponent rows, packed sort keys, per-degree sizes, and one
+    shift map for every Laplace level (`shift_map`)."""
 
     def __init__(self, nvars: int, maxdeg: int):
         if maxdeg >= (1 << _EXP_BITS):
@@ -60,7 +65,7 @@ class _MonomialTable:
         self.size_up_to = [
             int(np.searchsorted(self.totals, d, side="right")) for d in range(maxdeg + 1)
         ]
-        self._map_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._shift = np.zeros((0, len(self.keys)), dtype=np.int32)
 
     def _pack(self, exps: np.ndarray, totals: np.ndarray) -> np.ndarray:
         key = totals.astype(np.int64) << (_EXP_BITS * self.nvars)
@@ -68,37 +73,26 @@ class _MonomialTable:
             key = key | (exps[:, i].astype(np.int64) << (_EXP_BITS * i))
         return key
 
-    def shift_maps(self, level_deg: int, prev_deg: int) -> np.ndarray:
-        """maps[q, r] = dense index of monomial_r - q in the degree<=prev_deg
-        block, or the pad slot (size of that block) when the difference has a
-        negative exponent or too-high degree; q runs over the monomials of
-        degree <= level_deg - prev_deg.  Shape (nq, size_k), int32,
-        q-major so that each q-row is contiguous for the kernel's gather."""
-        cache_key = (level_deg, prev_deg)
-        if cache_key in self._map_cache:
-            return self._map_cache[cache_key]
-        size_k = self.size_up_to[level_deg]
-        size_prev = self.size_up_to[prev_deg]
-        nq = self.size_up_to[level_deg - prev_deg]
-        qexps = self.exps[:nq]
-        maps = np.full((nq, size_k), size_prev, dtype=np.int32)
-        E = self.exps[:size_k].astype(np.int16)
-        T = self.totals[:size_k].astype(np.int32)
-        qtot = qexps.sum(axis=1).astype(np.int32)
-        for qi in range(nq):
-            diff = E - qexps[qi].astype(np.int16)
-            valid = np.all(diff >= 0, axis=1)
-            dt = T - int(qtot[qi])
-            valid &= dt <= prev_deg
-            if not valid.any():
-                continue
-            key = self._pack(diff[valid].astype(np.int8), dt[valid].astype(np.int16))
-            pos = np.searchsorted(self.keys[:size_prev], key)
-            if np.any(self.keys[pos] != key):
-                raise AssertionError("shift map lookup failed")
-            maps[qi, valid] = pos.astype(np.int32)
-        self._map_cache[cache_key] = maps
-        return maps
+    def shift_map(self, nq: int) -> np.ndarray:
+        """M[q, r] = index of monomial_r - monomial_q, or the table size when
+        an exponent is negative, for the first nq monomials q; int32, q-major,
+        kept for the largest nq asked for.  The table is graded, so
+        ``np.minimum(M[:, :size_up_to[d + e]], size_up_to[d])`` is the map of
+        a Laplace level from degree d to d + e (`_kernels`)."""
+        if len(self._shift) < nq:
+            size = len(self.keys)
+            shift = np.full((nq, size), size, dtype=np.int32)
+            exps = self.exps.astype(np.int16)
+            for qi in range(nq):
+                diff = exps - exps[qi]
+                valid = np.all(diff >= 0, axis=1)
+                key = self._pack(diff[valid], self.totals[valid] - self.totals[qi])
+                pos = np.searchsorted(self.keys, key)
+                if np.any(self.keys[pos] != key):
+                    raise AssertionError("shift map lookup failed")
+                shift[qi, valid] = pos
+            self._shift = shift
+        return self._shift[:nq]
 
 
 def _gen_exponents(nvars: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,14 +110,9 @@ def _gen_exponents(nvars: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
     return exps, totals
 
 
-_TABLE_CACHE: dict[tuple[int, int], _MonomialTable] = {}
-
-
+@lru_cache(maxsize=None)
 def monomial_table(nvars: int, maxdeg: int) -> _MonomialTable:
-    key = (nvars, maxdeg)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _MonomialTable(nvars, maxdeg)
-    return _TABLE_CACHE[key]
+    return _MonomialTable(nvars, maxdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -195,25 +184,40 @@ def _integerize(M: PolyMatrix) -> tuple[list[list[dict]], int]:
     return entries, scale
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Laplace expansion of an n x n determinant along rows 0 .. n-1: for
+    each level k = 1 .. n, (src_rows, cols, signs) such that every k-subset
+    S of the columns (the s-th in `combinations` order) has
+
+        value(S) = sum over t of signs[t] * entry[k-1][S[t]] * value(S - S[t])
+
+    with cols[s, t] = S[t], src_rows[s, t] the place of S - S[t] among the
+    (k-1)-subsets and signs[t] = (-1)^(k-1+t).  The empty subset has value
+    1; the one n-subset has the determinant."""
+    levels = []
+    prev_index = {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        src_rows = [[prev_index[s[:t] + s[t + 1:]] for t in range(k)] for s in subsets]
+        levels.append((np.array(src_rows, dtype=np.int32), np.array(subsets, dtype=np.intp),
+                       np.array([(-1) ** (k - 1 + t) for t in range(k)], dtype=np.int64)))
+        prev_index = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
 def coefficient_norm_bound(entries: list[list[dict]]) -> int:
     """Upper bound on |a| and |b| of every coefficient of the determinant.
 
     Uses the submultiplicative weight n(a + b*sqrt2) = |a| + 2|b| (valid since
     n(xy) <= n(x)n(y)) summed over terms, propagated through the same subset
-    expansion that computes the determinant."""
-    n = len(entries)
-    norms = [[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row] for row in entries]
-    prev = {(): 1}
-    for k in range(1, n + 1):
-        cur = {}
-        for subset in combinations(range(n), k):
-            total = 0
-            for pos, j in enumerate(subset):
-                rest = subset[:pos] + subset[pos + 1:]
-                total += norms[k - 1][j] * prev[rest]
-            cur[subset] = total
-        prev = cur
-    return prev[tuple(range(n))]
+    expansion that computes the determinant, with every sign taken as +1."""
+    norms = np.array([[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row]
+                      for row in entries], dtype=object)
+    value = np.ones(1, dtype=object)
+    for k, (src_rows, cols, _) in enumerate(_laplace_plan(len(entries))):
+        value = (norms[k][cols] * value[src_rows]).sum(axis=1)
+    return int(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -221,83 +225,68 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def det_poly_modular(M: PolyMatrix) -> MvPoly:
-    """Exact determinant of a square PolyMatrix via CRT over dense residue
-    arrays.  See the module docstring for the soundness argument."""
+def _setup(M: PolyMatrix):
+    """What every prime shares: the arguments of `_det_one_prime` before p
+    (n, table, entry degree, shift map, integer coefficient tensor), the
+    primes, and the scale that made the entries integral."""
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
     n = M.nrows
-    nvars = M.nvars
     entry_deg = max(0, M.max_entry_degree())
-    maxdeg = entry_deg * n
-    table = monomial_table(nvars, maxdeg)
-
+    table = monomial_table(M.nvars, entry_deg * n)
     entries, scale = _integerize(M)
-    bound = coefficient_norm_bound(entries)
-
     # a level-k pass sums k*nq products per output coefficient, k <= n
     nq = table.size_up_to[entry_deg]
-    primes = crt_primes(bound, n * nq)
-
+    primes = crt_primes(coefficient_norm_bound(entries), n * nq)
     qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
-
-    # per-level shift maps (shared by all primes)
-    maps_by_level = {
-        k: table.shift_maps(entry_deg * k, entry_deg * (k - 1)) for k in range(1, n + 1)
-    }
-
     coeff_int = np.zeros((n, n, nq, 2), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for m, pair in entries[i][j].items():
+    for i, row in enumerate(entries):
+        for j, entry in enumerate(row):
+            for m, pair in entry.items():
                 coeff_int[i, j, qindex[m]] = pair
+    return (n, table, entry_deg, table.shift_map(nq), coeff_int), primes, scale
 
-    residues = [_det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p)
-                for p in primes]
+
+def det_poly_modular(M: PolyMatrix) -> MvPoly:
+    """Exact determinant of a square PolyMatrix via CRT over dense residue
+    arrays.  See the module docstring for the soundness argument."""
+    shared, primes, scale = _setup(M)
+    residues = [_det_one_prime(*shared, p) for p in primes]
     det_a, det_b = _crt_reconstruct(residues, primes)
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
+    n, table = shared[:2]
     denom = scale ** n
     terms = {}
     for idx in np.flatnonzero((det_a != 0) | (det_b != 0)).tolist():
         m = tuple(int(x) for x in table.exps[idx])
         terms[m] = QSqrt2.from_ints(det_a[idx], det_b[idx], denom)
-    result = MvPoly(nvars, terms)
+    result = MvPoly(M.nvars, terms)
     _verify_against_field_det(M, result)
     return result
 
 
-def _det_one_prime(n, table, entry_deg, maps_by_level, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
+def _det_one_prime(n, table, entry_deg, shift_map, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
     """Residues mod p of the a- and b-parts of every determinant coefficient,
     from the scalar lanes a + b*r and a - b*r (see the module docstring)."""
     r = pow(2, (p + 1) // 4, p)
     if r * r % p != 2:
         raise ValueError(f"2^((p+1)/4) is not a square root of 2 mod {p}")
-    nq = coeff_int.shape[2]
     cf = (coeff_int % p).astype(np.int64)
     lanes = np.stack([(cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p])
+    sizes = table.size_up_to
 
-    prev = np.zeros((2, 1, table.size_up_to[0] + 1), dtype=np.int64)
+    prev = np.zeros((2, 1, sizes[0] + 1), dtype=np.int64)
     prev[:, 0, 0] = 1
-    prev_subsets: list[tuple[int, ...]] = [()]
-    for k in range(1, n + 1):
-        size_k = table.size_up_to[entry_deg * k]
-        subsets = list(combinations(range(n), k))
-        prev_index = {s: i for i, s in enumerate(prev_subsets)}
-        coeff = np.zeros((2, len(subsets), k, nq), dtype=np.int64)
-        src_rows = np.zeros((len(subsets), k), dtype=np.int32)
-        for si, subset in enumerate(subsets):
-            for t, j in enumerate(subset):
-                rest = subset[:t] + subset[t + 1:]
-                src_rows[si, t] = prev_index[rest]
-                sign = -1 if (k - 1 + t) % 2 else 1
-                coeff[:, si, t] = (sign * lanes[:, k - 1, j]) % p
-        out = np.zeros((2, len(subsets), size_k + 1), dtype=np.int64)
-        _kernels.level_pass(prev[0], prev[1], maps_by_level[k], coeff[0], coeff[1], src_rows,
+    for k, (src_rows, cols, signs) in enumerate(_laplace_plan(n), start=1):
+        size_k, size_prev = sizes[entry_deg * k], sizes[entry_deg * (k - 1)]
+        maps = np.minimum(shift_map[:, :size_k], size_prev)
+        coeff = signs[:, None] * lanes[:, k - 1][:, cols] % p
+        out = np.zeros((2, len(cols), size_k + 1), dtype=np.int64)
+        _kernels.level_pass(prev[0], prev[1], maps, coeff[0], coeff[1], src_rows,
                             out[0, :, :size_k], out[1, :, :size_k], p)
         prev = out
-        prev_subsets = subsets
-    plus, minus = prev[:, 0, :table.size_up_to[entry_deg * n]]
+    plus, minus = prev[:, 0, :sizes[entry_deg * n]]
     return ((plus + minus) * ((p + 1) // 2) % p,
             (plus - minus) % p * pow(2 * r, -1, p) % p)
 

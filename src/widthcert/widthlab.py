@@ -12,12 +12,13 @@ of the given basis or the length of K (Lenstra 1983), and the reduced
 lattice basis is its exact inverse transpose.  Width and hollowness of the
 same (K, L) share one reduction.
 
-Box (width).  The shortest reduced dual gives an upper bound w0, the vertex
-differences give an exact box of reduced dual coefficient vectors whose
-direction could do at least as well, and the box is swept with exact
-comparisons.  Each attaining vector c' maps back to the coefficients
-c = U^T c' of the given dual basis, so the minimizers come out in the same
-order as a sweep in the given basis would give.
+Box (width).  The shortest reduced dual gives an upper bound w0, the
+reduced rows U . G (the reduced duals on the same edges) give an exact box
+of reduced dual coefficient vectors whose direction could do at least as
+well, and the box is swept with exact comparisons.  Each attaining vector
+c' maps back to the coefficients c = U^T c' of the given dual basis, so the
+minimizers come out in the same order as a sweep in the given basis would
+give.
 
 Fibres (hollowness, for simplices: the only case the certification pipeline
 needs).  In reduced lattice coordinates, the two coordinates with the
@@ -219,28 +220,26 @@ def _independent_differences(K: Polytope) -> tuple[Vec3, Vec3, Vec3]:
     raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
 
 
-def _coefficient_box(K: Polytope, L: AffineLattice, w0: QSqrt2) -> list[int]:
-    """Exact per-coordinate bounds B with the guarantee: any nonzero integer
-    vector c whose functional sum(c_i dual_i) gives width <= w0 on K satisfies
-    |c_i| <= B_i.
+def _coefficient_box(G: Sequence[Sequence[QSqrt2]], w0: QSqrt2) -> list[int]:
+    """Exact per-coordinate bounds B with the guarantee: if G[i][j] =
+    dual_i . d_j for three linearly independent vertex differences d_j of K,
+    any nonzero integer vector c whose functional f = sum c_i dual_i gives
+    width <= w0 on K satisfies |c_i| <= B_i.
 
-    Writing f = sum c_i dual_i and picking three linearly independent vertex
-    differences d_j of K, each |f . d_j| is at most the width, and
-    c = M_basis . f with f = D^{-1} y, |y_j| <= w0; the row sums of
-    M_basis . D^{-1} therefore bound the coefficients.
+    Each |f . d_j| = |(c^T G)_j| is at most the width, so c^T = y^T G^{-1}
+    with |y_j| <= w0; the column sums of |G^{-1}| therefore bound the
+    coefficients.
     """
-    D = QMatrix(_independent_differences(K))
-    MB = L.basis_matrix().matmul(inverse_field(D))
-    bounds = []
-    for i in range(3):
-        row_norm = sum((abs(MB.rows[i][j]) for j in range(3)), QS2_ZERO)
-        bounds.append((row_norm * w0).floor())
-    return bounds
+    inv = inverse_field(QMatrix(G)).rows
+    return [(sum((abs(inv[j][i]) for j in range(3)), QS2_ZERO) * w0).floor()
+            for i in range(3)]
 
 
-def _lll(rows: Sequence[Sequence[QSqrt2]]) -> tuple[tuple[int, ...], ...]:
+def _lll(rows: Sequence[Sequence[QSqrt2]]
+         ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[QSqrt2, ...], ...]]:
     """LLL reduction (delta = 3/4) of linearly independent rows over Q(sqrt2),
-    in exact arithmetic.  Returns the unimodular U with U . rows reduced."""
+    in exact arithmetic.  Returns the unimodular U and the reduced rows
+    U . rows."""
     n = len(rows)
     b = [list(r) for r in rows]
     U = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -274,22 +273,24 @@ def _lll(rows: Sequence[Sequence[QSqrt2]]) -> tuple[tuple[int, ...], ...]:
             b[k - 1], b[k] = b[k], b[k - 1]
             U[k - 1], U[k] = U[k], U[k - 1]
             k = max(k - 1, 1)
-    return tuple(map(tuple, U))
+    return tuple(map(tuple, U)), tuple(map(tuple, b))
 
 
 @lru_cache(maxsize=1)
-def _reduce(K: Polytope, L: AffineLattice
-            ) -> tuple[AffineLattice, tuple[Functional, ...], tuple[tuple[int, ...], ...]]:
+def _reduce(K: Polytope, L: AffineLattice) -> tuple[
+        AffineLattice, tuple[Functional, ...], tuple[tuple[int, ...], ...],
+        tuple[tuple[QSqrt2, ...], ...]]:
     """Change L's basis by a unimodular U that makes the dual basis short on K.
-    Returns L with the basis U^-T . basis, its dual basis U . duals, and U.
+    Returns L with the basis U^-T . basis, its dual basis U . duals, U, and
+    the values G[i][j] of the reduced duals on K's independent differences.
     Both classes hash by identity, so the one cached entry serves
     `lattice_width` and `hollow_check` on the same objects."""
     duals = dual_lattice(L)
     diffs = _independent_differences(K)
-    U = _lll([[d(e) for e in diffs] for d in duals])
+    U, G = _lll([[d(e) for e in diffs] for d in duals])
     reduced = tuple(dual_functional(duals, row) for row in U)
     basis = inverse_field(QMatrix([f.coeffs for f in reduced])).transpose()
-    return AffineLattice(L.origin, basis.rows), reduced, U
+    return AffineLattice(L.origin, basis.rows), reduced, U, G
 
 
 def _check_sweep(size: int, what: str) -> None:
@@ -303,14 +304,14 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
     together with the complete set of attaining functionals (one per +/-
     pair, first nonzero coordinate positive, sorted by their coefficient
     vectors in the dual basis of L)."""
-    reduced_lattice, reduced_duals, U = _reduce(K, L)
+    _, reduced_duals, U, G = _reduce(K, L)
     w0 = None
     for d in reduced_duals:
         w = width_in_direction(K, d)
         if w0 is None or w < w0:
             w0 = w
     assert w0 is not None
-    bounds = _coefficient_box(K, reduced_lattice, w0)
+    bounds = _coefficient_box(G, w0)
     size = 1
     for b in bounds:
         size *= 2 * b + 1
@@ -404,7 +405,7 @@ def hollow_check(K: Polytope, L: AffineLattice) -> HollownessResult:
     against the four facet inequalities.  Returns an interior witness if any."""
     K.require_simplex()
     facets = facet_hyperplanes(K)
-    lattice, duals, _ = _reduce(K, L)
+    lattice, duals, _, _ = _reduce(K, L)
     origin, basis = lattice.origin, lattice.basis
     # the integers strictly inside the range of each reduced coordinate over K
     ranges = []

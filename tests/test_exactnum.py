@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from widthcert import exactnum
 from widthcert.exactnum import (
     IntervalDomainError,
     QSqrt2,
@@ -217,6 +218,34 @@ def test_certify_less_reciprocal_cube_both_directions():
 def test_certify_less_equal_values_undecided():
     with pytest.raises(UndecidedComparison):
         certify_less(sqrt(2), sqrt(2), min_width=Fr(1, 10**6))
+
+
+def _near_pole():
+    # 1 / (sqrt2 - 1.41421): the divisor's enclosure straddles zero at 16
+    # bisection steps and separates at 32
+    return 1 / (sqrt(2) - alg(Fr(141421, 100000)))
+
+
+def test_deepening_retries_past_a_straddling_divisor():
+    enc = interval_eval(_near_pole(), Fr(1, 10**6))
+    assert enc.width() <= Fr(1, 10**6)
+    assert 280711 < enc.lo and enc.hi < 280712
+    assert certify_less(alg(280711), _near_pole())
+    assert certify_less(_near_pole(), alg(280712))
+
+
+def test_deepening_failures_once_the_steps_run_out(monkeypatch):
+    monkeypatch.setattr(exactnum, "_MAX_STEPS", 64)
+    # a skipped depth is re-raised even when deeper ones evaluated
+    with pytest.raises(IntervalDomainError):
+        interval_eval(_near_pole(), Fr(1, 10**100))
+    with pytest.raises(UndecidedComparison, match="within 64 bisection steps"):
+        interval_eval(sqrt(2), Fr(1, 10**100))
+    # a comparison never re-raises it: it is undecided
+    with pytest.raises(UndecidedComparison):
+        certify_less(1 / (alg(1) - alg(1)), alg(1))
+    with pytest.raises(UndecidedComparison):
+        certify_less(_near_pole(), _near_pole() + Fr(1, 10**100))
 
 
 # -- the integer scalar against the two-Fraction scalar it replaced ---------------------

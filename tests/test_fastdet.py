@@ -14,9 +14,11 @@ from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
 from widthcert.exactlinalg import PolyMatrix, _det_laplace
 from widthcert.fastdet import (
+    _MonomialTable,
     _det_one_prime,
     _integerize,
     _is_prime,
+    _setup,
     _split_primes_below,
     _verify_against_field_det,
     coefficient_norm_bound,
@@ -254,23 +256,60 @@ def test_level_pass_rejects_map_past_pad_slot():
         _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, 7)
 
 
+def _level_shift_map(table, level_deg, prev_deg):
+    """maps[q, r] = index of monomial_r - q in the degree <= prev_deg block,
+    or the pad slot (the size of that block) when the difference has a
+    negative exponent or too high a degree; q runs over the monomials of
+    degree <= level_deg - prev_deg.  One Laplace level's map built on its
+    own: the oracle of the cuts of the table's one shift map."""
+    size_k = table.size_up_to[level_deg]
+    size_prev = table.size_up_to[prev_deg]
+    nq = table.size_up_to[level_deg - prev_deg]
+    maps = np.full((nq, size_k), size_prev, dtype=np.int32)
+    E = table.exps[:size_k].astype(np.int16)
+    T = table.totals[:size_k].astype(np.int32)
+    for qi in range(nq):
+        q = table.exps[qi].astype(np.int16)
+        diff = E - q
+        dt = T - int(q.sum())
+        valid = np.all(diff >= 0, axis=1) & (dt <= prev_deg)
+        key = table._pack(diff[valid].astype(np.int8), dt[valid].astype(np.int16))
+        pos = np.searchsorted(table.keys[:size_prev], key)
+        assert np.array_equal(table.keys[pos], key)
+        maps[qi, valid] = pos
+    return maps
+
+
+@pytest.mark.parametrize("nvars,maxdeg,entry_degs", [
+    (1, 6, (2, 1, 3)),
+    (2, 6, (1, 3, 2, 1)),
+    (3, 8, (2, 1, 4)),
+    (6, 16, (2,)),
+])
+def test_every_level_cut_matches_its_own_shift_map(monkeypatch, nvars, maxdeg, entry_degs):
+    # the maps `_det_one_prime` hands the kernel, level by level, with the
+    # kernel itself stubbed out; the table's map grows to the largest entry
+    # degree asked for and serves smaller ones from its first rows
+    table = _MonomialTable(nvars, maxdeg)
+    for entry_deg in entry_degs:
+        seen = []
+        monkeypatch.setattr(_kernels, "level_pass", lambda *args: seen.append(args[2].copy()))
+        n = maxdeg // entry_deg
+        nq = table.size_up_to[entry_deg]
+        coeff_int = np.zeros((n, n, nq, 2), dtype=object)
+        _det_one_prime(n, table, entry_deg, table.shift_map(nq), coeff_int, 7)
+        assert len(seen) == n
+        for k, maps in enumerate(seen, start=1):
+            want = _level_shift_map(table, entry_deg * k, entry_deg * (k - 1))
+            assert maps.dtype == want.dtype and np.array_equal(maps, want), (entry_deg, k)
+
+
 def _prime_residues(M, p):
     """`_det_one_prime` on M, set up as `det_poly_modular` does, and the
     monomial of each residue slot."""
-    n = M.nrows
-    entries = _integerize(M)[0]
-    entry_deg = M.max_entry_degree()
-    table = monomial_table(M.nvars, entry_deg * n)
-    nq = table.size_up_to[entry_deg]
-    qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
-    maps = {k: table.shift_maps(entry_deg * k, entry_deg * (k - 1)) for k in range(1, n + 1)}
-    coeff_int = np.zeros((n, n, nq, 2), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for m, pair in entries[i][j].items():
-                coeff_int[i, j, qindex[m]] = pair
-    det_a, det_b = _det_one_prime(n, table, entry_deg, maps, coeff_int, p)
-    return det_a, det_b, [tuple(int(x) for x in e) for e in table.exps[:len(det_a)]]
+    shared = _setup(M)[0]
+    det_a, det_b = _det_one_prime(*shared, p)
+    return det_a, det_b, [tuple(int(x) for x in e) for e in shared[1].exps[:len(det_a)]]
 
 
 @pytest.mark.parametrize("seed,n,nvars", [(21, 3, 2), (22, 4, 2), (23, 3, 3)])

@@ -53,3 +53,22 @@ def test_section_bound_resolves_det_poly_through_deltacert(monkeypatch):
     monkeypatch.setattr(deltacert, "det_poly", counting_det_poly)
     deltacert.hessian_section_bound(Fraction(39, 4), keep_vars=2)
     assert len(terms) == 1 and terms[0] > 0
+
+
+@pytest.mark.skipif(not PERFBENCH.is_dir(), reason="no perfbench/ in this checkout")
+def test_benchmark_tracer_reads_a_section_determinant(monkeypatch):
+    # every hook a traced benchmark run reads, on one small determinant: a
+    # renamed target or a changed argument order fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from widthcert import deltacert
+
+    with Tracer() as tracer:
+        deltacert.hessian_section_bound(Fraction(39, 4), keep_vars=2)
+    assert tracer.missing == []
+    [det] = tracer.dets
+    assert det["primes"] and all(p % 8 == 7 for p in det["primes"])
+    assert det["bound_bits"] >= det["actual_bits"]
+    assert det["terms"] > 0
+    assert tracer.counts.get("kernels.level_pass", 0) > 0

@@ -159,6 +159,12 @@ def _random_rational_tetrahedron(rng):
             return K
 
 
+def given_box(K, L, w0):
+    """`_coefficient_box` in the given dual basis of L, unreduced."""
+    diffs = widthlab._independent_differences(K)
+    return _coefficient_box([[d(e) for e in diffs] for d in dual_lattice(L)], w0)
+
+
 def random_tetrahedron_oracle_check(rng, box_cap=20):
     """One comparison of lattice_width against the brute-force oracle over
     integer functionals; resamples until the enumeration box fits inside the
@@ -167,7 +173,7 @@ def random_tetrahedron_oracle_check(rng, box_cap=20):
         K = _random_rational_tetrahedron(rng)
         duals = dual_lattice(Z3)
         w0 = min((width_in_direction(K, d) for d in duals))
-        bounds = _coefficient_box(K, Z3, w0)
+        bounds = given_box(K, Z3, w0)
         if max(bounds) <= box_cap:
             break
     result = lattice_width(K, Z3)
@@ -300,7 +306,7 @@ def box_sweep_lattice_width(K, L):
         if w0 is None or w < w0:
             w0 = w
     assert w0 is not None
-    bounds = _coefficient_box(K, L, w0)
+    bounds = given_box(K, L, w0)
     best = w0
     best_coeffs = []
     for c in product(*[range(-b, b + 1) for b in bounds]):
@@ -365,7 +371,7 @@ def test_reduced_width_matches_box_sweep_on_random_tetrahedra():
         L = Z3 if checked % 2 == 0 else _rebased(Z3, _random_unimodular(rng, steps=2))
         # the oracle's box reaches 201 x 111 x 57 here; keep it to seconds
         w0 = min(width_in_direction(K, d) for d in dual_lattice(L))
-        if prod(2 * b + 1 for b in _coefficient_box(K, L, w0)) > 20000:
+        if prod(2 * b + 1 for b in given_box(K, L, w0)) > 20000:
             continue
         checked += 1
         result = lattice_width(K, L)
@@ -523,11 +529,12 @@ def test_lll_rows_are_size_reduced_and_lovasz_exactly(delta_model):
     for K, L in _reduction_bodies(delta_model):
         diffs = widthlab._independent_differences(K)
         G = [[d(e) for e in diffs] for d in dual_lattice(L)]
-        U = widthlab._lll(G)
+        U, reduced = widthlab._lll(G)
         assert abs(_det3(U)) == 1
-        norms, mu = _gram_schmidt([
-            [sum((G[k][j] * U[i][k] for k in range(3)), QSqrt2(0)) for j in range(3)]
-            for i in range(3)])
+        assert reduced == tuple(
+            tuple(sum((G[k][j] * U[i][k] for k in range(3)), QSqrt2(0)) for j in range(3))
+            for i in range(3))
+        norms, mu = _gram_schmidt(reduced)
         assert all(abs(m) <= QSqrt2(Fr(1, 2)) for m in mu.values())
         for k in (1, 2):
             assert norms[k] >= (QSqrt2(Fr(3, 4)) - mu[k, k - 1] ** 2) * norms[k - 1]
@@ -535,8 +542,10 @@ def test_lll_rows_are_size_reduced_and_lovasz_exactly(delta_model):
 
 def test_reduced_basis_pairs_with_reduced_duals(delta_model):
     for K, L in _reduction_bodies(delta_model):
-        lattice, duals, U = widthlab._reduce(K, L)
+        lattice, duals, U, G = widthlab._reduce(K, L)
         assert abs(_det3(U)) == 1
+        diffs = widthlab._independent_differences(K)
+        assert G == tuple(tuple(d(e) for e in diffs) for d in duals)
         assert lattice.origin == L.origin
         assert duals == tuple(dual_functional(dual_lattice(L), row) for row in U)
         for i, b in enumerate(lattice.basis):
