@@ -21,7 +21,8 @@ and the weight c (`--c` and each `--sweep` value) must be a positive
 rational whose numerator and denominator are at most `MAX_WEIGHT_TERM`
 (10^100), so neither a resolution nor a weight can stall the tool.  The
 text of each is refused first if its decimal exponent exceeds
-`MAX_EXPONENT` (1000) in size.
+`MAX_EXPONENT` (1000) in size.  `certify-neighborhood` takes either `--c`
+or `--sweep`; given both, it exits 2.
 `--smoke-hessian` fails with exit 1, as `--with-hessian` does, for a weight
 c at which the aggregate Hessian is not negative definite at 0.
 
@@ -119,9 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "and denominator at most 1e100)")
 
     p_n = sub.add_parser("certify-neighborhood", help="explicit neighborhood radii")
-    p_n.add_argument("--c", type=_weight, default=Fraction(39, 4),
-                     help="aggregate weight (default 39/4; positive, numerator "
-                          "and denominator at most 1e100)")
+    weights = p_n.add_mutually_exclusive_group()
+    weights.add_argument("--c", type=_weight, default=Fraction(39, 4),
+                         help="aggregate weight (default 39/4; positive, numerator "
+                              "and denominator at most 1e100)")
     p_n.add_argument("--with-hessian", action="store_true",
                      help="include the long-running degree-16 determinant condition")
     p_n.add_argument("--smoke-hessian", action="store_true",
@@ -130,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "it fails where the Hessian is indefinite at 0")
     p_n.add_argument("--tol", type=_resolution, default=Fraction(1, 10**7),
                      help="root-bound bisection tolerance (default 1e-7, at least 1e-100)")
-    p_n.add_argument("--sweep", type=_weights, default=None,
-                     help="comma-separated list of c values, each bounded as --c; "
-                          "prints one row each")
+    weights.add_argument("--sweep", type=_weights, default=None,
+                         help="comma-separated list of c values, each bounded as --c; "
+                              "prints one row each (not with --c)")
 
     p_w = sub.add_parser("width", help="exact lattice width of a polytope file")
     p_w.add_argument("--polytope", required=True, help="input file path")

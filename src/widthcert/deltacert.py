@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, SQRT2
@@ -278,14 +279,6 @@ def check_dependence(grads: list[list[QSqrt2]], multipliers) -> bool:
     return rank(grads) == 5
 
 
-def linear_parts(h_polys: list[MvPoly], multipliers) -> list[MvPoly]:
-    return [h.scale(lam).graded_part(1) for h, lam in zip(h_polys, multipliers)]
-
-
-def quadratic_parts(h_polys: list[MvPoly], multipliers) -> list[MvPoly]:
-    return [h.scale(lam).graded_part(2) for h, lam in zip(h_polys, multipliers)]
-
-
 def build_h_aggregate(h_polys: list[MvPoly], multipliers, c: Fraction) -> MvPoly:
     """Multiplier-weighted aggregate sum((c - l_i) * lam_i * h_i); its
     gradient at 0 vanishes because the l_i sum to zero."""
@@ -301,22 +294,6 @@ def build_h_aggregate(h_polys: list[MvPoly], multipliers, c: Fraction) -> MvPoly
     if any(x for x in total.gradient_at_zero()):
         raise CertificationError("aggregate gradient at 0 is not zero")
     return total
-
-
-def quadratic_form_hessian(p: MvPoly) -> QMatrix:
-    """Constant Hessian matrix of the degree-2 part of p."""
-    q = p.graded_part(2)
-    entries = [[QS2_ZERO] * NVARS for _ in range(NVARS)]
-    for m, coeff in q.terms.items():
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            entries[i][i] = entries[i][i] + 2 * coeff
-        else:
-            i, j = support
-            entries[i][j] = entries[i][j] + coeff
-            entries[j][i] = entries[j][i] + coeff
-    return QMatrix(entries)
 
 
 #: the six gradient vectors of the deficit polynomials at 0, pinned as
@@ -387,38 +364,15 @@ def local_maximality_certificate(c: Fraction) -> LocalCertificate:
     the unperturbed basis determinant, which rescales the deficit polynomials
     back to actual width differences (their multiplier combination has no
     linear part, so the normalization is exactly that constant).
+
+    Only `full_hessian_negative_definite` depends on c: it tests c*A0 + B0
+    (`Pipeline.hessian_at_zero`).  The other fields are the pipeline's
+    `local_parts`, computed once.
     """
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("c must be positive")
     pl = get_pipeline()
-    grads = [h.gradient_at_zero() for h in pl.h_polys]
-    grads_published = grads == expected_gradients()
-    dep = check_dependence(grads, pl.model.multipliers)
-    kern = kernel_basis(grads)
-    matches = spans_same_space(kern, KERNEL_PARAMETRIZATION)
-
-    q_sum = MvPoly.zero(NVARS)
-    for q in quadratic_parts(pl.h_polys, pl.model.multipliers):
-        q_sum = q_sum + q
-    det0 = det_field(pl.model.lattice.basis_matrix())
-    hq = quadratic_form_hessian(q_sum.scale(det0.inverse()))
-    restricted = restrict_quadratic_form(hq, KERNEL_PARAMETRIZATION)
-
-    h_aggregate = build_h_aggregate(pl.h_polys, pl.model.multipliers, c)
-    full_h = quadratic_form_hessian(h_aggregate)
-
-    return LocalCertificate(
-        c=c,
-        gradients_match_published=grads_published,
-        dependence_ok=dep,
-        gradient_rank=rank(grads),
-        kernel_dim=len(kern),
-        kernel_matches=matches,
-        restricted_hessian=restricted,
-        restricted_negative_definite=is_negative_definite(restricted),
-        full_hessian_negative_definite=is_negative_definite(full_h),
-    )
+    full_h = pl.hessian_at_zero(c)
+    return LocalCertificate(c=Fraction(c), **pl.local_parts,
+                            full_hessian_negative_definite=is_negative_definite(full_h))
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +502,24 @@ def symmetry_check() -> SymmetryCheck:
 
 
 class Pipeline:
-    """One-time construction of everything the condition bounds share, on a
-    model that `check_model` has verified."""
+    """What the conditions share and the weight c does not change, built on
+    a model that `check_model` has verified.
+
+    Built at once: the model, the ring, the deficit polynomials h_i, the
+    s-coordinates, the linear parts l_i of lam_i * h_i in s, the adjugate in
+    s, and the constant Hessians in t at 0, A0 = Hess(sum q_i) and
+    B0 = -Hess(sum l_i^2), with q_i the quadratic part of lam_i * h_i.  The
+    aggregate sum((c - l_i) * lam_i * h_i) has quadratic part
+    c * sum q_i - sum l_i^2, so its Hessian at 0 is c*A0 + B0
+    (`hessian_at_zero`).
+
+    Built lazily on first use, then kept: `local_parts`, and through their
+    module-level functions `symmetry`, condition (i) as `orientation` and
+    condition (iii) per tolerance as `attainment(tol)`.  Those functions
+    read the installed pipeline (`get_pipeline`), so the lazy members are
+    meant for that one.  A run of (iv) alone pays for none of them; a sweep
+    pays for each once.
+    """
 
     def __init__(self):
         self.model = build_delta_model(check=False)
@@ -557,11 +527,59 @@ class Pipeline:
         self.ring = checked.ring
         self.h_polys = checked.h_polys
         self.scoords = SCoords()
-        self.linear_s = [
-            self.scoords.to_s(l)
-            for l in linear_parts(self.h_polys, self.model.multipliers)
-        ]
+        weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
+        linear = [w.graded_part(1) for w in weighted]
+        self.linear_s = [self.scoords.to_s(l) for l in linear]
         self.adjugate_s = self.ring.adjugate.map_entries(self.scoords.to_s)
+        origin = [QS2_ZERO] * NVARS
+        q_sum = sum((w.graded_part(2) for w in weighted), MvPoly.zero(NVARS))
+        l_square = sum((l * l for l in linear), MvPoly.zero(NVARS))
+        self.a0 = PolyMatrix(q_sum.hessian()).evaluate(origin)
+        self.b0 = PolyMatrix((-l_square).hessian()).evaluate(origin)
+        self._attainment: dict[Fraction, RadiusBound] = {}
+
+    def hessian_at_zero(self, c: Fraction) -> QMatrix:
+        """c*A0 + B0, the aggregate's Hessian at 0 for the weight c > 0."""
+        c = Fraction(c)
+        if c <= 0:
+            raise ValueError("aggregate weight c must be positive")
+        return QMatrix([[a * c + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.a0.rows, self.b0.rows)])
+
+    @cached_property
+    def local_parts(self) -> dict:
+        """The weight-free fields of `LocalCertificate`: the gradients against
+        the published table, their dependence, rank and kernel, and the form
+        A0 / det M(0) restricted to `KERNEL_PARAMETRIZATION`."""
+        grads = [h.gradient_at_zero() for h in self.h_polys]
+        kern = kernel_basis(grads)
+        inv_det0 = det_field(self.model.lattice.basis_matrix()).inverse()
+        restricted = restrict_quadratic_form(
+            QMatrix([[x * inv_det0 for x in row] for row in self.a0.rows]),
+            KERNEL_PARAMETRIZATION)
+        return {
+            "gradients_match_published": grads == expected_gradients(),
+            "dependence_ok": check_dependence(grads, self.model.multipliers),
+            "gradient_rank": rank(grads),
+            "kernel_dim": len(kern),
+            "kernel_matches": spans_same_space(kern, KERNEL_PARAMETRIZATION),
+            "restricted_hessian": restricted,
+            "restricted_negative_definite": is_negative_definite(restricted),
+        }
+
+    @cached_property
+    def symmetry(self) -> SymmetryCheck:
+        return symmetry_check()
+
+    @cached_property
+    def orientation(self) -> RadiusBound:
+        return det_orientation_bound()
+
+    def attainment(self, tol: Fraction) -> RadiusBound:
+        tol = Fraction(tol)
+        if tol not in self._attainment:
+            self._attainment[tol] = attainment_bound(tol)
+        return self._attainment[tol]
 
 
 _PIPELINE: Pipeline | None = None
@@ -780,9 +798,10 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
     such a neighborhood.  This is the expensive step; the determinant is
     computed by the certified modular engine.
 
-    Definiteness at 0 is decided on the matrix itself, evaluated at s = 0,
-    before any determinant is computed.  Since t = T s has no offset, that
-    value is the Hessian of the aggregate's quadratic part, the same matrix
+    Definiteness at 0 is decided first, on the pipeline's constant c*A0 + B0
+    (`Pipeline.hessian_at_zero`), before the polynomial matrix is built or
+    any determinant computed.  Since t = T s has no offset, that is the
+    matrix's value at s = 0, and it is the matrix
     `local_maximality_certificate` tests for `full_hessian_negative_definite`.
 
     The determinant must be invariant under the (s^h, s^v) pair shift that
@@ -808,13 +827,14 @@ def hessian_section_bound(c: Fraction, keep_vars: int = 4,
     With keep_vars = NVARS it is condition (iv) itself (`hessian_bound`).
 
     Definiteness is decided on the full matrix at s = 0, which is also the
-    section's matrix there, so both refuse the same weights c.
+    section's matrix there, so both refuse the same weights c, and do so
+    before `hessian_matrix_s` is built.
     """
     c = Fraction(c)
-    matrix = hessian_matrix_s(c)
-    if not is_negative_definite(matrix.evaluate([QS2_ZERO] * NVARS)):
+    if not is_negative_definite(get_pipeline().hessian_at_zero(c)):
         raise IndefiniteWeightError(
             f"aggregate Hessian is not negative definite at 0 for c={c}")
+    matrix = hessian_matrix_s(c)
 
     def section(p: MvPoly) -> MvPoly:
         return MvPoly(keep_vars, {m[:keep_vars]: coeff for m, coeff in p.terms.items()
@@ -845,7 +865,6 @@ class CertificateReport:
     overall_display: str
     barycentric: Fraction
     barycentric_display: str
-    hessian_included: bool
     elapsed_seconds: float
 
     @property
@@ -859,15 +878,17 @@ def certify(c: Fraction, with_hessian: bool = False,
 
     Without `with_hessian` the expensive degree-16 determinant condition is
     skipped and the overall radius covers the other three conditions only.
+    The symmetry check and conditions (i) and (iii) do not depend on c; they
+    are read from the pipeline, which computes them on the first call.
     """
     c = Fraction(c)
     start = time.monotonic()
+    pl = get_pipeline()
     local = local_maximality_certificate(c)
-    sym = symmetry_check()
     bounds = {
-        "i": det_orientation_bound(),
+        "i": pl.orientation,
         "ii": linear_bound(c),
-        "iii": attainment_bound(tol),
+        "iii": pl.attainment(tol),
         "iv": hessian_bound(c, tol) if with_hessian else None,
     }
     present = [b for b in bounds.values() if b is not None]
@@ -878,12 +899,11 @@ def certify(c: Fraction, with_hessian: bool = False,
     return CertificateReport(
         c=c,
         local=local,
-        symmetry=sym,
+        symmetry=pl.symmetry,
         bounds=bounds,
         overall=overall,
         overall_display=_display_5(*overall_enc),
         barycentric=barycentric,
         barycentric_display=_display_5(overall_enc[0] / 2, overall_enc[1] / 2),
-        hessian_included=with_hessian,
         elapsed_seconds=time.monotonic() - start,
     )

@@ -12,7 +12,6 @@ is D_k / D_{k-1}, the ratio of consecutive leading principal minors).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
@@ -277,44 +276,16 @@ def det_poly(M: PolyMatrix) -> MvPoly:
     return det_poly_modular(M)
 
 
-def _det_laplace(M: PolyMatrix) -> MvPoly:
-    """The same row expansion directly on MvPoly terms: used for the small
-    minors of `adjugate_poly` and as the reference `det_poly` is tested
-    against."""
-    n = M.nrows
-    zero = MvPoly.zero(M.nvars)
-    minors: dict[tuple[int, ...], MvPoly] = {(): MvPoly.constant(1, M.nvars)}
-    for k in range(1, n + 1):
-        level: dict[tuple[int, ...], MvPoly] = {}
-        row = M.rows[k - 1]
-        for subset in combinations(range(n), k):
-            acc = zero
-            for pos, j in enumerate(subset):
-                entry = row[j]
-                if not entry:
-                    continue
-                rest = subset[:pos] + subset[pos + 1:]
-                term = entry * minors[rest]
-                acc = acc - term if (k - 1 + pos) % 2 else acc + term
-            level[subset] = acc
-        minors = level
-    return minors[tuple(range(n))]
-
-
 def adjugate_poly(M: PolyMatrix) -> PolyMatrix:
-    """Adjugate (transpose of the cofactor matrix); M . adj(M) = det(M) . I."""
-    if not M.is_square():
-        raise ValueError("adjugate of non-square matrix")
-    n = M.nrows
-    if n == 1:
-        return PolyMatrix([[MvPoly.constant(1, M.nvars)]])
-    cof = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = PolyMatrix([
-                [M.rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ])
-            minor = _det_laplace(sub)
-            cof[i][j] = -minor if (i + j) % 2 else minor
-    return PolyMatrix([[cof[j][i] for j in range(n)] for i in range(n)])
+    """Adjugate of a 3x3 polynomial matrix with rows r0, r1, r2: its columns
+    are the cross products r1 x r2, r2 x r0 and r0 x r1, so that
+    M . adj(M) = det(M) . I.  Other sizes raise `ValueError`."""
+    if (M.nrows, M.ncols) != (3, 3):
+        raise ValueError(f"adjugate_poly takes a 3x3 matrix, not {M.nrows}x{M.ncols}")
+    cols = [_cross(M.rows[(j + 1) % 3], M.rows[(j + 2) % 3]) for j in range(3)]
+    return PolyMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
+
+
+def _cross(a: Sequence[MvPoly], b: Sequence[MvPoly]) -> list[MvPoly]:
+    return [a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3]
+            for k in range(3)]

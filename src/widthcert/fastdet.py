@@ -1,8 +1,8 @@
 """Multi-modular dense engine behind `exactlinalg.det_poly`.
 
-The expansion is the same memoized column-subset Laplace scheme as
-`exactlinalg._det_laplace`, but coefficients live in dense arrays indexed by
-a graded monomial table and are reduced modulo several word-size primes
+The expansion is a memoized Laplace expansion along rows over column
+subsets, with coefficients in dense arrays indexed by a graded monomial
+table and reduced modulo several word-size primes
 p = 7 (mod 8).  For those, r = 2^((p+1)/4) is a square root of 2 mod p, so
 sqrt2 -> r and sqrt2 -> -r are two ring maps Z[sqrt2] -> F_p, and each prime
 costs two plain scalar determinants x+ and x-.  The residues of a + b*sqrt2

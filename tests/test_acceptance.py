@@ -11,9 +11,11 @@ import pytest
 from widthcert import deltacert as dc
 from widthcert import globalbounds as gb
 from widthcert.exactnum import QSqrt2, interval_eval
-from widthcert.exactlinalg import _det_laplace, adjugate_poly
+from widthcert.exactlinalg import adjugate_poly
 from widthcert.mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from widthcert.widthlab import Functional, dual_lattice, hollow_check, lattice_width
+
+from test_exactlinalg import det_laplace
 
 
 class _Criterion:
@@ -158,7 +160,7 @@ def test_criterion_6_property_suites():
         # adjugate identity on the perturbed basis matrix
         pl = dc.get_pipeline()
         M = pl.ring.matrix
-        det = _det_laplace(M)
+        det = det_laplace(M)
         adj = adjugate_poly(M)
         for i in range(3):
             for j in range(3):

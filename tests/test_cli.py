@@ -355,6 +355,19 @@ def test_weight_flags_reject_unbounded_or_empty_values(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("certify-neighborhood", "--c", "7", "--sweep", "8"),
+    ("certify-neighborhood", "--sweep", "8", "--c", "39/4"),
+])
+def test_certify_neighborhood_refuses_c_with_sweep(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert out == ""
+    assert f"argument {argv[3]}: not allowed with argument {argv[1]}" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("certify-local", "--c", "1e-10000000"),
     ("certify-neighborhood", "--c", "1E+10000000"),
     ("certify-neighborhood", "--sweep", "7,1e-10000000"),

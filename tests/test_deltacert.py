@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as Fr
 
@@ -5,8 +6,10 @@ import pytest
 
 from widthcert import deltacert as dc
 from widthcert.exactnum import QS2_ZERO, QSqrt2, SQRT2
-from widthcert.exactlinalg import QMatrix, _det_laplace, det_field, inverse_field
+from widthcert.exactlinalg import QMatrix, det_field, inverse_field
 from widthcert.mvpoly import MvPoly
+
+from test_exactlinalg import det_laplace
 
 
 # -- model construction ------------------------------------------------------------
@@ -36,7 +39,7 @@ def test_perturbed_matrix_restricts_to_basis(pipeline, delta_model):
 
 def test_ring_determinant_is_the_laplace_determinant(pipeline):
     # the ring expands its determinant from the adjugate's first column
-    assert pipeline.ring.det == _det_laplace(pipeline.ring.matrix)
+    assert pipeline.ring.det == det_laplace(pipeline.ring.matrix)
 
 
 # -- deficit polynomials ----------------------------------------------------------------
@@ -110,17 +113,36 @@ def test_aggregate_gradient_vanishes(pipeline):
     assert h.degree() == 4
 
 
+def _hessian_at_origin(p):
+    # the constant Hessian of p's quadratic part, read term by term
+    entries = [[QS2_ZERO] * dc.NVARS for _ in range(dc.NVARS)]
+    for m, coeff in p.graded_part(2).terms.items():
+        i, j = [k for k, e in enumerate(m) for _ in range(e)]
+        entries[i][j] = entries[i][j] + coeff * (2 if i == j else 1)
+        if i != j:
+            entries[j][i] = entries[j][i] + coeff
+    return QMatrix(entries)
+
+
 def test_aggregate_quadratic_part_identity(pipeline):
-    # degree-2 part of the aggregate = c * sum(q_i) - sum(l_i^2)
-    c = Fr(39, 4)
-    h = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
+    # degree-2 part of the aggregate = c * sum(q_i) - sum(l_i^2), so its
+    # Hessian at 0 is c*A0 + B0 with A0 and B0 built from the q_i and l_i
     q_sum = MvPoly.zero(8)
-    for q in dc.quadratic_parts(pipeline.h_polys, pipeline.model.multipliers):
-        q_sum = q_sum + q
     l_square = MvPoly.zero(8)
-    for l in dc.linear_parts(pipeline.h_polys, pipeline.model.multipliers):
-        l_square = l_square + l * l
-    assert h.graded_part(2) == q_sum.scale(c) - l_square
+    for hp, lam in zip(pipeline.h_polys, pipeline.model.multipliers):
+        q_sum = q_sum + hp.scale(lam).graded_part(2)
+        l_square = l_square + hp.scale(lam).graded_part(1) ** 2
+    assert pipeline.a0 == _hessian_at_origin(q_sum)
+    assert pipeline.b0 == _hessian_at_origin(-l_square)
+    for c in (Fr(39, 4), Fr(14)):
+        h = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
+        assert h.graded_part(2) == q_sum.scale(c) - l_square
+        assert pipeline.hessian_at_zero(c) == _hessian_at_origin(h)
+
+
+def test_hessian_at_zero_rejects_nonpositive_c(pipeline):
+    with pytest.raises(ValueError):
+        pipeline.hessian_at_zero(0)
 
 
 def test_aggregate_rejects_nonpositive_c(pipeline):
@@ -464,10 +486,44 @@ def test_hessian_section_rejects_indefinite_weight(monkeypatch, c):
 
 @pytest.mark.parametrize("c", [Fr(39, 4), Fr(14)])
 def test_hessian_matrix_at_zero_is_quadratic_form_hessian(pipeline, c):
-    # condition (iv) decides definiteness on the s-matrix at 0; with no
-    # offset in t = T s that is the Hessian of the aggregate's quadratic part
+    # condition (iv) decides definiteness on c*A0 + B0, the Hessian of the
+    # aggregate's quadratic form; with no offset in t = T s that is the
+    # polynomial s-matrix evaluated at 0
     at_zero = dc.hessian_matrix_s(c).evaluate([QS2_ZERO] * dc.NVARS)
-    h_aggregate = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
-    assert at_zero == dc.quadratic_form_hessian(h_aggregate)
+    assert at_zero == pipeline.hessian_at_zero(c)
     cert = dc.local_maximality_certificate(c)
     assert cert.full_hessian_negative_definite == (c == Fr(39, 4))
+
+
+def test_hessian_section_refuses_before_building_the_matrix(monkeypatch):
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("hessian_matrix_s built before the definiteness check")
+
+    monkeypatch.setattr(dc, "hessian_matrix_s", no_matrix)
+    with pytest.raises(dc.IndefiniteWeightError):
+        dc.hessian_section_bound(Fr(14))
+
+
+def _without_time(report):
+    return dataclasses.replace(report, elapsed_seconds=0.0)
+
+
+def test_certify_sweep_runs_the_weight_free_work_once(monkeypatch):
+    # three weights on one pipeline: the 66 bisections of (iii) run once,
+    # and every row equals a single-weight run on a fresh pipeline
+    weights = (Fr(7), Fr(39, 4), Fr(12))
+    bisections = []
+    enclosure = dc.companion_root_enclosure
+
+    def counted(*args, **kwargs):
+        bisections.append(args)
+        return enclosure(*args, **kwargs)
+
+    monkeypatch.setattr(dc, "companion_root_enclosure", counted)
+    monkeypatch.setattr(dc, "_PIPELINE", dc.Pipeline())
+    swept = [dc.certify(c) for c in weights]
+    assert len(bisections) == 66
+    for c, report in zip(weights, swept):
+        monkeypatch.setattr(dc, "_PIPELINE", dc.Pipeline())
+        assert _without_time(dc.certify(c)) == _without_time(report)
+    assert len(bisections) == 4 * 66

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,6 @@ from widthcert.exactlinalg import (
     PolyMatrix,
     QMatrix,
     SingularMatrixError,
-    _det_laplace,
     adjugate_poly,
     det_field,
     det_poly,
@@ -20,6 +20,30 @@ from widthcert.exactlinalg import (
     spans_same_space,
 )
 from widthcert.mvpoly import MvPoly
+
+
+def det_laplace(M: PolyMatrix) -> MvPoly:
+    """Determinant by a memoized Laplace expansion along rows, directly on
+    MvPoly terms: the reference `det_poly` and `adjugate_poly` are tested
+    against."""
+    n = M.nrows
+    zero = MvPoly.zero(M.nvars)
+    minors: dict[tuple[int, ...], MvPoly] = {(): MvPoly.constant(1, M.nvars)}
+    for k in range(1, n + 1):
+        level: dict[tuple[int, ...], MvPoly] = {}
+        row = M.rows[k - 1]
+        for subset in combinations(range(n), k):
+            acc = zero
+            for pos, j in enumerate(subset):
+                entry = row[j]
+                if not entry:
+                    continue
+                rest = subset[:pos] + subset[pos + 1:]
+                term = entry * minors[rest]
+                acc = acc - term if (k - 1 + pos) % 2 else acc + term
+            level[subset] = acc
+        minors = level
+    return minors[tuple(range(n))]
 
 
 def identity(n: int) -> QMatrix:
@@ -215,7 +239,7 @@ def _poly_matrix_of_lattice(pipeline):
 
 def test_perturbed_matrix_degrees(pipeline):
     M = _poly_matrix_of_lattice(pipeline)
-    det = _det_laplace(M)
+    det = det_laplace(M)
     adj = adjugate_poly(M)
     assert det.degree() == 3
     assert max(e.degree() for row in adj.rows for e in row) == 2
@@ -223,7 +247,7 @@ def test_perturbed_matrix_degrees(pipeline):
 
 def test_adjugate_identity_on_perturbed_matrix(pipeline):
     M = _poly_matrix_of_lattice(pipeline)
-    det = _det_laplace(M)
+    det = det_laplace(M)
     adj = adjugate_poly(M)
     n = M.nrows
     for i in range(n):
@@ -235,18 +259,27 @@ def test_adjugate_identity_on_perturbed_matrix(pipeline):
             assert acc == expected
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_adjugate_refuses_sizes_other_than_three(n):
+    x = MvPoly.variable(0, 1)
+    with pytest.raises(ValueError):
+        adjugate_poly(PolyMatrix([[x] * n for _ in range(n)]))
+    with pytest.raises(ValueError):
+        adjugate_poly(PolyMatrix([[x] * 3 for _ in range(n)]))
+
+
 def test_det_of_diagonal_poly_matrix():
     x0 = MvPoly.variable(0, 2)
     x1 = MvPoly.variable(1, 2)
     zero = MvPoly.zero(2)
     M = PolyMatrix([[x0, zero], [zero, x1]])
-    assert _det_laplace(M) == det_poly(M) == x0 * x1
+    assert det_laplace(M) == det_poly(M) == x0 * x1
 
 
 def test_det_poly_matches_field_det_at_random_points(pipeline):
     rng = random.Random(13)
     M = _poly_matrix_of_lattice(pipeline)
-    det = _det_laplace(M)
+    det = det_laplace(M)
     for _ in range(20):
         point = [QSqrt2(Fr(rng.randint(-4, 4), rng.randint(1, 4)),
                         Fr(rng.randint(-2, 2), rng.randint(1, 3)))

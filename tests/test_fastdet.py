@@ -12,7 +12,7 @@ import pytest
 
 from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
-from widthcert.exactlinalg import PolyMatrix, _det_laplace
+from widthcert.exactlinalg import PolyMatrix
 from widthcert.fastdet import (
     _MonomialTable,
     _det_one_prime,
@@ -27,6 +27,8 @@ from widthcert.fastdet import (
     monomial_table,
 )
 from widthcert.mvpoly import MvPoly
+
+from test_exactlinalg import det_laplace
 
 
 def split_primes_below(bound, count):
@@ -80,7 +82,7 @@ def test_norm_bound_dominates_small_case():
     entries = [[{m: (int(c.rat * 4), int(c.irr * 4)) for m, c in e.terms.items()}
                 for e in row] for row in M.rows]
     bound = coefficient_norm_bound(entries)
-    det = _det_laplace(M)
+    det = det_laplace(M)
     for c in det.terms.values():
         assert abs(c.rat * 64) <= bound
         assert abs(c.irr * 64) <= bound
@@ -90,12 +92,12 @@ def test_norm_bound_dominates_small_case():
 def test_modular_matches_laplace_random(n, nvars):
     rng = random.Random(100 * n + nvars)
     M = _random_poly_matrix(rng, n, nvars)
-    assert det_poly_modular(M) == _det_laplace(M)
+    assert det_poly_modular(M) == det_laplace(M)
 
 
 def test_modular_matches_laplace_linear_entries(pipeline):
     M = pipeline.ring.matrix
-    assert det_poly_modular(M) == _det_laplace(M)
+    assert det_poly_modular(M) == det_laplace(M)
 
 
 def test_modular_on_hessian_section_matches_laplace():
@@ -115,7 +117,7 @@ def test_modular_on_hessian_section_matches_laplace():
 
     reduced = matrix.map_entries(section)
     fast = det_poly_modular(reduced)
-    slow = _det_laplace(reduced)
+    slow = det_laplace(reduced)
     assert fast == slow
     assert fast.degree() <= 16
     assert len(fast.terms) > 50
@@ -317,7 +319,7 @@ def test_det_one_prime_residues_match_laplace(seed, n, nvars):
     # the a- and b-parts come back from the two scalar lanes; a lane with the
     # wrong sign, a lost 1/2 or swapped lanes would show in the b-part or a-part
     M = _random_poly_matrix(random.Random(seed), n, nvars)
-    exact = _det_laplace(M)
+    exact = det_laplace(M)
     scale = _integerize(M)[1]
     want = {m: (int(c.rat * scale**n), int(c.irr * scale**n)) for m, c in exact.terms.items()}
     assert sum(1 for a, b in want.values() if a and b) > 10
