@@ -279,23 +279,6 @@ def check_dependence(grads: list[list[QSqrt2]], multipliers) -> bool:
     return rank(grads) == 5
 
 
-def build_h_aggregate(h_polys: list[MvPoly], multipliers, c: Fraction) -> MvPoly:
-    """Multiplier-weighted aggregate sum((c - l_i) * lam_i * h_i); its
-    gradient at 0 vanishes because the l_i sum to zero."""
-    c = Fraction(c)
-    if c <= 0:
-        raise ValueError("aggregate weight c must be positive")
-    total = MvPoly.zero(NVARS)
-    for h, lam in zip(h_polys, multipliers):
-        weighted = h.scale(lam)
-        l_part = weighted.graded_part(1)
-        factor = MvPoly.constant(c, NVARS) - l_part
-        total = total + factor * weighted
-    if any(x for x in total.gradient_at_zero()):
-        raise CertificationError("aggregate gradient at 0 is not zero")
-    return total
-
-
 #: the six gradient vectors of the deficit polynomials at 0, pinned as
 #: published: row i is (integer part vector, sqrt2 part vector) with the
 #: scale factors (4, 2) for the first four rows and (8, 8) for the last two
@@ -513,12 +496,13 @@ class Pipeline:
     c * sum q_i - sum l_i^2, so its Hessian at 0 is c*A0 + B0
     (`hessian_at_zero`).
 
-    Built lazily on first use, then kept: `local_parts`, and through their
+    Built lazily on first use, then kept: `local_parts`, the weight-free
+    parts of (iv)'s matrix as `hessian_parts`, and through their
     module-level functions `symmetry`, condition (i) as `orientation` and
     condition (iii) per tolerance as `attainment(tol)`.  Those functions
     read the installed pipeline (`get_pipeline`), so the lazy members are
-    meant for that one.  A run of (iv) alone pays for none of them; a sweep
-    pays for each once.
+    meant for that one.  A run of (iv) alone pays for `hessian_parts` only;
+    a sweep pays for each once.
     """
 
     def __init__(self):
@@ -566,6 +550,20 @@ class Pipeline:
             "restricted_hessian": restricted,
             "restricted_negative_definite": is_negative_definite(restricted),
         }
+
+    @cached_property
+    def hessian_parts(self) -> tuple[PolyMatrix, PolyMatrix]:
+        """(A(s), B(s)) with c*A(s) + B(s) the Hessian in t, rewritten in
+        s, of the aggregate sum((c - l_i) * lam_i * h_i) for every weight c:
+        the Hessians of sum lam_i * h_i and of -sum l_i * lam_i * h_i.  The
+        aggregate's gradient at 0 vanishes for every c because it vanishes
+        for both parts, which is checked here."""
+        weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
+        parts = (sum(weighted, MvPoly.zero(NVARS)),
+                 -sum((w.graded_part(1) * w for w in weighted), MvPoly.zero(NVARS)))
+        if any(x for part in parts for x in part.gradient_at_zero()):
+            raise CertificationError("aggregate gradient at 0 is not zero")
+        return tuple(PolyMatrix(part.hessian()).map_entries(self.scoords.to_s) for part in parts)
 
     @cached_property
     def symmetry(self) -> SymmetryCheck:
@@ -781,11 +779,13 @@ def attainment_polynomials() -> list[MvPoly]:
 
 def hessian_matrix_s(c: Fraction) -> PolyMatrix:
     """Second-derivative matrix of the aggregate (derivatives in t), with
-    entries rewritten in s; entries are quadratic polynomials."""
-    pl = get_pipeline()
-    h_aggregate = build_h_aggregate(pl.h_polys, pl.model.multipliers, c)
-    hess_t = PolyMatrix(h_aggregate.hessian())
-    return hess_t.map_entries(pl.scoords.to_s)
+    entries rewritten in s: c*A(s) + B(s) from `Pipeline.hessian_parts`;
+    entries are quadratic polynomials."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("aggregate weight c must be positive")
+    a, b = get_pipeline().hessian_parts
+    return PolyMatrix([[x.scale(c) + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
 
 
 def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:

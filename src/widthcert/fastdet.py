@@ -1,17 +1,55 @@
-"""Multi-modular dense engine behind `exactlinalg.det_poly`.
+"""Multi-modular evaluation and interpolation engine behind
+`exactlinalg.det_poly`.
 
-The expansion is a memoized Laplace expansion along rows over column
-subsets, with coefficients in dense arrays indexed by a graded monomial
-table and reduced modulo several word-size primes
-p = 7 (mod 8).  For those, r = 2^((p+1)/4) is a square root of 2 mod p, so
-sqrt2 -> r and sqrt2 -> -r are two ring maps Z[sqrt2] -> F_p, and each prime
-costs two plain scalar determinants x+ and x-.  The residues of a + b*sqrt2
-come back as a = (x+ + x-)/2 and b = (x+ - x-)/(2r) mod p, and the exact
-integer coefficients by CRT.  Exactness is unconditional, not heuristic:
+An n x n matrix whose entries have degree <= e in v variables has a
+determinant of total degree <= D = n*e, so modulo a prime p > D the
+determinant is fixed by its values on the shifted simplex grid
+a + {alpha in N^v : |alpha| <= D}.  The engine evaluates the entries on that
+grid, eliminates at every point and interpolates, modulo several word-size
+primes p = 7 (mod 8).  For those, r = 2^((p+1)/4) is a square root of 2
+mod p, so sqrt2 -> r and sqrt2 -> -r are two ring maps Z[sqrt2] -> F_p, and
+each prime costs two plain scalar lanes x+ and x-.  The residues of
+a + b*sqrt2 come back as a = (x+ + x-)/2 and b = (x+ - x-)/(2r) mod p, and the
+exact integer coefficients by CRT.
+
+Per prime, both lanes at once, in three steps (`_det_one_prime`):
+
+* Evaluation.  For a block of grid points, the entries' residues times the
+  values of their monomials are one float64 matrix product.  The monomial
+  values are integers of size at most max(1, |a|, |a + D|)^e, so each of the
+  nq products is an integer below (p-1) times that, and the sum is exact
+  while nq * (p-1) * max|monomial| < 2^53 (`_prime_limit`; `_setup` takes
+  primes below it, `_det_one_prime` refuses any other before any work).
+* Elimination.  Step k of a division-free Schur elimination replaces the
+  trailing block T by pivot_k * T - column * row, which multiplies its
+  determinant by pivot_k^(m-1) for a block of size m.  So the determinant is
+  the last entry over the divisor prod_k pivot_k^(n-2-k).  All divisors of
+  one prime are inverted together, by one Fermat inverse of their product
+  and a product tree.  A symmetric matrix updates its upper triangle only.
+  Every residue is below p < 2^31, so every product stays below 2^62 and is
+  reduced at once.  A point where that divisor is 0 mod p, a zero pivot
+  raised to a positive power, is recomputed by a scalar elimination with
+  pivoting; the formula never hides a zero pivot it does not divide by.
+  These array kernels live in `_kernels`.
+* Interpolation.  Forward differences along each variable in turn, divided
+  by alpha! at the end, give the coefficients in the Newton basis
+  prod_i (s_i - a)(s_i - a - 1)...(s_i - a - alpha_i + 1); a Newton-to-monomial
+  pass per variable with the nodes a + j then gives the coefficients in s.
+  This needs p > D, so that the nodes stay distinct mod p.  Grid point
+  a + alpha is row alpha of the graded monomial table, so the result comes
+  out indexed like the monomials.
+
+The offset a is 1 in every variable.  Any offset gives the same residues;
+it only decides how many points take the scalar path.  For condition (iv),
+a = 0 gives 94 grid points a zero divisor in both lanes and a = (1, ..., 1)
+none, on the primes tried; (1, ..., 1) is also fixed by the pair shift.
+Blocks of 512 points keep the arrays of one block near 1 MB.
+
+Exactness is unconditional, not heuristic:
 
 * the primes are the fewest such primes whose product exceeds four times a
   certified bound on every coefficient of the determinant (the symmetric
-  residue range needs twice; the bound runs the same subset recursion on the
+  residue range needs twice; the bound runs a Laplace subset recursion on the
   coefficient-norm ``sum(|a| + 2|b|)`` of each entry, which is
   submultiplicative for Z[sqrt2] polynomials);
 * the reconstructed constant term is compared against an exact field
@@ -22,16 +60,16 @@ integer coefficients by CRT.  Exactness is unconditional, not heuristic:
 Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
 the pairs (a, b) scaled to their common denominator, and each coefficient
 leaves as the triple (a, b, scale^n) reduced by one gcd.  What no prime
-changes is derived once: the subsets, columns and signs of one Laplace plan
-per size n, which the bound walks as well, and one shift map per monomial
-table, which each level of each prime cuts to its degrees and then drops.
+changes is derived once: the Laplace plan per size n that the bound walks,
+the elimination plan per size and symmetry, and the difference steps of
+each monomial table (`_MonomialTable.newton_steps`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
 
@@ -43,12 +81,15 @@ from .exactlinalg import PolyMatrix, QMatrix, det_field
 from .mvpoly import MvPoly
 
 _EXP_BITS = 6  # per-variable exponent field in packed keys
+_OFFSET = 1  # the grid offset a, in every variable (module docstring)
+_BLOCK = 512  # grid points evaluated and eliminated together (module docstring)
 
 
 class _MonomialTable:
     """Graded table of all monomials of total degree <= maxdeg in nvars
-    variables: exponent rows, packed sort keys, per-degree sizes, and one
-    shift map for every Laplace level (`shift_map`)."""
+    variables: exponent rows, packed sort keys and per-degree sizes.  Row
+    alpha is also the grid point a + alpha of the interpolation, whose
+    difference steps `newton_steps` holds."""
 
     def __init__(self, nvars: int, maxdeg: int):
         if maxdeg >= (1 << _EXP_BITS):
@@ -65,7 +106,6 @@ class _MonomialTable:
         self.size_up_to = [
             int(np.searchsorted(self.totals, d, side="right")) for d in range(maxdeg + 1)
         ]
-        self._shift = np.zeros((0, len(self.keys)), dtype=np.int32)
 
     def _pack(self, exps: np.ndarray, totals: np.ndarray) -> np.ndarray:
         key = totals.astype(np.int64) << (_EXP_BITS * self.nvars)
@@ -73,26 +113,25 @@ class _MonomialTable:
             key = key | (exps[:, i].astype(np.int64) << (_EXP_BITS * i))
         return key
 
-    def shift_map(self, nq: int) -> np.ndarray:
-        """M[q, r] = index of monomial_r - monomial_q, or the table size when
-        an exponent is negative, for the first nq monomials q; int32, q-major,
-        kept for the largest nq asked for.  The table is graded, so
-        ``np.minimum(M[:, :size_up_to[d + e]], size_up_to[d])`` is the map of
-        a Laplace level from degree d to d + e (`_kernels`)."""
-        if len(self._shift) < nq:
-            size = len(self.keys)
-            shift = np.full((nq, size), size, dtype=np.int32)
-            exps = self.exps.astype(np.int16)
-            for qi in range(nq):
-                diff = exps - exps[qi]
-                valid = np.all(diff >= 0, axis=1)
-                key = self._pack(diff[valid], self.totals[valid] - self.totals[qi])
-                pos = np.searchsorted(self.keys, key)
-                if np.any(self.keys[pos] != key):
-                    raise AssertionError("shift map lookup failed")
-                shift[qi, valid] = pos
-            self._shift = shift
-        return self._shift[:nq]
+    @cached_property
+    def newton_steps(self) -> tuple[tuple[np.ndarray, np.ndarray, list[int]], ...]:
+        """Per variable i, (upper, lower, count): `upper` holds the rows
+        alpha with alpha_i >= 1, by alpha_i descending, `lower[t]` the row of
+        upper[t] - e_i (index arrays), and count[j] the number of rows with
+        alpha_i >= j, so the first count[j] pairs are those of step j."""
+        steps = []
+        drop_total = 1 << (_EXP_BITS * self.nvars)
+        for i in range(self.nvars):
+            column = self.exps[:, i]
+            upper = np.flatnonzero(column)
+            upper = upper[np.argsort(-column[upper], kind="stable")]
+            key = self.keys[upper] - (drop_total + (1 << (_EXP_BITS * i)))
+            lower = np.searchsorted(self.keys, key)
+            if np.any(self.keys[lower] != key):
+                raise AssertionError("grid neighbour lookup failed")
+            at_least = np.cumsum(np.bincount(column, minlength=self.maxdeg + 1)[::-1])[::-1]
+            steps.append((upper, lower.astype(np.intp), [int(x) for x in at_least]))
+        return tuple(steps)
 
 
 def _gen_exponents(nvars: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,15 +189,11 @@ def _split_primes_below(bound: int):
             yield c
 
 
-def crt_primes(bound: int, terms: int) -> list[int]:
-    """The fewest primes p = 7 (mod 8) (at least one) whose product
-    exceeds 4 * bound, largest first, among those small enough that a sum of
-    `terms` products of residues, terms * (p-1)^2, stays below 2^63 (at most
-    25 bits)."""
-    pmax_sq = 2**63 // terms - 1
-    pbits = min(25, max(3, (pmax_sq.bit_length() - 1) // 2))
+def crt_primes(bound: int, below: int) -> list[int]:
+    """The fewest primes p = 7 (mod 8) below `below` (at least one) whose
+    product exceeds 4 * bound, largest first."""
     primes, modulus = [], 1
-    candidates = _split_primes_below(1 << pbits)
+    candidates = _split_primes_below(below)
     while modulus <= 4 * bound or not primes:
         p = next(candidates, None)
         if p is None:
@@ -166,6 +201,15 @@ def crt_primes(bound: int, terms: int) -> list[int]:
         primes.append(p)
         modulus *= p
     return primes
+
+
+def _prime_limit(table: _MonomialTable, nq: int, offset: int) -> int:
+    """The primes below this keep every product of two residues below 2^62
+    and the float64 evaluation on `table`'s grid, with entries over its first
+    nq monomials, exact: nq * (p-1) * max|monomial value| < 2^53."""
+    reach = max(1, abs(offset), abs(offset + table.maxdeg))
+    largest = reach ** int(table.totals[nq - 1])
+    return min(1 << 31, (2**53 - 1) // (nq * largest) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +254,8 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
     """Upper bound on |a| and |b| of every coefficient of the determinant.
 
     Uses the submultiplicative weight n(a + b*sqrt2) = |a| + 2|b| (valid since
-    n(xy) <= n(x)n(y)) summed over terms, propagated through the same subset
-    expansion that computes the determinant, with every sign taken as +1."""
+    n(xy) <= n(x)n(y)) summed over terms, propagated through the subset
+    expansion of the determinant, with every sign taken as +1."""
     norms = np.array([[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row]
                       for row in entries], dtype=object)
     value = np.ones(1, dtype=object)
@@ -227,7 +271,7 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
 
 def _setup(M: PolyMatrix):
     """What every prime shares: the arguments of `_det_one_prime` before p
-    (n, table, entry degree, shift map, integer coefficient tensor), the
+    (n, grid table, symmetry, grid offset, integer coefficient tensor), the
     primes, and the scale that made the entries integral."""
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
@@ -235,16 +279,16 @@ def _setup(M: PolyMatrix):
     entry_deg = max(0, M.max_entry_degree())
     table = monomial_table(M.nvars, entry_deg * n)
     entries, scale = _integerize(M)
-    # a level-k pass sums k*nq products per output coefficient, k <= n
     nq = table.size_up_to[entry_deg]
-    primes = crt_primes(coefficient_norm_bound(entries), n * nq)
+    primes = crt_primes(coefficient_norm_bound(entries), _prime_limit(table, nq, _OFFSET))
     qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
     coeff_int = np.zeros((n, n, nq, 2), dtype=object)
     for i, row in enumerate(entries):
         for j, entry in enumerate(row):
             for m, pair in entry.items():
                 coeff_int[i, j, qindex[m]] = pair
-    return (n, table, entry_deg, table.shift_map(nq), coeff_int), primes, scale
+    symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(i))
+    return (n, table, symmetric, _OFFSET, coeff_int), primes, scale
 
 
 def det_poly_modular(M: PolyMatrix) -> MvPoly:
@@ -266,29 +310,121 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     return result
 
 
-def _det_one_prime(n, table, entry_deg, shift_map, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
-    """Residues mod p of the a- and b-parts of every determinant coefficient,
-    from the scalar lanes a + b*r and a - b*r (see the module docstring)."""
+def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
+    """Residues mod p of the a- and b-parts of every determinant coefficient
+    of degree <= table.maxdeg, from the scalar lanes a + b*r and a - b*r on
+    the grid with the given offset (see the module docstring)."""
     r = pow(2, (p + 1) // 4, p)
     if r * r % p != 2:
         raise ValueError(f"2^((p+1)/4) is not a square root of 2 mod {p}")
+    if p <= table.maxdeg:
+        raise ValueError(f"{p} is too small to interpolate degree {table.maxdeg}")
+    nq = coeff_int.shape[2]
+    if p >= _prime_limit(table, nq, offset):
+        raise OverflowError("prime too large for exact evaluation")
+    slots, steps = _elimination_plan(n, symmetric)
     cf = (coeff_int % p).astype(np.int64)
-    lanes = np.stack([(cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p])
-    sizes = table.size_up_to
+    lanes = ((cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p)
+    # row 2t + lane: the monomial coefficients of entry slots[t] in that lane
+    weights = np.array([lane[i, j] for i, j in slots for lane in lanes], dtype=np.float64)
 
-    prev = np.zeros((2, 1, sizes[0] + 1), dtype=np.int64)
-    prev[:, 0, 0] = 1
-    for k, (src_rows, cols, signs) in enumerate(_laplace_plan(n), start=1):
-        size_k, size_prev = sizes[entry_deg * k], sizes[entry_deg * (k - 1)]
-        maps = np.minimum(shift_map[:, :size_k], size_prev)
-        coeff = signs[:, None] * lanes[:, k - 1][:, cols] % p
-        out = np.zeros((2, len(cols), size_k + 1), dtype=np.int64)
-        _kernels.level_pass(prev[0], prev[1], maps, coeff[0], coeff[1], src_rows,
-                            out[0, :, :size_k], out[1, :, :size_k], p)
-        prev = out
-    plus, minus = prev[:, 0, :sizes[entry_deg * n]]
+    size = len(table.keys)
+    top = np.empty((2, size), dtype=np.int64)
+    bottom = np.empty((2, size), dtype=np.int64)
+    for start in range(0, size, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, size))
+        last, divisor = _kernels.eliminate(_entry_values(table, rows, offset, weights, p), steps, p)
+        top[:, rows] = last.reshape(2, -1)
+        bottom[:, rows] = divisor.reshape(2, -1)
+    zero = bottom == 0
+    values = top * _kernels.inverse_mod(np.where(zero, 1, bottom).ravel(), p).reshape(2, size) % p
+    zero_lanes, zero_rows = np.nonzero(zero)
+    if len(zero_rows):
+        entries = _entry_values(table, zero_rows, offset, weights, p)
+        for t, lane in enumerate(zero_lanes.tolist()):
+            matrix = [[0] * n for _ in range(n)]
+            for (i, j), x in zip(slots, entries[:, lane * len(zero_rows) + t].tolist()):
+                matrix[i][j] = x
+                if symmetric:
+                    matrix[j][i] = x
+            values[lane, zero_rows[t]] = _kernels.det_mod(matrix, p)
+    _interpolate(values, table, offset, p)
+    plus, minus = values
     return ((plus + minus) * ((p + 1) // 2) % p,
             (plus - minus) % p * pow(2 * r, -1, p) % p)
+
+
+@lru_cache(maxsize=None)
+def _elimination_plan(n: int, symmetric: bool):
+    """The entry slots (i, j) kept, row by row, the upper triangle when
+    symmetric; and per elimination step k < n - 1 the pivot slot (k, k) and,
+    for each row i > k, (factor, target, source): row i's slots j > k
+    (j >= i when symmetric) become pivot * (i, j) - factor * (k, j), with
+    factor the slot (i, k), or (k, i) when symmetric, and target and source
+    the slices of row i's and row k's slots over those j."""
+    slots = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
+    place = {s: t for t, s in enumerate(slots)}
+    steps = []
+    for k in range(n - 1):
+        rows = []
+        for i in range(k + 1, n):
+            first = i if symmetric else k + 1
+            factor = place[(k, i) if symmetric else (i, k)]
+            rows.append((factor, slice(place[(i, first)], place[(i, n - 1)] + 1),
+                         slice(place[(k, first)], place[(k, n - 1)] + 1)))
+        steps.append((place[(k, k)], rows))
+    return slots, steps
+
+
+@lru_cache(maxsize=None)
+def _monomial_chain(table: _MonomialTable, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each monomial m of degree <= `degree` but 1: the first variable i
+    with m_i > 0 and the row of m - e_i (0 and 0 for the monomial 1)."""
+    size = table.size_up_to[degree]
+    first = np.argmax(table.exps[:size] > 0, axis=1)
+    key = table.keys[1:size] - ((1 << (_EXP_BITS * table.nvars)) + (1 << (_EXP_BITS * first[1:])))
+    return first, np.concatenate([[0], np.searchsorted(table.keys, key)])
+
+
+def _entry_values(table, rows, offset, weights, p) -> np.ndarray:
+    """Residues of every entry slot at the grid points a + exps[rows], one
+    row per slot and one column per (lane, point), lane-major."""
+    nq = weights.shape[1]
+    degree = int(table.totals[nq - 1])
+    first, parent = _monomial_chain(table, degree)
+    x = table.exps[rows].T + float(offset)
+    monomials = np.ones((nq, x.shape[1]))
+    for d in range(1, degree + 1):
+        same = slice(table.size_up_to[d - 1], table.size_up_to[d])
+        monomials[same] = monomials[parent[same]] * x[first[same]]
+    values = _kernels.reduce_mod((weights @ monomials).astype(np.int64), p)
+    return values.reshape(len(weights) // 2, 2 * x.shape[1])
+
+
+def _interpolate(values: np.ndarray, table: _MonomialTable, offset: int, p: int) -> None:
+    """In place, each lane (row) of `values`: values at the grid points
+    a + alpha -> coefficients of the monomials s^alpha, mod p."""
+    steps = table.newton_steps
+    inverse_factorial = [1]
+    for j in range(1, table.maxdeg + 1):
+        inverse_factorial.append(inverse_factorial[-1] * pow(j, -1, p) % p)
+    inverse_factorial = np.array(inverse_factorial, dtype=np.int64)
+    for lane in values:
+        for upper, lower, count in steps:
+            for j in range(1, table.maxdeg + 1):
+                high, low = upper[:count[j]], lower[:count[j]]
+                difference = lane[high]
+                difference -= lane[low]
+                lane[high] = _kernels.reduce_mod(difference, p)
+        for exponents in table.exps.T:
+            lane *= inverse_factorial[exponents]
+            _kernels.reduce_mod(lane, p)
+        for upper, lower, count in steps:
+            for j in range(table.maxdeg - 1, -1, -1):
+                high, low = upper[:count[j + 1]], lower[:count[j + 1]]
+                shifted = lane[low]
+                shifted -= (offset + j) % p * lane[high]
+                lane[low] = _kernels.reduce_mod(shifted, p)
 
 
 def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
@@ -316,4 +452,3 @@ def _verify_against_field_det(M: PolyMatrix, result: MvPoly):
              for _ in range(M.nvars)]
     if result.evaluate(point) != det_field(M.evaluate(point)):
         raise AssertionError("modular determinant failed the evaluation check")
-

@@ -106,8 +106,18 @@ def test_graded_decomposition_of_weighted_deficits(pipeline):
 # -- aggregate ----------------------------------------------------------------------------
 
 
+def build_h_aggregate(pipeline, c):
+    """The multiplier-weighted aggregate sum((c - l_i) * lam_i * h_i), built
+    for one weight: the oracle of `Pipeline.hessian_parts`."""
+    total = MvPoly.zero(dc.NVARS)
+    for h, lam in zip(pipeline.h_polys, pipeline.model.multipliers):
+        weighted = h.scale(lam)
+        total = total + (MvPoly.constant(c, dc.NVARS) - weighted.graded_part(1)) * weighted
+    return total
+
+
 def test_aggregate_gradient_vanishes(pipeline):
-    h = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, Fr(39, 4))
+    h = build_h_aggregate(pipeline, Fr(39, 4))
     assert h.gradient_at_zero() == [QS2_ZERO] * 8
     assert h.constant_term() == QS2_ZERO
     assert h.degree() == 4
@@ -135,7 +145,7 @@ def test_aggregate_quadratic_part_identity(pipeline):
     assert pipeline.a0 == _hessian_at_origin(q_sum)
     assert pipeline.b0 == _hessian_at_origin(-l_square)
     for c in (Fr(39, 4), Fr(14)):
-        h = dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, c)
+        h = build_h_aggregate(pipeline, c)
         assert h.graded_part(2) == q_sum.scale(c) - l_square
         assert pipeline.hessian_at_zero(c) == _hessian_at_origin(h)
 
@@ -146,8 +156,28 @@ def test_hessian_at_zero_rejects_nonpositive_c(pipeline):
 
 
 def test_aggregate_rejects_nonpositive_c(pipeline):
-    with pytest.raises(ValueError):
-        dc.build_h_aggregate(pipeline.h_polys, pipeline.model.multipliers, 0)
+    for c in (0, Fr(-39, 4)):
+        with pytest.raises(ValueError):
+            dc.hessian_matrix_s(c)
+
+
+@pytest.mark.parametrize("c", [Fr(7), Fr(39, 4), Fr(12)])
+def test_hessian_matrix_is_the_aggregate_hessian(pipeline, c):
+    # c*A(s) + B(s) from the weight-free parts equals the Hessian of the
+    # aggregate built for this one weight, entry by entry and exactly
+    hess_t = build_h_aggregate(pipeline, c).hessian()
+    want = [[pipeline.scoords.to_s(e) for e in row] for row in hess_t]
+    assert [list(row) for row in dc.hessian_matrix_s(c).rows] == want
+
+
+def test_hessian_parts_are_built_once():
+    # on first use, not with the pipeline, and then kept for every weight
+    pl = dc.Pipeline()
+    assert "hessian_parts" not in vars(pl)
+    first = pl.hessian_parts
+    assert pl.hessian_parts is first
+    assert all(e.degree() <= 1 for row in first[0].rows for e in row)
+    assert all(e.degree() <= 2 for row in first[1].rows for e in row)
 
 
 # -- local certificate -------------------------------------------------------------------------
@@ -434,7 +464,7 @@ def test_hessian_bound_at_39_4(monkeypatch):
     assert bound.display == "0.02646"
     assert bound.certified == Fr(264573, 10000000)
     assert bound.detail == {"det_degree": 16, "det_terms": 374459}
-    assert len(primes) == 6
+    assert len(primes) == 5
     assert all(p % 8 == 7 for p in primes)
 
 

@@ -1,6 +1,7 @@
 """The modular determinant engine must agree with the direct term-level
-expansion everywhere, its kernel must agree with a plain-Python reference,
-and its evaluation check must catch a wrong coefficient."""
+expansion everywhere, its residues must agree with the Laplace subset
+kernel kept here as the oracle, that kernel must agree with a plain-Python
+reference, and the evaluation check must catch a wrong coefficient."""
 
 import random
 from fractions import Fraction as Fr
@@ -14,10 +15,13 @@ from widthcert import _kernels
 from widthcert.exactnum import QSqrt2
 from widthcert.exactlinalg import PolyMatrix
 from widthcert.fastdet import (
+    _OFFSET,
     _MonomialTable,
     _det_one_prime,
     _integerize,
     _is_prime,
+    _laplace_plan,
+    _prime_limit,
     _setup,
     _split_primes_below,
     _verify_against_field_det,
@@ -170,12 +174,11 @@ def _level_inputs(rng, p, nsub=3, k=2, nq=6, size_k=40, size_prev=30, extreme=Fa
     return prev_a, prev_b, maps, coeff_a, coeff_b, src_rows
 
 
-def _assert_fewest_primes(primes, bound, terms):
-    # the primes are the largest split primes of their bit size, within the
-    # overflow guard, so no fewer primes of that size can clear 4*bound
-    assert primes == split_primes_below(1 << primes[0].bit_length(), len(primes))
-    assert all(p % 8 == 7 for p in primes)
-    assert terms * (primes[0] - 1) ** 2 < 2**63
+def _assert_fewest_primes(primes, bound, below):
+    # the primes are the largest split primes below the limit, so no fewer
+    # primes below it can clear 4*bound
+    assert primes == split_primes_below(below, len(primes))
+    assert all(p % 8 == 7 and p < below for p in primes)
     assert prod(primes) > 4 * bound
     assert len(primes) == 1 or prod(primes[:-1]) <= 4 * bound
 
@@ -183,11 +186,13 @@ def _assert_fewest_primes(primes, bound, terms):
 @pytest.mark.parametrize("bound", [0, 1, 2**23, 2**24, 2**49, 2**144, 3**200],
                          ids=lambda b: f"{b.bit_length()}-bits")
 def test_crt_primes_are_the_fewest(bound):
-    for terms in (1, 8 * 45, 10**6):
-        _assert_fewest_primes(crt_primes(bound, terms), bound, terms)
+    for below in (1 << 31, 1 << 25, 10**6):
+        _assert_fewest_primes(crt_primes(bound, below), bound, below)
+    with pytest.raises(ValueError):
+        crt_primes(max(bound, 7**4), 8)
 
 
-@pytest.mark.parametrize("keep_vars,bits,count", [(8, 144, 6), (6, 137, 6)])
+@pytest.mark.parametrize("keep_vars,bits,count", [(8, 144, 5), (6, 137, 5)])
 def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     # condition (iv) at c = 39/4 and its 6-variable section; only the bound is
     # computed, no determinant
@@ -198,11 +203,12 @@ def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
                                      if not any(m[keep_vars:])}))
     bound = coefficient_norm_bound(_integerize(matrix)[0])
     assert bound.bit_length() == bits
-    terms = 8 * monomial_table(keep_vars, 2).size_up_to[2]
-    primes = crt_primes(bound, terms)
+    below = _prime_limit(monomial_table(keep_vars, 16), monomial_table(keep_vars, 2).size_up_to[2],
+                         _OFFSET)
+    assert below == 1 << 31
+    primes = _setup(matrix)[1]
     assert len(primes) == count
-    assert all(p < 1 << 25 for p in primes)
-    _assert_fewest_primes(primes, bound, terms)
+    _assert_fewest_primes(primes, bound, below)
 
 
 def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
@@ -258,6 +264,49 @@ def test_level_pass_rejects_map_past_pad_slot():
         _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, 7)
 
 
+def shift_map(table, nq):
+    """M[q, r] = index of monomial_r - monomial_q, or the table size when an
+    exponent is negative, for the first nq monomials q; int32, q-major.  The
+    table is graded, so ``np.minimum(M[:, :size_up_to[d + e]], size_up_to[d])``
+    is the map of a Laplace level from degree d to d + e."""
+    size = len(table.keys)
+    shift = np.full((nq, size), size, dtype=np.int32)
+    exps = table.exps.astype(np.int16)
+    for qi in range(nq):
+        diff = exps - exps[qi]
+        valid = np.all(diff >= 0, axis=1)
+        key = table._pack(diff[valid], table.totals[valid] - table.totals[qi])
+        pos = np.searchsorted(table.keys, key)
+        assert np.array_equal(table.keys[pos], key)
+        shift[qi, valid] = pos
+    return shift
+
+
+def laplace_residues(n, table, entry_deg, shift, coeff_int, p):
+    """Residues mod p of the a- and b-parts of every determinant coefficient
+    by the memoized Laplace expansion over column subsets, one
+    `_kernels.level_pass` per level and lane pair: the oracle of
+    `_det_one_prime`, with the same lanes a + b*r and a - b*r."""
+    r = pow(2, (p + 1) // 4, p)
+    assert r * r % p == 2
+    cf = (coeff_int % p).astype(np.int64)
+    lanes = np.stack([(cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p])
+    sizes = table.size_up_to
+    prev = np.zeros((2, 1, sizes[0] + 1), dtype=np.int64)
+    prev[:, 0, 0] = 1
+    for k, (src_rows, cols, signs) in enumerate(_laplace_plan(n), start=1):
+        size_k, size_prev = sizes[entry_deg * k], sizes[entry_deg * (k - 1)]
+        maps = np.minimum(shift[:, :size_k], size_prev)
+        coeff = signs[:, None] * lanes[:, k - 1][:, cols] % p
+        out = np.zeros((2, len(cols), size_k + 1), dtype=np.int64)
+        _kernels.level_pass(prev[0], prev[1], maps, coeff[0], coeff[1], src_rows,
+                            out[0, :, :size_k], out[1, :, :size_k], p)
+        prev = out
+    plus, minus = prev[:, 0, :sizes[entry_deg * n]]
+    return ((plus + minus) * ((p + 1) // 2) % p,
+            (plus - minus) % p * pow(2 * r, -1, p) % p)
+
+
 def _level_shift_map(table, level_deg, prev_deg):
     """maps[q, r] = index of monomial_r - q in the degree <= prev_deg block,
     or the pad slot (the size of that block) when the difference has a
@@ -289,17 +338,18 @@ def _level_shift_map(table, level_deg, prev_deg):
     (6, 16, (2,)),
 ])
 def test_every_level_cut_matches_its_own_shift_map(monkeypatch, nvars, maxdeg, entry_degs):
-    # the maps `_det_one_prime` hands the kernel, level by level, with the
-    # kernel itself stubbed out; the table's map grows to the largest entry
-    # degree asked for and serves smaller ones from its first rows
+    # the maps the Laplace oracle hands the kernel, level by level, with the
+    # kernel itself stubbed out; a map for the largest entry degree serves
+    # smaller ones from its first rows
     table = _MonomialTable(nvars, maxdeg)
+    shift = shift_map(table, table.size_up_to[max(entry_degs)])
     for entry_deg in entry_degs:
         seen = []
         monkeypatch.setattr(_kernels, "level_pass", lambda *args: seen.append(args[2].copy()))
         n = maxdeg // entry_deg
         nq = table.size_up_to[entry_deg]
         coeff_int = np.zeros((n, n, nq, 2), dtype=object)
-        _det_one_prime(n, table, entry_deg, table.shift_map(nq), coeff_int, 7)
+        laplace_residues(n, table, entry_deg, shift[:nq], coeff_int, 7)
         assert len(seen) == n
         for k, maps in enumerate(seen, start=1):
             want = _level_shift_map(table, entry_deg * k, entry_deg * (k - 1))
@@ -323,9 +373,11 @@ def test_det_one_prime_residues_match_laplace(seed, n, nvars):
     scale = _integerize(M)[1]
     want = {m: (int(c.rat * scale**n), int(c.irr * scale**n)) for m, c in exact.terms.items()}
     assert sum(1 for a, b in want.values() if a and b) > 10
-    terms = n * monomial_table(nvars, 2).size_up_to[2]
-    largest = crt_primes(0, terms)[0]
-    for p in (7, 31, *split_primes_below(1 << 16, 2), largest):
+    # the smallest split prime above the degree 2n that the grid interpolates
+    smallest = next(q for q in (7, 23) if q > 2 * n)
+    largest = _setup(M)[1][0]
+    assert largest == (1 << 31) - 1
+    for p in (smallest, 31, *split_primes_below(1 << 16, 2), largest):
         det_a, det_b, monomials = _prime_residues(M, p)
         assert set(want) <= set(monomials)
         for idx, m in enumerate(monomials):
@@ -339,6 +391,99 @@ def test_det_one_prime_refuses_a_prime_not_7_mod_8():
     for p in (3, 5, 11, 13, 17):
         with pytest.raises(ValueError):
             _prime_residues(M, p)
+
+
+def test_det_one_prime_refuses_a_prime_not_above_the_degree():
+    # degree 8: the nine grid nodes 1 .. 9 of a variable collide mod 7
+    M = _random_poly_matrix(random.Random(25), 4, 2)
+    with pytest.raises(ValueError):
+        _prime_residues(M, 7)
+    _prime_residues(M, 23)
+
+
+def test_det_one_prime_guard_rejects_a_prime_past_the_float_limit():
+    # entries of degree 6 on a degree-12 grid: monomial values up to 13^6, so
+    # the exact float64 evaluation admits only primes far below 2^31
+    rng = random.Random(26)
+    M = _random_poly_matrix(rng, 2, 2, max_degree=6)
+    shared, primes, _ = _setup(M)
+    limit = _prime_limit(shared[1], shared[4].shape[2], _OFFSET)
+    assert limit < 1 << 27
+    assert primes == split_primes_below(limit, len(primes))
+    with pytest.raises(OverflowError):
+        _det_one_prime(*shared, next(_split_primes_below(1 << 31)))
+    _det_one_prime(*shared, primes[0])
+    assert det_poly_modular(M) == det_laplace(M)
+
+
+def _symmetric(M):
+    return PolyMatrix([[M.rows[min(i, j)][max(i, j)] for j in range(M.ncols)]
+                       for i in range(M.nrows)])
+
+
+@pytest.mark.parametrize("seed,n,nvars,symmetric", [
+    (31, 4, 4, False), (32, 4, 4, True),
+    (33, 3, 6, False), (34, 3, 6, True),
+    (35, 2, 8, False), (36, 3, 8, True),
+])
+def test_residues_match_the_laplace_oracle(seed, n, nvars, symmetric):
+    M = _random_poly_matrix(random.Random(seed), n, nvars)
+    if symmetric:
+        M = _symmetric(M)
+    shared = _setup(M)[0]
+    assert shared[2] == symmetric
+    table, coeff_int = shared[1], shared[4]
+    nq = coeff_int.shape[2]
+    # primes within the oracle kernel's overflow guard
+    for p in (split_primes_below(1 << 25, 1)[0], split_primes_below(1 << 20, 1)[0]):
+        want = laplace_residues(n, table, 2, shift_map(table, nq), coeff_int, p)
+        got = _det_one_prime(*shared, p)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
+
+
+def test_section_residues_match_the_laplace_oracle():
+    # the 6-variable section of condition (iv)'s matrix, the benchmark's size
+    from widthcert import deltacert as dc
+
+    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
+        lambda p: MvPoly(6, {m[:6]: c for m, c in p.terms.items() if not any(m[6:])}))
+    shared = _setup(matrix)[0]
+    n, table, symmetric, _, coeff_int = shared
+    assert symmetric and table.maxdeg == 16
+    p = split_primes_below(1 << 25, 1)[0]
+    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
+    got = _det_one_prime(*shared, p)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
+    # entry (0, 0) = s_0 - 1 vanishes at every grid point 1 + alpha with
+    # alpha_0 = 0, so the first pivot is 0 there, and with n = 3 the
+    # division-free formula divides by it; offset 0 moves the zeros elsewhere
+    M = _random_poly_matrix(random.Random(40 + symmetric), 3, 2)
+    rows = [list(row) for row in M.rows]
+    rows[0][0] = MvPoly.variable(0, 2) - MvPoly.constant(1, 2)
+    M = PolyMatrix(rows)
+    if symmetric:
+        M = _symmetric(M)
+    calls = []
+    det_mod = _kernels.det_mod
+    monkeypatch.setattr(_kernels, "det_mod", lambda *args: calls.append(args) or det_mod(*args))
+    n, table, sym, offset, coeff_int = _setup(M)[0]
+    assert offset == 1 and sym == symmetric
+    p = split_primes_below(1 << 25, 1)[0]
+    got = _det_one_prime(n, table, sym, offset, coeff_int, p)
+    face = int(np.count_nonzero(table.exps[:, 0] == 0))
+    assert len(calls) == 2 * face
+    assert all(matrix[0][0] == 0 for matrix, _ in calls)
+    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    calls.clear()
+    shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
+    assert calls == []
+    assert all(np.array_equal(g, w) for g, w in zip(shifted, want))
+    assert det_poly_modular(M) == det_laplace(M)
 
 
 def test_verify_catches_a_single_tampered_coefficient():

@@ -71,4 +71,7 @@ def test_benchmark_tracer_reads_a_section_determinant(monkeypatch):
     assert det["primes"] and all(p % 8 == 7 for p in det["primes"])
     assert det["bound_bits"] >= det["actual_bits"]
     assert det["terms"] > 0
-    assert tracer.counts.get("kernels.level_pass", 0) > 0
+    # the Laplace kernel is the tests' oracle now; the determinant runs one
+    # evaluation-interpolation pass per prime
+    assert tracer.counts.get("kernels.level_pass", 0) == 0
+    assert tracer.counts["fastdet.per_prime"] == len(det["primes"])
