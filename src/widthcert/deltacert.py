@@ -813,8 +813,11 @@ def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBoun
 def _check_pair_shift_invariant(p: MvPoly) -> None:
     """Raise `CertificationError` unless p(s) is unchanged when the four
     (s^h, s^v) pairs are shifted cyclically, that is, unless every exponent
-    tuple rotated by two places keeps its coefficient."""
-    if {m[-2:] + m[:-2]: coeff for m, coeff in p.terms.items()} != p.terms:
+    tuple rotated by two places keeps its coefficient.  The shift permutes
+    monomials, so looking up each rotated tuple in p's own terms reads every
+    coefficient once."""
+    coeff_at = p.terms.get
+    if not all(coeff == coeff_at(m[-2:] + m[:-2]) for m, coeff in p.terms.items()):
         raise CertificationError("Hessian determinant is not invariant under the pair shift")
 
 

@@ -75,7 +75,7 @@ class QSqrt2:
     def from_ints(a: int, b: int, d: int) -> "QSqrt2":
         """The element (a + b*sqrt2)/d of Python ints with d > 0, reduced by one gcd."""
         if d != 1:
-            g = gcd(a, b, d)
+            g = gcd(d, a, b)
             if g != 1:
                 a, b, d = a // g, b // g, d // g
         x = _NEW(QSqrt2)
@@ -162,10 +162,11 @@ class QSqrt2:
         return _sign(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QSqrt2)):
-            other = QSqrt2.coerce(other)
-            return self.a == other.a and self.b == other.b and self.d == other.d
-        return NotImplemented
+        if type(other) is not QSqrt2:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = QSqrt2(other)
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         if self.b == 0:
@@ -534,7 +535,11 @@ def interval_eval(expr: AlgExpr, precision: Fraction) -> RatInterval:
     )
 
 
-def certify_less(e1, e2, min_width: Fraction = Fraction(1, 10**20)) -> bool:
+#: the enclosure width at which `certify_less` gives up by default
+CERTIFY_MIN_WIDTH = Fraction(1, 10**20)
+
+
+def certify_less(e1, e2, min_width: Fraction = CERTIFY_MIN_WIDTH) -> bool:
     """True iff refinement separates e1 strictly below e2, False for the
     reverse separation.  Raises UndecidedComparison if the enclosures still
     overlap at width `min_width` (values too close, or equal)."""

@@ -58,19 +58,32 @@ Exactness is unconditional, not heuristic:
   Q(sqrt2)^nvars (`MvPoly.evaluate` sums that side on Python ints).
 
 Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
-the pairs (a, b) scaled to their common denominator, and each coefficient
-leaves as the triple (a, b, scale^n) reduced by one gcd.  What no prime
-changes is derived once: the Laplace plan per size n that the bound walks,
-the elimination plan per size and symmetry, and the difference steps of
-each monomial table (`_MonomialTable.newton_steps`).
+the pairs (a, b) scaled to their common denominator.  After the primes, in
+bulk (`det_poly_modular`):
+
+* CRT (`_crt_reconstruct`).  The live slots, where some residue is nonzero,
+  are exactly the nonzero coefficients.  Garner's mixed-radix digits of
+  those slots are int64 arrays, two digits pack into one limb below 2^62,
+  and the limbs combine into Python ints, one per part and live slot.
+* Terms.  The exponent rows of the live slots become tuples a block at a
+  time, each coefficient one `QSqrt2.from_ints(a, b, scale^n)`, and the
+  term dict is built in one pass and adopted by `MvPoly` without a second
+  check (`MvPoly._of_clean_terms`), with the cyclic collector paused.
+* Checks.  The constant-term and evaluation checks above, on the returned
+  polynomial.
+
+What no prime changes is derived once: the Laplace plan per size n that the
+bound walks, the elimination plan per size and symmetry, and the difference
+steps of each monomial table (`_MonomialTable.newton_steps`).
 """
 
 from __future__ import annotations
 
+import gc
 import random
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm, prod
 
 import numpy as np
@@ -83,6 +96,7 @@ from .mvpoly import MvPoly
 _EXP_BITS = 6  # per-variable exponent field in packed keys
 _OFFSET = 1  # the grid offset a, in every variable (module docstring)
 _BLOCK = 512  # grid points evaluated and eliminated together (module docstring)
+_TERM_BLOCK = 1 << 14  # exponent rows turned into tuples at a time
 
 
 class _MonomialTable:
@@ -300,12 +314,21 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
     n, table = shared[:2]
-    denom = scale ** n
-    terms = {}
-    for idx in np.flatnonzero((det_a != 0) | (det_b != 0)).tolist():
-        m = tuple(int(x) for x in table.exps[idx])
-        terms[m] = QSqrt2.from_ints(det_a[idx], det_b[idx], denom)
-    result = MvPoly(M.nvars, terms)
+    live = _live_slots(residues)
+    exps = table.exps[live]
+    monomials = (m for start in range(0, len(live), _TERM_BLOCK)
+                 for m in zip(*exps[start:start + _TERM_BLOCK].T.tolist()))
+    coeffs = map(QSqrt2.from_ints, det_a[live].tolist(), det_b[live].tolist(), repeat(scale ** n))
+    # each new QSqrt2 is a tracked object, and the collections that hundreds
+    # of thousands of them set off walk every live object: about 40% of the
+    # term build for condition (iv).  The terms hold no cycle to collect.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = MvPoly._of_clean_terms(M.nvars, dict(zip(monomials, coeffs)))
+    finally:
+        if collecting:
+            gc.enable()
     _verify_against_field_det(M, result)
     return result
 
@@ -427,16 +450,48 @@ def _interpolate(values: np.ndarray, table: _MonomialTable, offset: int, p: int)
                 lane[low] = _kernels.reduce_mod(shifted, p)
 
 
+def _live_slots(residues) -> np.ndarray:
+    """The slots where some residue of either part is nonzero: exactly the
+    nonzero determinant coefficients, since 0 is the only integer in the
+    symmetric range that every prime sends to 0."""
+    live = np.zeros(residues[0][0].shape, dtype=bool)
+    for pair in residues:
+        for part in pair:
+            live |= part != 0
+    return np.flatnonzero(live)
+
+
 def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
     """The integers in (-modulus/2, modulus/2] with the given residue pairs,
-    as object arrays of Python ints (a-parts, b-parts)."""
+    as object arrays of Python ints (a-parts, b-parts).
+
+    Garner's mixed-radix digits, with x = v_0 + p_0*(v_1 + p_1*(v_2 + ...)),
+    come out as int64 arrays; digits v_j and v_{j+1} pack into one limb
+    v_j + p_j*v_{j+1} < p_j*p_{j+1} < 2^62, and only the limbs of live slots
+    (`_live_slots`) become Python ints."""
+    if max(primes) >= 1 << 31:
+        raise OverflowError("primes must stay below 2^31 for int64 digits")
     modulus = prod(primes)
-    multipliers = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    live = _live_slots(residues)
     halves = []
     for part in (0, 1):
-        acc = sum(res[part].astype(object) * mult
-                  for res, mult in zip(residues, multipliers)) % modulus
-        halves.append(np.where(acc > modulus // 2, acc - modulus, acc))
+        digits = []
+        for k, p in enumerate(primes):
+            x = residues[k][part][live]
+            for j in range(k):
+                x -= digits[j]
+                x *= pow(primes[j], -1, p)
+                _kernels.reduce_mod(x, p)
+            digits.append(x)
+        value = 0
+        for j in reversed(range(0, len(primes), 2)):
+            limb = digits[j] if j + 1 == len(primes) else digits[j] + primes[j] * digits[j + 1]
+            value *= prod(primes[j:j + 2])
+            value += limb.astype(object)
+        value[value > modulus // 2] -= modulus
+        full = np.zeros(residues[0][part].shape, dtype=object)
+        full[live] = value
+        halves.append(full)
     return halves[0], halves[1]
 
 

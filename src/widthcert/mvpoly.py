@@ -9,6 +9,7 @@ graded lexicographic order.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -23,8 +24,24 @@ def graded_lex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
 
+def _add_terms(terms: dict[Monomial, QSqrt2], other: Mapping[Monomial, QSqrt2]) -> None:
+    """Add the terms of `other` into the term map `terms`, dropping zeros."""
+    for m, c in other.items():
+        s = terms.get(m, QS2_ZERO) + c
+        if s:
+            terms[m] = s
+        else:
+            terms.pop(m, None)
+
+
 class MvPoly:
-    """Sparse polynomial in `nvars` variables over QSqrt2."""
+    """Sparse polynomial in `nvars` variables over QSqrt2.
+
+    The public constructor checks and cleans every term.  `_of_clean_terms`
+    adopts a term map without a check; its caller guarantees the invariant
+    that the constructor establishes: every key is a tuple of `nvars`
+    non-negative ints, every value a nonzero `QSqrt2`, and no one else holds
+    the dict.  The ring operations below and `fastdet` build such maps."""
 
     __slots__ = ("nvars", "terms")
 
@@ -46,6 +63,15 @@ class MvPoly:
         raise AttributeError("MvPoly is immutable")
 
     # -- constructors ---------------------------------------------------------
+
+    @staticmethod
+    def _of_clean_terms(nvars: int, terms: dict[Monomial, QSqrt2]) -> "MvPoly":
+        """The polynomial with term map `terms`, adopted as it is (see the
+        class docstring for the invariant the caller guarantees)."""
+        poly = object.__new__(MvPoly)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @staticmethod
     def zero(nvars: int) -> "MvPoly":
@@ -82,16 +108,11 @@ class MvPoly:
     def __add__(self, other: "MvPoly") -> "MvPoly":
         self._check_compatible(other)
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, QS2_ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return MvPoly(self.nvars, terms)
+        _add_terms(terms, other.terms)
+        return MvPoly._of_clean_terms(self.nvars, terms)
 
     def __neg__(self) -> "MvPoly":
-        return MvPoly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return MvPoly._of_clean_terms(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MvPoly") -> "MvPoly":
         return self + (-other)
@@ -107,7 +128,7 @@ class MvPoly:
                     terms[m] = s
                 else:
                     terms.pop(m, None)
-        return MvPoly(self.nvars, terms)
+        return MvPoly._of_clean_terms(self.nvars, terms)
 
     def __pow__(self, n: int) -> "MvPoly":
         if n < 0:
@@ -121,7 +142,7 @@ class MvPoly:
         c = QSqrt2.coerce(c)
         if not c:
             return MvPoly.zero(self.nvars)
-        return MvPoly(self.nvars, {m: cc * c for m, cc in self.terms.items()})
+        return MvPoly._of_clean_terms(self.nvars, {m: cc * c for m, cc in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MvPoly):
@@ -218,7 +239,7 @@ class MvPoly:
         images = [MvPoly.linear_form(row) for row in matrix]
         # cache powers of each image to keep repeated exponents cheap
         powers: list[list[MvPoly]] = [[MvPoly.constant(1, n)] for _ in range(n)]
-        result = MvPoly.zero(n)
+        terms: dict[Monomial, QSqrt2] = {}
         for m, c in self.terms.items():
             term = MvPoly.constant(c, n)
             for i, e in enumerate(m):
@@ -228,8 +249,8 @@ class MvPoly:
                 while len(cache) <= e:
                     cache.append(cache[-1] * images[i])
                 term = term * cache[e]
-            result = result + term
-        return result
+            _add_terms(terms, term.terms)
+        return MvPoly._of_clean_terms(n, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -290,15 +311,22 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
 
     Coefficient of degree j is the sum of |c| over all total-degree-j terms
     (absolute value taken in QSqrt2 as a real number); the constant term is
-    -|f(0)|, which must be nonzero.
+    -|f(0)|, which must be nonzero.  The sums run on integers: the terms are
+    grouped by degree and denominator d, and each group's signed pairs (a, b)
+    with |c| = (a + b*sqrt2)/d add up to one `QSqrt2`.
     """
     const = f.constant_term()
     if not const:
         raise ValueError("companion bound requires a nonzero constant term")
-    degree = f.degree()
-    out = [QS2_ZERO] * (degree + 1)
+    groups: defaultdict[tuple[int, int], list[QSqrt2]] = defaultdict(list)
     for m, c in f.terms.items():
-        out[sum(m)] = out[sum(m)] + abs(c)
+        groups[sum(m), c.d].append(c)
+    out = [QS2_ZERO] * (max(degree for degree, _ in groups) + 1)
+    for (degree, d), coeffs in groups.items():
+        flip = [c.sign() < 0 for c in coeffs]
+        a = sum(-c.a if neg else c.a for c, neg in zip(coeffs, flip))
+        b = sum(-c.b if neg else c.b for c, neg in zip(coeffs, flip))
+        out[degree] += QSqrt2.from_ints(a, b, d)
     out[0] = -abs(const)
     return UniPoly(out)
 

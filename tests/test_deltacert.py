@@ -488,6 +488,33 @@ def test_pair_shift_invariance_check_reads_every_coefficient():
         dc._check_pair_shift_invariant(half_turn)
 
 
+def test_pair_shift_check_catches_one_changed_or_missing_term():
+    def orbit(m):
+        return {m[places:] + m[:places] for places in (0, 2, 4, 6)}
+
+    # whole orbits of the shift, each with one coefficient, and fixed points
+    rng = random.Random(29)
+    terms = {(0,) * dc.NVARS: QSqrt2(-3), (1,) * dc.NVARS: QSqrt2(0, -2)}
+    for _ in range(30):
+        m = tuple(rng.randrange(3) for _ in range(dc.NVARS))
+        coeff = QSqrt2(Fr(rng.randint(-9, 9), rng.randint(1, 4)), Fr(rng.randint(-9, 9), 3))
+        terms.update(dict.fromkeys(orbit(m), coeff or QSqrt2(1)))
+    dc._check_pair_shift_invariant(MvPoly(dc.NVARS, terms))
+    for m in terms:
+        missing = {k: v for k, v in terms.items() if k != m}
+        changed = {**terms, m: -terms[m]}
+        for broken in (missing, changed):
+            if len(orbit(m)) > 1:
+                with pytest.raises(dc.CertificationError):
+                    dc._check_pair_shift_invariant(MvPoly(dc.NVARS, broken))
+            else:  # a fixed monomial is its own image
+                dc._check_pair_shift_invariant(MvPoly(dc.NVARS, broken))
+    # dropping a whole orbit keeps the invariance
+    m = next(m for m in terms if len(orbit(m)) == 4)
+    dc._check_pair_shift_invariant(
+        MvPoly(dc.NVARS, {k: v for k, v in terms.items() if k not in orbit(m)}))
+
+
 @pytest.mark.slow
 def test_hessian_bound_reproduces_published_columns():
     for c, display in ((Fr(39, 4), "0.02646"), (Fr(7), "0.03185"), (Fr(12), "0.01501")):

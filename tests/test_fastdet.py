@@ -17,6 +17,7 @@ from widthcert.exactlinalg import PolyMatrix
 from widthcert.fastdet import (
     _OFFSET,
     _MonomialTable,
+    _crt_reconstruct,
     _det_one_prime,
     _integerize,
     _is_prime,
@@ -497,6 +498,63 @@ def test_verify_catches_a_single_tampered_coefficient():
         tampered[m] = tampered[m] + delta
         with pytest.raises(AssertionError):
             _verify_against_field_det(M, MvPoly(M.nvars, tampered))
+
+
+def crt_by_object_arrays(residues, primes):
+    """Reference CRT: one object-array sum of residue times CRT multiplier
+    per part, reduced into (-modulus/2, modulus/2]."""
+    modulus = prod(primes)
+    multipliers = [modulus // p * pow(modulus // p, -1, p) for p in primes]
+    halves = []
+    for part in (0, 1):
+        acc = sum(res[part].astype(object) * mult
+                  for res, mult in zip(residues, multipliers)) % modulus
+        halves.append(np.where(acc > modulus // 2, acc - modulus, acc))
+    return halves[0], halves[1]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_crt_reconstruct_matches_the_object_array_formula(count):
+    rng = random.Random(40 + count)
+    primes = split_primes_below(1 << 31, count)
+    modulus = prod(primes)
+    top = modulus // 2
+    # the ends of the symmetric range, their neighbours, zero on either part
+    # or both, and random values
+    a_values = [top, -top, top - 1, 1 - top, 0, 0, 1, -1, 0, top]
+    b_values = [-top, top, 0, 0, 0, 5, 0, 0, -top, top]
+    a_values += [rng.randint(-top, top) for _ in range(40)] + [0] * 10
+    b_values += [rng.randint(-top, top) for _ in range(40)] + [0] * 10
+    residues = [(np.array([v % p for v in a_values], dtype=np.int64),
+                 np.array([v % p for v in b_values], dtype=np.int64)) for p in primes]
+    det_a, det_b = _crt_reconstruct(residues, primes)
+    assert det_a.tolist() == a_values and det_b.tolist() == b_values
+    assert all(type(v) is int for v in det_a.tolist() + det_b.tolist())
+    want = crt_by_object_arrays(residues, primes)
+    assert det_a.tolist() == want[0].tolist() and det_b.tolist() == want[1].tolist()
+    # random residues, and every residue at p - 1
+    for lanes in ([[rng.randrange(p) for _ in range(60)] for p in primes],
+                  [[p - 1] * 3 for p in primes]):
+        residues = [(np.array(lane, dtype=np.int64), np.array(lane[::-1], dtype=np.int64))
+                    for lane in lanes]
+        got, want = _crt_reconstruct(residues, primes), crt_by_object_arrays(residues, primes)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+def test_crt_reconstruct_refuses_a_prime_past_2_31():
+    residues = [(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))] * 2
+    with pytest.raises(OverflowError):
+        _crt_reconstruct(residues, [2147483647, 2147483659])
+
+
+def test_determinant_term_map_is_clean():
+    rng = random.Random(8)
+    for n, nvars in ((3, 2), (4, 3)):
+        det = det_poly_modular(_random_poly_matrix(rng, n, nvars, density=0.4))
+        assert all(type(m) is tuple and len(m) == nvars and all(type(e) is int for e in m)
+                   for m in det.terms)
+        assert all(type(c) is QSqrt2 and c for c in det.terms.values())
+        assert MvPoly(nvars, dict(det.terms)) == det
 
 
 def test_constant_matrix_determinant():

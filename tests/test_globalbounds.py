@@ -75,8 +75,10 @@ def test_integer_cap_rejects_a_failed_certificate():
         gb._report(replace(row, claimed=Fr(44)), gb.DEFAULT_PRECISION)
 
 
-def test_global_bounds_certifies_each_inequality_once(monkeypatch, capsys):
-    from widthcert.cli import EXIT_OK, main
+def counting_rows(monkeypatch):
+    """Fresh copies of the rows in place of `INEQUALITIES`, by report name
+    (a row keeps its verdict once decided), and the list of certify_less
+    calls."""
     from widthcert.exactnum import certify_less
 
     calls = []
@@ -85,12 +87,69 @@ def test_global_bounds_certifies_each_inequality_once(monkeypatch, capsys):
         calls.append((a, b))
         return certify_less(a, b)
 
-    # fresh rows: a row keeps its verdict once decided
     monkeypatch.setattr(gb, "INEQUALITIES", tuple(replace(row) for row in gb.INEQUALITIES))
     monkeypatch.setattr(gb, "certify_less", counting_certify_less)
+    return {row.report_name: row for row in gb.INEQUALITIES}, calls
+
+
+def test_global_bounds_certifies_each_inequality_once(monkeypatch, capsys):
+    from widthcert.cli import EXIT_OK, main
+
+    rows, calls = counting_rows(monkeypatch)
     assert main(["--format", "kv", "global-bounds"]) == EXIT_OK
     assert "verdict=pass" in capsys.readouterr().out
-    assert len(calls) == len(gb.INEQUALITIES) == 8
+    # the seven reported rows take their verdicts from their report
+    # enclosures; only the unreported comparison of two radical expressions
+    # is refined by certify_less
+    unreported = rows[None]
+    assert len(rows) == len(gb.INEQUALITIES) == 8
+    assert [(a is unreported.expression, b is unreported.claimed) for a, b in calls] == [(True, True)]
+
+
+@pytest.mark.parametrize("name", ["width_floor", "width_cap"])  # ">" and "<"
+def test_report_verdict_falls_back_to_certify_less_when_the_enclosure_straddles(
+        monkeypatch, name):
+    # a true claim within 10^-15 of the value: the first enclosure, of width
+    # about 10^-5, straddles it, so certify_less refines further
+    rows, calls = counting_rows(monkeypatch)
+    row = rows[name]
+    tight = interval_eval(row.expression, Fr(1, 10**30))
+    gap = Fr(1, 10**15)
+    row = replace(row, claimed=tight.hi + gap if row.relation == "<" else tight.lo - gap)
+    assert gb._report(row, Fr(1)).verdict is True
+    assert len(calls) == 1
+    assert row.verdict is True and len(calls) == 1
+
+
+def test_report_verdict_below_the_certify_width_comes_from_certify_less(monkeypatch):
+    # below CERTIFY_MIN_WIDTH an enclosure is not trusted to stand for
+    # certify_less, which may give up before reaching that width
+    rows, calls = counting_rows(monkeypatch)
+    assert gb._report(rows["width_floor"], Fr(1, 10**21)).verdict is True
+    assert len(calls) == 1
+
+
+def test_report_verdict_from_a_separating_enclosure_is_kept_for_the_chain(monkeypatch):
+    rows, calls = counting_rows(monkeypatch)
+    for name in ("width_cap", "lam1_floor", "volume_cap"):
+        row = rows[name]
+        report = gb._report(row, gb.DEFAULT_PRECISION)
+        assert report.verdict is True and row.verdict is True
+    assert calls == []
+
+
+def test_report_verdict_of_a_wrong_claim_comes_from_certify_less(monkeypatch):
+    # 6/lam1^2 is about 44.05: the enclosure lies on the wrong side of 44
+    rows, calls = counting_rows(monkeypatch)
+    row = replace(rows["inscribed_general"], claimed=Fr(44), integer_cap=None)
+    assert gb._report(row, gb.DEFAULT_PRECISION).verdict is False
+    assert len(calls) == 1
+
+
+def test_report_with_an_unknown_relation_raises(monkeypatch):
+    rows, _ = counting_rows(monkeypatch)
+    with pytest.raises(ValueError, match="relation"):
+        gb._report(replace(rows["volume_floor"], relation="="), gb.DEFAULT_PRECISION)
 
 
 def test_all_reports_certified():

@@ -123,6 +123,42 @@ def test_evaluate_matches_naive_sum_of_terms():
             assert poly.evaluate(point) == _naive_evaluate(poly, [QSqrt2.coerce(x) for x in point])
 
 
+# -- term maps built without the constructor's checks ------------------------------------
+
+
+def _assert_clean(p):
+    """p's term map is what the public constructor makes of it, with no zero."""
+    assert all(type(m) is tuple and len(m) == p.nvars and all(type(e) is int and e >= 0 for e in m)
+               for m in p.terms)
+    assert all(type(c) is QSqrt2 and c for c in p.terms.values())
+    assert MvPoly(p.nvars, dict(p.terms)) == p
+
+
+def test_ring_operations_build_clean_term_maps():
+    rng = random.Random(5)
+    matrix = [[_random_scalar(rng) for _ in range(3)] for _ in range(3)]
+    for _ in range(12):
+        p, q = _random_poly(rng, nvars=3, terms=10), _random_poly(rng, nvars=3, terms=10)
+        # overlapping terms that cancel exactly
+        r = q + MvPoly(3, {m: -c for m, c in list(p.terms.items())[::2]})
+        results = [p + q, p + r, p - p, p - q, -p, p * q, p * (q - q), p.scale(QSqrt2(Fr(-2, 3), 1)),
+                   p.scale(0), p.substitute_linear(matrix),
+                   (p + x(0)).substitute_linear([[1, 0, 0], [1, 0, 0], [0, 0, 0]])]
+        for result in results:
+            _assert_clean(result)
+        assert p - p == MvPoly.zero(3) and (p + r) - r == p
+    # a result never shares its term map with an operand
+    p = _random_poly(rng, nvars=3)
+    assert (p + MvPoly.zero(3)).terms is not p.terms
+
+
+def test_substitute_linear_cancels_to_zero():
+    # p(A x) with A sending x0 and x1 to the same form: x0 - x1 -> 0
+    p = x(0) - x(1) + (x(0) * x(0) - x(1) * x(1)).scale(QSqrt2(0, 1))
+    image = p.substitute_linear([[1, 2, 0], [1, 2, 0], [0, 0, 1]])
+    assert image == MvPoly.zero(3) and image.terms == {}
+
+
 # -- calculus ------------------------------------------------------------------------
 
 
@@ -239,6 +275,32 @@ def test_companion_with_sqrt2_coefficients():
     f = (x(0) * x(1)).scale(3) - x(0).scale(QSqrt2(0, 1)) - const(1)
     f0 = cauchy_companion(f)
     assert f0 == UniPoly([QSqrt2(-1), QSqrt2(0, 1), QSqrt2(3)])
+
+
+def _companion_per_term(f):
+    """Reference: the plain QSqrt2 sum of |c| per degree, term by term."""
+    out = [QSqrt2(0)] * (f.degree() + 1)
+    for m, c in f.terms.items():
+        out[sum(m)] = out[sum(m)] + abs(c)
+    out[0] = -abs(f.constant_term())
+    return UniPoly(out)
+
+
+def test_companion_matches_the_per_term_sum():
+    rng = random.Random(23)
+    polys = [x(0) + x(1) - const(1), const(QSqrt2(Fr(-1, 3), Fr(1, 2)))]
+    for _ in range(20):
+        terms = {}
+        for _ in range(rng.randint(1, 30)):
+            m = tuple(rng.randint(0, 3) for _ in range(3))
+            # negative irrational parts, and rational parts of either sign
+            # so that a + b*sqrt2 changes sign against its parts
+            terms[m] = QSqrt2(Fr(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7))),
+                              Fr(-rng.randint(0, 7), rng.choice((1, 2, 3, 5))))
+        terms[(0, 0, 0)] = _random_scalar(rng) or QSqrt2(1)
+        polys.append(MvPoly(3, terms))
+    for f in polys:
+        assert cauchy_companion(f) == _companion_per_term(f)
 
 
 def test_companion_rejects_zero_constant():
