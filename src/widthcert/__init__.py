@@ -2,6 +2,14 @@
 lattice width 2 + sqrt2 is a strict local width maximizer, with an explicit
 certified neighborhood, plus certified global bounds on any maximizer."""
 
+import os
+
+# One OpenBLAS thread: the determinant's small float64 products gain nothing
+# from a second, which stalls while another process keeps its core busy.
+# OpenBLAS reads this when numpy loads, so it holds only if widthcert is
+# imported before numpy; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .exactnum import (
     AlgExpr,
     QSqrt2,

@@ -2,14 +2,13 @@
 
 `fastdet` runs the determinant by evaluation and interpolation on a grid
 (see its docstring) with the kernels here: `reduce_mod`, the batched
-division-free elimination `eliminate`, the batched inverse `inverse_mod`
-and the scalar fallback `det_mod`.  Residues lie in [0, p) with p < 2^31,
-so a product of two stays below 2^62 and a difference of two such products
-fits in int64.
+division-free elimination `eliminate` and the batched inverse
+`inverse_mod`.  Residues lie in [0, p) with p < 2^31, so a product of two
+stays below 2^62 and a difference of two such products fits in int64.
 
 The Laplace subset kernel `level_pass`, one level of a memoized Laplace
-expansion over dense coefficient arrays, is no longer called by `fastdet`.
-It stays for two readers: the benchmark's tracer wraps it as a trace
+expansion over dense coefficient arrays, is not called by `fastdet`.  It
+is kept only for two readers: the benchmark's tracer wraps it as a trace
 target, and the tests build on it the Laplace oracle that `fastdet`'s
 residues are compared against.
 
@@ -118,22 +117,3 @@ def inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
         inverse = below
     return inverse[:size]
 
-
-def det_mod(matrix: list[list[int]], p: int) -> int:
-    """Determinant mod p of a square matrix of residues, by elimination
-    with row pivoting."""
-    rows = [row[:] for row in matrix]
-    det = 1
-    for k in range(len(rows)):
-        pivot = next((i for i in range(k, len(rows)) if rows[i][k] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det = det * rows[k][k] % p
-        inverse = pow(rows[k][k], -1, p)
-        for i in range(k + 1, len(rows)):
-            factor = rows[i][k] * inverse % p
-            rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[k])]
-    return det % p

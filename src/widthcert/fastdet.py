@@ -27,10 +27,10 @@ Per prime, both lanes at once, in three steps (`_det_one_prime`):
   one prime are inverted together, by one Fermat inverse of their product
   and a product tree.  A symmetric matrix updates its upper triangle only.
   Every residue is below p < 2^31, so every product stays below 2^62 and is
-  reduced at once.  A point where that divisor is 0 mod p, a zero pivot
-  raised to a positive power, is recomputed by a scalar elimination with
-  pivoting; the formula never hides a zero pivot it does not divide by.
-  These array kernels live in `_kernels`.
+  reduced at once.  At a point where that divisor is 0 mod p, a zero pivot
+  raised to a positive power, the determinant is the exact `det_field` of
+  the entries there over Z[sqrt2]; the formula never hides a zero pivot it
+  does not divide by.  These array kernels live in `_kernels`.
 * Interpolation.  Forward differences along each variable in turn, divided
   by alpha! at the end, give the coefficients in the Newton basis
   prod_i (s_i - a)(s_i - a - 1)...(s_i - a - alpha_i + 1); a Newton-to-monomial
@@ -40,7 +40,7 @@ Per prime, both lanes at once, in three steps (`_det_one_prime`):
   out indexed like the monomials.
 
 The offset a is 1 in every variable.  Any offset gives the same residues;
-it only decides how many points take the scalar path.  For condition (iv),
+it only decides how many points take the exact path.  For condition (iv),
 a = 0 gives 94 grid points a zero divisor in both lanes and a = (1, ..., 1)
 none, on the primes tried; (1, ..., 1) is also fixed by the pair shift.
 Blocks of 512 points keep the arrays of one block near 1 MB.
@@ -49,9 +49,10 @@ Exactness is unconditional, not heuristic:
 
 * the primes are the fewest such primes whose product exceeds four times a
   certified bound on every coefficient of the determinant (the symmetric
-  residue range needs twice; the bound runs a Laplace subset recursion on the
-  coefficient-norm ``sum(|a| + 2|b|)`` of each entry, which is
-  submultiplicative for Z[sqrt2] polynomials);
+  residue range needs twice; the bound is the permanent of the
+  coefficient-norms ``sum(|a| + 2|b|)`` of the entries, which are
+  submultiplicative for Z[sqrt2] polynomials, by a recursion over column
+  subsets);
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
@@ -61,10 +62,10 @@ Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
 the pairs (a, b) scaled to their common denominator.  After the primes, in
 bulk (`det_poly_modular`):
 
-* CRT (`_crt_reconstruct`).  The live slots, where some residue is nonzero,
-  are exactly the nonzero coefficients.  Garner's mixed-radix digits of
-  those slots are int64 arrays, two digits pack into one limb below 2^62,
-  and the limbs combine into Python ints, one per part and live slot.
+* CRT (`_crt_reconstruct`) on the live slots only, where some residue is
+  nonzero: exactly the nonzero coefficients.  Their Garner mixed-radix
+  digits are int64 arrays, two digits pack into one limb below 2^62, and
+  the limbs combine into Python ints, one per part and live slot.
 * Terms.  The exponent rows of the live slots become tuples a block at a
   time, each coefficient one `QSqrt2.from_ints(a, b, scale^n)`, and the
   term dict is built in one pass and adopted by `MvPoly` without a second
@@ -72,9 +73,9 @@ bulk (`det_poly_modular`):
 * Checks.  The constant-term and evaluation checks above, on the returned
   polynomial.
 
-What no prime changes is derived once: the Laplace plan per size n that the
-bound walks, the elimination plan per size and symmetry, and the difference
-steps of each monomial table (`_MonomialTable.newton_steps`).
+What no prime changes is derived once: the elimination plan per size and
+symmetry, and the difference steps of each monomial table
+(`_MonomialTable.newton_steps`).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ import gc
 import random
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import repeat
 from math import lcm, prod
 
 import numpy as np
@@ -242,40 +243,20 @@ def _integerize(M: PolyMatrix) -> tuple[list[list[dict]], int]:
     return entries, scale
 
 
-@lru_cache(maxsize=None)
-def _laplace_plan(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Laplace expansion of an n x n determinant along rows 0 .. n-1: for
-    each level k = 1 .. n, (src_rows, cols, signs) such that every k-subset
-    S of the columns (the s-th in `combinations` order) has
-
-        value(S) = sum over t of signs[t] * entry[k-1][S[t]] * value(S - S[t])
-
-    with cols[s, t] = S[t], src_rows[s, t] the place of S - S[t] among the
-    (k-1)-subsets and signs[t] = (-1)^(k-1+t).  The empty subset has value
-    1; the one n-subset has the determinant."""
-    levels = []
-    prev_index = {(): 0}
-    for k in range(1, n + 1):
-        subsets = list(combinations(range(n), k))
-        src_rows = [[prev_index[s[:t] + s[t + 1:]] for t in range(k)] for s in subsets]
-        levels.append((np.array(src_rows, dtype=np.int32), np.array(subsets, dtype=np.intp),
-                       np.array([(-1) ** (k - 1 + t) for t in range(k)], dtype=np.int64)))
-        prev_index = {s: i for i, s in enumerate(subsets)}
-    return tuple(levels)
-
-
 def coefficient_norm_bound(entries: list[list[dict]]) -> int:
     """Upper bound on |a| and |b| of every coefficient of the determinant.
 
     Uses the submultiplicative weight n(a + b*sqrt2) = |a| + 2|b| (valid since
-    n(xy) <= n(x)n(y)) summed over terms, propagated through the subset
-    expansion of the determinant, with every sign taken as +1."""
-    norms = np.array([[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row]
-                      for row in entries], dtype=object)
-    value = np.ones(1, dtype=object)
-    for k, (src_rows, cols, _) in enumerate(_laplace_plan(len(entries))):
-        value = (norms[k][cols] * value[src_rows]).sum(axis=1)
-    return int(value[0])
+    n(xy) <= n(x)n(y)) summed over terms: the bound is the permanent of these
+    norms, by a recursion over column subsets held as bitmasks, where value[S]
+    is the permanent of rows 0 .. |S|-1 on the columns in S."""
+    norms = [[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row] for row in entries]
+    n = len(norms)
+    value = [1] * (1 << n)
+    for mask in range(1, 1 << n):
+        row = norms[mask.bit_count() - 1]
+        value[mask] = sum(row[j] * value[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
+    return value[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +291,16 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     arrays.  See the module docstring for the soundness argument."""
     shared, primes, scale = _setup(M)
     residues = [_det_one_prime(*shared, p) for p in primes]
-    det_a, det_b = _crt_reconstruct(residues, primes)
+    live = _live_slots(residues)
+    det_a, det_b = _crt_reconstruct([(a[live], b[live]) for a, b in residues], primes)
+    del residues  # the term build below is full (iv)'s memory peak
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
     n, table = shared[:2]
-    live = _live_slots(residues)
     exps = table.exps[live]
     monomials = (m for start in range(0, len(live), _TERM_BLOCK)
                  for m in zip(*exps[start:start + _TERM_BLOCK].T.tolist()))
-    coeffs = map(QSqrt2.from_ints, det_a[live].tolist(), det_b[live].tolist(), repeat(scale ** n))
+    coeffs = map(QSqrt2.from_ints, det_a.tolist(), det_b.tolist(), repeat(scale ** n))
     # each new QSqrt2 is a tracked object, and the collections that hundreds
     # of thousands of them set off walk every live object: about 40% of the
     # term build for condition (iv).  The terms hold no cycle to collect.
@@ -361,16 +343,16 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
         bottom[:, rows] = divisor.reshape(2, -1)
     zero = bottom == 0
     values = top * _kernels.inverse_mod(np.where(zero, 1, bottom).ravel(), p).reshape(2, size) % p
-    zero_lanes, zero_rows = np.nonzero(zero)
-    if len(zero_rows):
-        entries = _entry_values(table, zero_rows, offset, weights, p)
-        for t, lane in enumerate(zero_lanes.tolist()):
-            matrix = [[0] * n for _ in range(n)]
-            for (i, j), x in zip(slots, entries[:, lane * len(zero_rows) + t].tolist()):
-                matrix[i][j] = x
-                if symmetric:
-                    matrix[j][i] = x
-            values[lane, zero_rows[t]] = _kernels.det_mod(matrix, p)
+    for row in np.flatnonzero(zero.any(axis=0)).tolist():
+        # a zero divisor: the exact determinant at the point a + alpha instead
+        point = [offset + e for e in table.exps[row].tolist()]
+        monomials = [prod(map(pow, point, m)) for m in table.exps[:nq].tolist()]
+        entries = (coeff_int * np.array(monomials, dtype=object)[:, None]).sum(axis=2).tolist()
+        det = det_field(QMatrix([[QSqrt2.from_ints(a, b, 1) for a, b in entry_row]
+                                 for entry_row in entries]))
+        if det.d != 1:
+            raise AssertionError("determinant of an integral matrix is not integral")
+        values[:, row] = (det.a + det.b * r) % p, (det.a - det.b * r) % p
     _interpolate(values, table, offset, p)
     plus, minus = values
     return ((plus + minus) * ((p + 1) // 2) % p,
@@ -463,21 +445,21 @@ def _live_slots(residues) -> np.ndarray:
 
 def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
     """The integers in (-modulus/2, modulus/2] with the given residue pairs,
-    as object arrays of Python ints (a-parts, b-parts).
+    as object arrays of Python ints (a-parts, b-parts).  `det_poly_modular`
+    passes the live slots (`_live_slots`) only.
 
     Garner's mixed-radix digits, with x = v_0 + p_0*(v_1 + p_1*(v_2 + ...)),
     come out as int64 arrays; digits v_j and v_{j+1} pack into one limb
-    v_j + p_j*v_{j+1} < p_j*p_{j+1} < 2^62, and only the limbs of live slots
-    (`_live_slots`) become Python ints."""
+    v_j + p_j*v_{j+1} < p_j*p_{j+1} < 2^62, and the limbs combine into
+    Python ints."""
     if max(primes) >= 1 << 31:
         raise OverflowError("primes must stay below 2^31 for int64 digits")
     modulus = prod(primes)
-    live = _live_slots(residues)
     halves = []
     for part in (0, 1):
         digits = []
         for k, p in enumerate(primes):
-            x = residues[k][part][live]
+            x = residues[k][part].copy()
             for j in range(k):
                 x -= digits[j]
                 x *= pow(primes[j], -1, p)
@@ -489,9 +471,7 @@ def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
             value *= prod(primes[j:j + 2])
             value += limb.astype(object)
         value[value > modulus // 2] -= modulus
-        full = np.zeros(residues[0][part].shape, dtype=object)
-        full[live] = value
-        halves.append(full)
+        halves.append(value)
     return halves[0], halves[1]
 
 

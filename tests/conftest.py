@@ -1,5 +1,9 @@
 import pytest
 
+# widthcert picks one OpenBLAS thread only if it loads before numpy does,
+# and some test modules import numpy first
+import widthcert  # noqa: F401
+
 
 def pytest_addoption(parser):
     parser.addoption(

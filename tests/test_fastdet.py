@@ -1,17 +1,19 @@
 """The modular determinant engine must agree with the direct term-level
 expansion everywhere, its residues must agree with the Laplace subset
 kernel kept here as the oracle, that kernel must agree with a plain-Python
-reference, and the evaluation check must catch a wrong coefficient."""
+reference, the certified bound must be the permanent that the Laplace plan
+computes, and the evaluation check must catch a wrong coefficient."""
 
 import random
 from fractions import Fraction as Fr
-from itertools import islice
+from functools import lru_cache
+from itertools import combinations, islice
 from math import isqrt, prod
 
 import numpy as np
 import pytest
 
-from widthcert import _kernels
+from widthcert import _kernels, fastdet
 from widthcert.exactnum import QSqrt2
 from widthcert.exactlinalg import PolyMatrix
 from widthcert.fastdet import (
@@ -21,7 +23,7 @@ from widthcert.fastdet import (
     _det_one_prime,
     _integerize,
     _is_prime,
-    _laplace_plan,
+    _live_slots,
     _prime_limit,
     _setup,
     _split_primes_below,
@@ -265,6 +267,60 @@ def test_level_pass_rejects_map_past_pad_slot():
         _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, 7)
 
 
+@lru_cache(maxsize=None)
+def _laplace_plan(n):
+    """Laplace expansion of an n x n determinant along rows 0 .. n-1: for
+    each level k = 1 .. n, (src_rows, cols, signs) such that every k-subset
+    S of the columns (the s-th in `combinations` order) has
+
+        value(S) = sum over t of signs[t] * entry[k-1][S[t]] * value(S - S[t])
+
+    with cols[s, t] = S[t], src_rows[s, t] the place of S - S[t] among the
+    (k-1)-subsets and signs[t] = (-1)^(k-1+t).  The empty subset has value
+    1; the one n-subset has the determinant."""
+    levels = []
+    prev_index = {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        src_rows = [[prev_index[s[:t] + s[t + 1:]] for t in range(k)] for s in subsets]
+        levels.append((np.array(src_rows, dtype=np.int32), np.array(subsets, dtype=np.intp),
+                       np.array([(-1) ** (k - 1 + t) for t in range(k)], dtype=np.int64)))
+        prev_index = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
+def laplace_permanent(norms):
+    """The permanent of a square matrix of Python ints, by the Laplace plan
+    with every sign taken as +1: the oracle of `coefficient_norm_bound`."""
+    norms = np.array(norms, dtype=object)
+    value = np.ones(1, dtype=object)
+    for k, (src_rows, cols, _) in enumerate(_laplace_plan(len(norms))):
+        value = (norms[k][cols] * value[src_rows]).sum(axis=1)
+    return int(value[0])
+
+
+def _random_entries(rng, n):
+    """Integer coefficient dicts {monomial: (a, b)} with empty entries and,
+    now and then, a whole row of them."""
+    zero_row = rng.randrange(n) if rng.random() < 0.3 else None
+    return [[{} if i == zero_row or rng.random() < 0.25 else
+             {(t,): (rng.randint(-9, 9), rng.randint(-9, 9)) for t in range(rng.randint(1, 3))}
+             for _ in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norm_bound_is_the_laplace_permanent(n):
+    rng = random.Random(70 + n)
+    for _ in range(20):
+        entries = _random_entries(rng, n)
+        norms = [[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row]
+                 for row in entries]
+        assert coefficient_norm_bound(entries) == laplace_permanent(norms)
+    # all ones: the permanent is n!
+    ones = [[{(0,): (1, 0)}] * n for _ in range(n)]
+    assert coefficient_norm_bound(ones) == prod(range(1, n + 1))
+
+
 def shift_map(table, nq):
     """M[q, r] = index of monomial_r - monomial_q, or the table size when an
     exponent is negative, for the first nq monomials q; int32, q-major.  The
@@ -460,8 +516,9 @@ def test_section_residues_match_the_laplace_oracle():
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     # entry (0, 0) = s_0 - 1 vanishes at every grid point 1 + alpha with
-    # alpha_0 = 0, so the first pivot is 0 there, and with n = 3 the
-    # division-free formula divides by it; offset 0 moves the zeros elsewhere
+    # alpha_0 = 0, so the first pivot is 0 there in both lanes, and with
+    # n = 3 the division-free formula divides by it; each such point gets one
+    # exact determinant, and offset 2 moves the zeros off the grid
     M = _random_poly_matrix(random.Random(40 + symmetric), 3, 2)
     rows = [list(row) for row in M.rows]
     rows[0][0] = MvPoly.variable(0, 2) - MvPoly.constant(1, 2)
@@ -469,15 +526,17 @@ def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     if symmetric:
         M = _symmetric(M)
     calls = []
-    det_mod = _kernels.det_mod
-    monkeypatch.setattr(_kernels, "det_mod", lambda *args: calls.append(args) or det_mod(*args))
+    det_field = fastdet.det_field
+    monkeypatch.setattr(fastdet, "det_field",
+                        lambda matrix: calls.append(matrix) or det_field(matrix))
     n, table, sym, offset, coeff_int = _setup(M)[0]
     assert offset == 1 and sym == symmetric
     p = split_primes_below(1 << 25, 1)[0]
     got = _det_one_prime(n, table, sym, offset, coeff_int, p)
     face = int(np.count_nonzero(table.exps[:, 0] == 0))
-    assert len(calls) == 2 * face
-    assert all(matrix[0][0] == 0 for matrix, _ in calls)
+    assert len(calls) == face
+    assert all(matrix.rows[0][0] == 0 for matrix in calls)
+    assert all(x.d == 1 for matrix in calls for row in matrix.rows for x in row)
     want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     calls.clear()
@@ -513,6 +572,16 @@ def crt_by_object_arrays(residues, primes):
     return halves[0], halves[1]
 
 
+def _crt_live(residues, primes):
+    """`_crt_reconstruct` on the live slots, as `det_poly_modular` calls it,
+    against the reference restricted to the same slots."""
+    live = _live_slots(residues)
+    got = _crt_reconstruct([(a[live], b[live]) for a, b in residues], primes)
+    want = crt_by_object_arrays(residues, primes)
+    assert [g.tolist() for g in got] == [w[live].tolist() for w in want]
+    return live, got
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
 def test_crt_reconstruct_matches_the_object_array_formula(count):
     rng = random.Random(40 + count)
@@ -527,18 +596,20 @@ def test_crt_reconstruct_matches_the_object_array_formula(count):
     b_values += [rng.randint(-top, top) for _ in range(40)] + [0] * 10
     residues = [(np.array([v % p for v in a_values], dtype=np.int64),
                  np.array([v % p for v in b_values], dtype=np.int64)) for p in primes]
-    det_a, det_b = _crt_reconstruct(residues, primes)
-    assert det_a.tolist() == a_values and det_b.tolist() == b_values
+    live, (det_a, det_b) = _crt_live(residues, primes)
+    assert live.tolist() == [i for i, ab in enumerate(zip(a_values, b_values)) if any(ab)]
+    assert det_a.tolist() == [a_values[i] for i in live]
+    assert det_b.tolist() == [b_values[i] for i in live]
     assert all(type(v) is int for v in det_a.tolist() + det_b.tolist())
-    want = crt_by_object_arrays(residues, primes)
-    assert det_a.tolist() == want[0].tolist() and det_b.tolist() == want[1].tolist()
     # random residues, and every residue at p - 1
     for lanes in ([[rng.randrange(p) for _ in range(60)] for p in primes],
                   [[p - 1] * 3 for p in primes]):
-        residues = [(np.array(lane, dtype=np.int64), np.array(lane[::-1], dtype=np.int64))
-                    for lane in lanes]
-        got, want = _crt_reconstruct(residues, primes), crt_by_object_arrays(residues, primes)
-        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        _crt_live([(np.array(lane, dtype=np.int64), np.array(lane[::-1], dtype=np.int64))
+                   for lane in lanes], primes)
+    # no live slot: nothing to reconstruct
+    zeros = [(np.zeros(7, dtype=np.int64), np.zeros(7, dtype=np.int64)) for _ in primes]
+    live, got = _crt_live(zeros, primes)
+    assert len(live) == 0 and [g.shape for g in got] == [(0,), (0,)]
 
 
 def test_crt_reconstruct_refuses_a_prime_past_2_31():

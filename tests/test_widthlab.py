@@ -3,6 +3,7 @@ from fractions import Fraction as Fr
 from itertools import product
 from math import prod
 
+import numpy as np
 import pytest
 
 from widthcert import widthlab
@@ -127,22 +128,19 @@ def test_degenerate_polytope_rejected():
 
 
 def _brute_force_width(scaled_vertices, box=20):
-    best = None
-    count = 0
-    for f in product(range(-box, box + 1), repeat=3):
-        if f == (0, 0, 0):
-            continue
-        first = next(x for x in f if x)
-        if first < 0:
-            continue
-        values = [sum(c * v for c, v in zip(f, vert)) for vert in scaled_vertices]
-        w = max(values) - min(values)
-        if best is None or w < best:
-            best = w
-            count = 1
-        elif w == best:
-            count += 1
-    return best, count
+    """The smallest width max - min of f over the vertices, and how many f
+    attain it, for every integer f in [-box, box]^3 whose first nonzero
+    coordinate is positive, in int64."""
+    vertices = np.array(scaled_vertices, dtype=object)
+    # |f . v| <= 3 * box * max|v|, and a width is the difference of two
+    assert 2 * 3 * box * int(abs(vertices).max()) < 2**63
+    axis = np.arange(-box, box + 1, dtype=np.int64)
+    f = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    first = f[np.arange(len(f)), np.argmax(f != 0, axis=1)]
+    values = f[first > 0] @ vertices.astype(np.int64).T
+    widths = values.max(axis=1) - values.min(axis=1)
+    best = widths.min()
+    return int(best), int(np.count_nonzero(widths == best))
 
 
 def _random_rational_tetrahedron(rng):
