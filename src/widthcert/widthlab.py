@@ -9,22 +9,27 @@ on edges of K.  The rows of G are LLL-reduced exactly over Q(sqrt2) (delta =
 3/4) into a unimodular U (Lenstra, Lenstra and Lovasz 1982).  The reduced
 dual basis U . duals consists of short functionals on K, whatever the skew
 of the given basis or the length of K (Lenstra 1983), and the reduced
-lattice basis is its exact inverse transpose.  Width and hollowness of the
-same (K, L) share one reduction.
+lattice basis U^-T . basis comes from the integer adjugate of U.  Width and
+hollowness of the same (K, L) share one reduction.
 
-Box (width).  The shortest reduced dual gives an upper bound w0, the
-reduced rows U . G (the reduced duals on the same edges) give an exact box
-of reduced dual coefficient vectors whose direction could do at least as
-well, and the box is swept with exact comparisons.  Each attaining vector
-c' maps back to the coefficients c = U^T c' of the given dual basis, so the
-minimizers come out in the same order as a sweep in the given basis would
-give.
+Box (width).  The reduction also tabulates the reduced duals' values on
+K's vertices as integer pairs (A, B) over one denominator D, meaning
+(A + B sqrt2)/D, so the functional sum_k c'_k (reduced dual k) takes the
+value (sum_k c'_k A_k, sum_k c'_k B_k) on a vertex: a candidate costs
+integer products and exact integer signs.  The shortest reduced dual gives
+an upper bound w0, the reduced rows U . G (the reduced duals on the same
+edges) give an exact box of reduced dual coefficient vectors whose
+direction could do at least as well, and the box is swept on the table.
+Each attaining vector c' maps back to the coefficients c = U^T c' of the
+given dual basis, so the minimizers come out in the same order as a sweep
+in the given basis would give; only they become functionals, each checked
+to attain the width.
 
 Fibres (hollowness, for simplices: the only case the certification pipeline
-needs).  In reduced lattice coordinates, the two coordinates with the
-shortest ranges over K span a box of fibres; along each fibre the four facet
-inequalities give an exact open interval of the third coordinate, and only
-the integers in it are tested.
+needs).  In reduced lattice coordinates, whose ranges over K come from the
+same table, the two coordinates with the shortest ranges span a box of
+fibres; along each fibre the four facet inequalities give an exact open
+interval of the third coordinate, and only the integers in it are tested.
 
 `MAX_SWEEP` caps both the width candidates and the hollowness fibres of one
 call; a larger sweep raises `SweepTooLargeError` before it starts.
@@ -35,9 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import Sequence
 
-from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
+from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
 from .exactlinalg import QMatrix, SingularMatrixError, det_field, inverse_field
 
 Vec3 = tuple[QSqrt2, QSqrt2, QSqrt2]
@@ -279,18 +285,48 @@ def _lll(rows: Sequence[Sequence[QSqrt2]]
 @lru_cache(maxsize=1)
 def _reduce(K: Polytope, L: AffineLattice) -> tuple[
         AffineLattice, tuple[Functional, ...], tuple[tuple[int, ...], ...],
-        tuple[tuple[QSqrt2, ...], ...]]:
+        tuple[tuple[QSqrt2, ...], ...], tuple[int, tuple[tuple[int, ...], ...]]]:
     """Change L's basis by a unimodular U that makes the dual basis short on K.
-    Returns L with the basis U^-T . basis, its dual basis U . duals, U, and
-    the values G[i][j] of the reduced duals on K's independent differences.
-    Both classes hash by identity, so the one cached entry serves
-    `lattice_width` and `hollow_check` on the same objects."""
+    Returns L with the basis U^-T . basis, its dual basis U . duals, U, the
+    values G[i][j] of the reduced duals on K's independent differences, and
+    the table (D, columns) of the reduced duals on K's vertices: one column
+    (A_0, A_1, A_2, B_0, B_1, B_2) per vertex, dual k taking the value
+    (A_k + B_k sqrt2)/D there.  Both classes hash by identity, so the one
+    cached entry serves `lattice_width` and `hollow_check` on the same
+    objects."""
     duals = dual_lattice(L)
     diffs = _independent_differences(K)
     U, G = _lll([[d(e) for e in diffs] for d in duals])
     reduced = tuple(dual_functional(duals, row) for row in U)
-    basis = inverse_field(QMatrix([f.coeffs for f in reduced])).transpose()
-    return AffineLattice(L.origin, basis.rows), reduced, U, G
+    # U^-T = (adjugate of U)^T / det U, and det U = +-1
+    cyclic = ((1, 2), (2, 0), (0, 1))
+    cof = [[U[i][j] * U[k][l] - U[i][l] * U[k][j] for j, l in cyclic] for i, k in cyclic]
+    det = sum(U[0][j] * cof[0][j] for j in range(3))
+    if det not in (1, -1):
+        raise AssertionError("LLL transform is not unimodular")
+    basis = [[sum((L.basis[k][r] * (det * cof[i][k]) for k in range(3)), QS2_ZERO)
+              for r in range(3)] for i in range(3)]
+    values = [[f(v) for f in reduced] for v in K.vertices]
+    D = lcm(*(x.d for column in values for x in column))
+    columns = tuple(tuple(x.a * (D // x.d) for x in column)
+                    + tuple(x.b * (D // x.d) for x in column) for column in values)
+    return AffineLattice(L.origin, basis), reduced, U, G, (D, columns)
+
+
+def _extremes(columns: Sequence[Sequence[int]], c: Sequence[int]) -> tuple[int, int, int, int]:
+    """The least and the greatest value (A + B sqrt2)/D of the functional
+    sum_k c_k (reduced dual k) on K's vertices, as (A_lo, B_lo, A_hi, B_hi),
+    from the columns of `_reduce`'s table: integer products and exact signs."""
+    c0, c1, c2 = c
+    (la, lb), *rest = [(c0 * a0 + c1 * a1 + c2 * a2, c0 * b0 + c1 * b1 + c2 * b2)
+                       for a0, a1, a2, b0, b1, b2 in columns]
+    ha, hb = la, lb
+    for a, b in rest:
+        if _sign(a - la, b - lb) < 0:
+            la, lb = a, b
+        elif _sign(a - ha, b - hb) > 0:
+            ha, hb = a, b
+    return la, lb, ha, hb
 
 
 def _check_sweep(size: int, what: str) -> None:
@@ -304,19 +340,18 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
     together with the complete set of attaining functionals (one per +/-
     pair, first nonzero coordinate positive, sorted by their coefficient
     vectors in the dual basis of L)."""
-    _, reduced_duals, U, G = _reduce(K, L)
-    w0 = None
-    for d in reduced_duals:
-        w = width_in_direction(K, d)
-        if w0 is None or w < w0:
-            w0 = w
-    assert w0 is not None
-    bounds = _coefficient_box(G, w0)
+    _, reduced_duals, U, G, (D, columns) = _reduce(K, L)
+    # the shortest reduced dual's width (A + B sqrt2)/D bounds the box
+    best_a = best_b = None
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        la, lb, ha, hb = _extremes(columns, e)
+        if best_a is None or _sign(ha - la - best_a, hb - lb - best_b) < 0:
+            best_a, best_b = ha - la, hb - lb
+    bounds = _coefficient_box(G, QSqrt2.from_ints(best_a, best_b, D))
     size = 1
     for b in bounds:
         size *= 2 * b + 1
     _check_sweep(size // 2, "lattice width candidate")
-    best = w0
     best_coeffs: list[tuple[int, int, int]] = []
     for c in product(*[range(-b, b + 1) for b in bounds]):
         if c == (0, 0, 0):
@@ -324,13 +359,14 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
         first = next(x for x in c if x)
         if first < 0:
             continue  # -c covered by c
-        w = width_in_direction(K, dual_functional(reduced_duals, c))
-        cmp = (w - best).sign()
+        la, lb, ha, hb = _extremes(columns, c)
+        cmp = _sign(ha - la - best_a, hb - lb - best_b)
         if cmp < 0:
-            best = w
+            best_a, best_b = ha - la, hb - lb
             best_coeffs = [c]
         elif cmp == 0:
             best_coeffs.append(c)
+    best = QSqrt2.from_ints(best_a, best_b, D)
     # sort by the coefficients c = U^T c' in the dual basis of L, each with
     # its first nonzero coordinate positive
     keyed = []
@@ -403,15 +439,17 @@ def hollow_check(K: Polytope, L: AffineLattice) -> HollownessResult:
     """Simplex hollowness by fibres of reduced lattice coordinates: every
     integer point strictly inside the interval a fibre meets K in is tested
     against the four facet inequalities.  Returns an interior witness if any."""
-    K.require_simplex()
     facets = facet_hyperplanes(K)
-    lattice, duals, _, _ = _reduce(K, L)
+    lattice, duals, _, _, (D, columns) = _reduce(K, L)
     origin, basis = lattice.origin, lattice.basis
     # the integers strictly inside the range of each reduced coordinate over K
     ranges = []
-    for d in duals:
-        values = [d(_vsub(v, origin)) for v in K.vertices]
-        ranges.append(range(min(values).floor() + 1, -((-max(values)).floor())))
+    for d, e in zip(duals, ((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+        la, lb, ha, hb = _extremes(columns, e)
+        at_origin = d(origin)
+        lo = QSqrt2.from_ints(la, lb, D) - at_origin
+        hi = QSqrt2.from_ints(ha, hb, D) - at_origin
+        ranges.append(range(lo.floor() + 1, -((-hi).floor())))
     counts = [max(0, r.stop - r.start) for r in ranges]  # len() overflows past 2^63
     axis = max(range(3), key=counts.__getitem__)
     a, b = (i for i in range(3) if i != axis)

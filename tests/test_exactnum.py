@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from fractions import Fraction as Fr
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +106,48 @@ def test_floor_brackets_value(a):
     f = a.floor()
     assert (a - f).sign() >= 0
     assert (a - (f + 1)).sign() < 0
+
+
+def _isqrt_sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt2 from floor(b*sqrt2) by `math.isqrt`: for b != 0,
+    b*sqrt2 is irrational, so a + b*sqrt2 lies strictly between the
+    consecutive integers a + floor(b*sqrt2) and that plus one."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    m = isqrt(2 * b * b)
+    low = a + (m if b > 0 else -m - 1)
+    return 1 if low >= 0 else -1
+
+
+def _sign_near_ties():
+    """(+-a, +-b) with a^2 - 2b^2 = +-1 up to about 2^256, where |a| and
+    |b|*sqrt2 differ by less than 1/|a|, and their neighbours a +- 1."""
+    a, b = 1, 1
+    while a < 2**257:
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            yield sa * a, sb * b
+            yield sa * a + 1, sb * b
+            yield sa * a - 1, sb * b
+        a, b = a + 2 * b, a + b
+
+
+def test_integer_sign_on_pell_near_ties():
+    cases = list(_sign_near_ties())
+    assert max(abs(a) for a, _ in cases).bit_length() >= 256
+    assert {abs(a * a - 2 * b * b) for a, b in cases[::3]} == {1}
+    for a, b in cases:
+        assert exactnum._sign(a, b) == _isqrt_sign(a, b), (a, b)
+        assert exactnum._sign(-a, -b) == -exactnum._sign(a, b)
+
+
+@given(st.integers(-(2**300), 2**300), st.integers(-(2**300), 2**300))
+@settings(max_examples=300)
+def test_integer_sign_matches_isqrt_oracle(a, b):
+    assert exactnum._sign(a, b) == _isqrt_sign(a, b)
+    # a nearby point on the line a = -b*sqrt2: the hardest region for any sign
+    near = -(isqrt(2 * b * b) if b > 0 else -isqrt(2 * b * b))
+    for da in (-1, 0, 1):
+        assert exactnum._sign(near + da, b) == _isqrt_sign(near + da, b)
 
 
 def test_ordering_total():

@@ -259,6 +259,14 @@ def test_hollow_check_needs_simplex():
         hollow_check(UNIT_CUBE, Z3)
 
 
+def test_hollow_check_tests_the_simplex_once(monkeypatch):
+    calls = []
+    is_simplex = Polytope.is_simplex
+    monkeypatch.setattr(Polytope, "is_simplex", lambda K: calls.append(K) or is_simplex(K))
+    assert hollow_check(UNIT_SIMPLEX, Z3).hollow
+    assert calls == [UNIT_SIMPLEX]
+
+
 def _lattice_coordinates(L, x):
     """Coefficients of x - origin in the basis of L."""
     diff = [a - b for a, b in zip(x, L.origin)]
@@ -378,6 +386,34 @@ def test_reduced_width_matches_box_sweep_on_random_tetrahedra():
         assert result.minimizers == oracle.minimizers
 
 
+def test_reduced_width_matches_box_sweep_on_irrational_tetrahedra():
+    # the sqrt2 parts of the vertex table, away from the images of Delta; every
+    # third body is a dilated unit simplex moved by an irrational vector, whose
+    # several minimizers tie on irrational vertex values
+    rng = random.Random(29)
+    sqrt2_basis = AffineLattice((0, 0, 0), ((1, QSqrt2(0, 1), 0), (0, 1, QSqrt2(0, 1)), (1, 0, 2)))
+    checked = 0
+    while checked < 24:
+        if checked % 3 == 2:
+            k = Fr(rng.randint(1, 5), rng.randint(1, 3))
+            shift = [QSqrt2(0, rng.randint(-3, 3)) / rng.randint(1, 4) for _ in range(3)]
+            K = Polytope([[x * k + t for x, t in zip(v, shift)] for v in UNIT_SIMPLEX.vertices])
+        else:
+            K = _random_qsqrt2_tetrahedron(rng)
+        if all(x.b == 0 for v in K.vertices for x in v):
+            continue
+        base = Z3 if checked % 2 == 0 else sqrt2_basis
+        L = _rebased(base, _random_unimodular(rng, steps=4), [rng.randint(-2, 2) for _ in range(3)])
+        w0 = min(width_in_direction(K, d) for d in dual_lattice(L))
+        if prod(2 * b + 1 for b in given_box(K, L, w0)) > 20000:
+            continue
+        checked += 1
+        result = lattice_width(K, L)
+        oracle = box_sweep_lattice_width(K, L)
+        assert result.width == oracle.width
+        assert result.minimizers == oracle.minimizers
+
+
 def test_reduced_width_matches_box_sweep_on_short_needles():
     for n in range(1, 7):
         K = _needle(n)
@@ -401,6 +437,26 @@ def test_hollow_check_matches_brute_force_on_rebased_bodies(delta_model):
         if not result.hollow:
             assert all(x.floor() == x for x in _lattice_coordinates(L, result.witness))
             assert all(f(result.witness).sign() > 0 for f in facet_hyperplanes(K))
+
+
+def test_hollow_check_matches_brute_force_with_moved_origins():
+    # each fibre box is taken relative to the lattice origin, here a point with
+    # rational and irrational parts, so the tested points move with it
+    rng = random.Random(37)
+    verdicts = []
+    for k in (1, Fr(3, 2), 2, 3):
+        K = Polytope([(0, 0, 0), (k, 0, 0), (0, k, 0), (0, 0, k)])
+        for _ in range(3):
+            origin = [QSqrt2(Fr(rng.randint(-6, 6), 4), Fr(rng.randint(-3, 3), 5))
+                      for _ in range(3)]
+            L = _rebased(AffineLattice(origin, Z3.basis), _random_unimodular(rng))
+            result = hollow_check(K, L)
+            verdicts.append(result.hollow)
+            assert result.hollow == _brute_force_hollow(K, L)
+            if not result.hollow:
+                assert all(x.floor() == x for x in _lattice_coordinates(L, result.witness))
+                assert all(f(result.witness).sign() > 0 for f in facet_hyperplanes(K))
+    assert set(verdicts) == {True, False}
 
 
 # -- needles: bounded work whatever their length -----------------------------------------
@@ -427,20 +483,23 @@ SKEW = ((1, 1, 0), (1, 2, 1), (0, 1, 2))
 @pytest.mark.parametrize("skew", [False, True])
 @pytest.mark.parametrize("n", sorted(NEEDLES))
 def test_needle_invariants_within_a_fixed_amount_of_work(n, skew, monkeypatch):
+    # "candidates" counts every functional evaluated on the vertex table: the
+    # three reduced duals and each swept candidate of the width, and the three
+    # reduced coordinates of hollowness
     calls = {"candidates": 0, "points": 0}
-    width = widthlab.width_in_direction
+    extremes = widthlab._extremes
     point = AffineLattice.point
 
-    def counted_width(K, f):
+    def counted_extremes(columns, c):
         calls["candidates"] += 1
-        return width(K, f)
+        return extremes(columns, c)
 
     def counted_point(self, coeffs):
         calls["points"] += 1
         return point(self, coeffs)
 
     L = _rebased(Z3, SKEW) if skew else Z3
-    monkeypatch.setattr(widthlab, "width_in_direction", counted_width)
+    monkeypatch.setattr(widthlab, "_extremes", counted_extremes)
     monkeypatch.setattr(AffineLattice, "point", counted_point)
     result = lattice_width(_needle(n), L)
     hollow = hollow_check(_needle(n), L).hollow
@@ -460,17 +519,17 @@ def test_long_hollow_simplex_takes_one_fibre(skew, monkeypatch):
 
 def test_sweeps_over_the_cap_are_refused_before_they_start(delta_model, monkeypatch):
     calls = []
-    width = widthlab.width_in_direction
+    extremes = widthlab._extremes
 
-    def counted_width(K, f):
-        calls.append(f)
-        return width(K, f)
+    def counted_extremes(columns, c):
+        calls.append(c)
+        return extremes(columns, c)
 
-    monkeypatch.setattr(widthlab, "width_in_direction", counted_width)
+    monkeypatch.setattr(widthlab, "_extremes", counted_extremes)
     monkeypatch.setattr(widthlab, "MAX_SWEEP", 2)
     with pytest.raises(SweepTooLargeError, match="lattice width candidate sweep"):
         lattice_width(delta_model.polytope, delta_model.lattice)
-    assert len(calls) == 3  # the three reduced dual directions that bound w0
+    assert calls == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]  # the reduced duals that bound w0
     with pytest.raises(SweepTooLargeError, match="hollowness fibre sweep"):
         hollow_check(Polytope([(0, 0, 0), (9, 0, 0), (0, 9, 0), (0, 0, 9)]), Z3)
 
@@ -540,10 +599,12 @@ def test_lll_rows_are_size_reduced_and_lovasz_exactly(delta_model):
 
 def test_reduced_basis_pairs_with_reduced_duals(delta_model):
     for K, L in _reduction_bodies(delta_model):
-        lattice, duals, U, G = widthlab._reduce(K, L)
+        lattice, duals, U, G, (D, columns) = widthlab._reduce(K, L)
         assert abs(_det3(U)) == 1
         diffs = widthlab._independent_differences(K)
         assert G == tuple(tuple(d(e) for e in diffs) for d in duals)
+        assert [[QSqrt2.from_ints(col[k], col[3 + k], D) for k in range(3)]
+                for col in columns] == [[d(v) for d in duals] for v in K.vertices]
         assert lattice.origin == L.origin
         assert duals == tuple(dual_functional(dual_lattice(L), row) for row in U)
         for i, b in enumerate(lattice.basis):
