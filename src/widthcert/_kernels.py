@@ -70,10 +70,12 @@ def level_pass(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, out_a, out_b, p
             np.remainder(acc, p, out=out[si])
 
 
-def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+def reduce_mod(x: np.ndarray, p: int, scratch: np.ndarray | None = None) -> np.ndarray:
     """x mod p in place, for int64 x; numpy divides by a scalar several
-    times faster than it takes a remainder, most of all of negative x."""
-    x -= x // p * p
+    times faster than it takes a remainder, most of all of negative x; the
+    quotient goes to `scratch` (int64, x's shape) if given."""
+    quotient = np.floor_divide(x, p, out=scratch)
+    x -= np.multiply(quotient, p, out=quotient)
     return x
 
 
@@ -81,20 +83,22 @@ def eliminate(values, steps, p) -> tuple[np.ndarray, np.ndarray]:
     """Division-free elimination of every column of `values`, one row per
     entry slot, by the steps of `fastdet._elimination_plan`, in place: per
     column the last entry and the divisor prod_k pivot_k^(n-2-k), whose
-    quotient is the determinant mod p."""
+    quotient is the determinant mod p.  A step is one update of the tail
+    values[start:], whatever its rows; the gathers copy, so they read before
+    the tail is written, and their buffer then takes the quotient."""
     prefix = np.ones(values.shape[1], dtype=np.int64)
     divisor = prefix.copy()
-    for k, (pivot, rows) in enumerate(steps):
+    for k, (pivot, start, factor, source) in enumerate(steps):
         pivots = values[pivot]
         if k < len(steps) - 1:
             prefix = reduce_mod(prefix * pivots, p)
             divisor = reduce_mod(divisor * prefix, p)
-        for factor, target, source in rows:
-            product = values[source] * values[factor]
-            row = values[target]
-            row *= pivots
-            row -= product
-            reduce_mod(row, p)
+        product = values[factor]
+        product *= values[source]
+        tail = values[start:]
+        tail *= pivots
+        tail -= product
+        reduce_mod(tail, p, scratch=product)
     return values[-1], divisor
 
 

@@ -25,7 +25,11 @@ Per prime, both lanes at once, in three steps (`_det_one_prime`):
   determinant by pivot_k^(m-1) for a block of size m.  So the determinant is
   the last entry over the divisor prod_k pivot_k^(n-2-k).  All divisors of
   one prime are inverted together, by one Fermat inverse of their product
-  and a product tree.  A symmetric matrix updates its upper triangle only.
+  and a product tree.  Entry slots are kept row by row (the upper triangle
+  when symmetric), so the rows below pivot k form one contiguous tail, and
+  step k is one fixed set of array operations on it, however many rows,
+  with per-slot `factor` and `source` gathers (`_elimination_plan`); without
+  symmetry it also rewrites columns already eliminated, which nothing reads.
   Every residue is below p < 2^31, so every product stays below 2^62 and is
   reduced at once.  At a point where that divisor is 0 mod p, a zero pivot
   raised to a positive power, the determinant is the exact `det_field` of
@@ -362,22 +366,22 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
 @lru_cache(maxsize=None)
 def _elimination_plan(n: int, symmetric: bool):
     """The entry slots (i, j) kept, row by row, the upper triangle when
-    symmetric; and per elimination step k < n - 1 the pivot slot (k, k) and,
-    for each row i > k, (factor, target, source): row i's slots j > k
-    (j >= i when symmetric) become pivot * (i, j) - factor * (k, j), with
-    factor the slot (i, k), or (k, i) when symmetric, and target and source
-    the slices of row i's and row k's slots over those j."""
+    symmetric; and per elimination step k < n - 1 (pivot, start, factor,
+    source): the pivot slot (k, k) and the slots values[start:] from
+    (k + 1, k + 1) on, each of which becomes pivot * (i, j) - factor * source
+    with factor the slot (i, k), or (k, i) when symmetric, and source (k, j).
+    When symmetric that tail is exactly the slots k < i <= j; otherwise it
+    also holds the dead columns j <= k of rows i > k + 1, which no later step
+    reads, so their values do not matter."""
     slots = [(i, j) for i in range(n) for j in range(i if symmetric else 0, n)]
     place = {s: t for t, s in enumerate(slots)}
     steps = []
     for k in range(n - 1):
-        rows = []
-        for i in range(k + 1, n):
-            first = i if symmetric else k + 1
-            factor = place[(k, i) if symmetric else (i, k)]
-            rows.append((factor, slice(place[(i, first)], place[(i, n - 1)] + 1),
-                         slice(place[(k, first)], place[(k, n - 1)] + 1)))
-        steps.append((place[(k, k)], rows))
+        start = place[(k + 1, k + 1)]
+        factor = [place[(k, i) if symmetric else (i, k)] for i, _ in slots[start:]]
+        source = [place[(k, j)] for _, j in slots[start:]]
+        steps.append((place[(k, k)], start, np.array(factor, dtype=np.intp),
+                      np.array(source, dtype=np.intp)))
     return slots, steps
 
 

@@ -482,6 +482,10 @@ def _symmetric(M):
     (31, 4, 4, False), (32, 4, 4, True),
     (33, 3, 6, False), (34, 3, 6, True),
     (35, 2, 8, False), (36, 3, 8, True),
+    # no elimination step at all (a 1 x 1 matrix is symmetric)
+    (37, 1, 3, True),
+    # step-wide tails that carry already-eliminated columns
+    (38, 5, 2, False), (39, 6, 2, False),
 ])
 def test_residues_match_the_laplace_oracle(seed, n, nvars, symmetric):
     M = _random_poly_matrix(random.Random(seed), n, nvars)
@@ -544,6 +548,59 @@ def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     assert calls == []
     assert all(np.array_equal(g, w) for g, w in zip(shifted, want))
     assert det_poly_modular(M) == det_laplace(M)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_later_zero_pivot_takes_the_scalar_path(monkeypatch, symmetric):
+    # row 0 and column 0 are zero off the diagonal, so step 0 only scales
+    # the trailing block by pivot_0 and the step-1 pivot is
+    # pivot_0 * (s_0 - 1): 0 on the face alpha_0 = 0, and the n = 4 divisor
+    # pivot_0^2 * pivot_1 holds it to the power 1
+    M = _random_poly_matrix(random.Random(45 + symmetric), 4, 2)
+    rows = [list(row) for row in M.rows]
+    for j in range(1, 4):
+        rows[0][j] = rows[j][0] = MvPoly.zero(2)
+    rows[1][1] = MvPoly.variable(0, 2) - MvPoly.constant(1, 2)
+    M = PolyMatrix(rows)
+    if symmetric:
+        M = _symmetric(M)
+    calls = []
+    det_field = fastdet.det_field
+    monkeypatch.setattr(fastdet, "det_field",
+                        lambda matrix: calls.append(matrix) or det_field(matrix))
+    n, table, sym, offset, coeff_int = _setup(M)[0]
+    assert offset == 1 and sym == symmetric
+    p = split_primes_below(1 << 25, 1)[0]
+    got = _det_one_prime(n, table, sym, offset, coeff_int, p)
+    face = int(np.count_nonzero(table.exps[:, 0] == 0))
+    assert len(calls) == face
+    assert all(matrix.rows[1][1] == 0 and matrix.rows[0][0] != 0 for matrix in calls)
+    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    calls.clear()
+    shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
+    assert calls == []
+    assert all(np.array_equal(g, w) for g, w in zip(shifted, want))
+
+
+@pytest.mark.parametrize("n,symmetric", [(n, s) for n in range(1, 7) for s in (False, True)])
+def test_elimination_plan_updates_one_contiguous_tail(n, symmetric):
+    slots, steps = fastdet._elimination_plan(n, symmetric)
+    assert len(steps) == n - 1
+    for k, (pivot, start, factor, source) in enumerate(steps):
+        assert slots[pivot] == (k, k) and slots[start] == (k + 1, k + 1)
+        tail = slots[start:]
+        assert len(factor) == len(source) == len(tail)
+        assert all(i > k for i, _ in tail)
+        if symmetric:
+            assert sorted(tail) == [(i, j) for i in range(k + 1, n) for j in range(i, n)]
+        else:
+            # the live block; the rest of the tail are columns j <= k
+            assert {(i, j) for i, j in tail if j > k} == {
+                (i, j) for i in range(k + 1, n) for j in range(k + 1, n)}
+        for (i, j), f, s in zip(tail, factor.tolist(), source.tolist()):
+            assert slots[f] == ((k, i) if symmetric else (i, k))
+            assert slots[s] == (k, j)
 
 
 def test_verify_catches_a_single_tampered_coefficient():
