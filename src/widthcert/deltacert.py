@@ -557,13 +557,27 @@ class Pipeline:
         s, of the aggregate sum((c - l_i) * lam_i * h_i) for every weight c:
         the Hessians of sum lam_i * h_i and of -sum l_i * lam_i * h_i.  The
         aggregate's gradient at 0 vanishes for every c because it vanishes
-        for both parts, which is checked here."""
+        for both parts, which is checked here.
+
+        Each part f(t) = g(s) is rewritten in s once; with s = S t
+        (`SCoords.s_from_t`), its Hessian in t is the congruence S^T H_g S of
+        g's Hessian in s, whose entries are already polynomials in s.  S is
+        2 x 2 block-diagonal, so each entry sums at most four of H_g's."""
         weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
         parts = (sum(weighted, MvPoly.zero(NVARS)),
                  -sum((w.graded_part(1) * w for w in weighted), MvPoly.zero(NVARS)))
         if any(x for part in parts for x in part.gradient_at_zero()):
             raise CertificationError("aggregate gradient at 0 is not zero")
-        return tuple(PolyMatrix(part.hessian()).map_entries(self.scoords.to_s) for part in parts)
+        S = self.scoords.s_from_t.rows
+        support = [[k for k in range(NVARS) if S[k][i]] for i in range(NVARS)]
+
+        def hessian_in_t(part: MvPoly) -> PolyMatrix:
+            h = self.scoords.to_s(part).hessian()
+            return PolyMatrix([[sum((h[k][l].scale(S[k][i] * S[l][j])
+                                     for k in support[i] for l in support[j]), MvPoly.zero(NVARS))
+                                for j in range(NVARS)] for i in range(NVARS)])
+
+        return tuple(hessian_in_t(part) for part in parts)
 
     @cached_property
     def symmetry(self) -> SymmetryCheck:

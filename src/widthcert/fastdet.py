@@ -36,7 +36,8 @@ Per prime, both lanes at once, in three steps (`_det_one_prime`):
   the entries there over Z[sqrt2]; the formula never hides a zero pivot it
   does not divide by.  These array kernels live in `_kernels`.
 * Interpolation.  Forward differences along each variable in turn, divided
-  by alpha! at the end, give the coefficients in the Newton basis
+  by alpha! at the end (one product with a per-prime table of (alpha!)^-1
+  mod p), give the coefficients in the Newton basis
   prod_i (s_i - a)(s_i - a - 1)...(s_i - a - alpha_i + 1); a Newton-to-monomial
   pass per variable with the nodes a + j then gives the coefficients in s.
   This needs p > D, so that the nodes stay distinct mod p.  Grid point
@@ -47,7 +48,10 @@ The offset a is 1 in every variable.  Any offset gives the same residues;
 it only decides how many points take the exact path.  For condition (iv),
 a = 0 gives 94 grid points a zero divisor in both lanes and a = (1, ..., 1)
 none, on the primes tried; (1, ..., 1) is also fixed by the pair shift.
-Blocks of 512 points keep the arrays of one block near 1 MB.
+Blocks of 1024 points: for condition (iv)'s symmetric 8 x 8 matrix, one
+(slot, lane, point) array of a block is 36 * 2 * 1024 * 8 B = 0.56 MiB, and
+a block's evaluation holds about three of them at once with the 45 * 1024
+monomial values (1.5 MiB).
 
 Exactness is unconditional, not heuristic:
 
@@ -60,7 +64,7 @@ Exactness is unconditional, not heuristic:
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
-  Q(sqrt2)^nvars (`MvPoly.evaluate` sums that side on Python ints).
+  Q(sqrt2)^nvars (`_evaluate` sums that side on Python ints).
 
 Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
 the pairs (a, b) scaled to their common denominator.  After the primes, in
@@ -70,12 +74,16 @@ bulk (`det_poly_modular`):
   nonzero: exactly the nonzero coefficients.  Their Garner mixed-radix
   digits are int64 arrays, two digits pack into one limb below 2^62, and
   the limbs combine into Python ints, one per part and live slot.
+* Evaluation check, before the term build, on the CRT arrays: the
+  monomial values at the point, scaled to integers, are built one total
+  degree at a time as object arrays of Z[sqrt2] pairs, for the live slots
+  and their chain ancestors only, and each degree's sum is one dot product
+  per part (`_evaluate`).  Two degrees are held at a time.
 * Terms.  The exponent rows of the live slots become tuples a block at a
   time, each coefficient one `QSqrt2.from_ints(a, b, scale^n)`, and the
   term dict is built in one pass and adopted by `MvPoly` without a second
   check (`MvPoly._of_clean_terms`), with the cyclic collector paused.
-* Checks.  The constant-term and evaluation checks above, on the returned
-  polynomial.
+* Constant-term check, on the returned polynomial.
 
 What no prime changes is derived once: the elimination plan per size and
 symmetry, and the difference steps of each monomial table
@@ -100,7 +108,7 @@ from .mvpoly import MvPoly
 
 _EXP_BITS = 6  # per-variable exponent field in packed keys
 _OFFSET = 1  # the grid offset a, in every variable (module docstring)
-_BLOCK = 512  # grid points evaluated and eliminated together (module docstring)
+_BLOCK = 1024  # grid points evaluated and eliminated together (module docstring)
 _TERM_BLOCK = 1 << 14  # exponent rows turned into tuples at a time
 
 
@@ -301,6 +309,7 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
     n, table = shared[:2]
+    _verify_against_field_det(M, table, live, det_a, det_b, scale ** n)
     exps = table.exps[live]
     monomials = (m for start in range(0, len(live), _TERM_BLOCK)
                  for m in zip(*exps[start:start + _TERM_BLOCK].T.tolist()))
@@ -315,7 +324,10 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     finally:
         if collecting:
             gc.enable()
-    _verify_against_field_det(M, result)
+    # the constant term against the exact determinant of the constant part
+    const_matrix = QMatrix([[e.constant_term() for e in row] for row in M.rows])
+    if result.constant_term() != det_field(const_matrix):
+        raise AssertionError("modular determinant failed the constant-term check")
     return result
 
 
@@ -346,7 +358,8 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
         top[:, rows] = last.reshape(2, -1)
         bottom[:, rows] = divisor.reshape(2, -1)
     zero = bottom == 0
-    values = top * _kernels.inverse_mod(np.where(zero, 1, bottom).ravel(), p).reshape(2, size) % p
+    values = top * _kernels.inverse_mod(np.where(zero, 1, bottom).ravel(), p).reshape(2, size)
+    _kernels.reduce_mod(values, p)
     for row in np.flatnonzero(zero.any(axis=0)).tolist():
         # a zero divisor: the exact determinant at the point a + alpha instead
         point = [offset + e for e in table.exps[row].tolist()]
@@ -359,8 +372,10 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
         values[:, row] = (det.a + det.b * r) % p, (det.a - det.b * r) % p
     _interpolate(values, table, offset, p)
     plus, minus = values
-    return ((plus + minus) * ((p + 1) // 2) % p,
-            (plus - minus) % p * pow(2 * r, -1, p) % p)
+    a, b = plus + minus, _kernels.reduce_mod(plus - minus, p)
+    a *= (p + 1) // 2
+    b *= pow(2 * r, -1, p)
+    return _kernels.reduce_mod(a, p), _kernels.reduce_mod(b, p)
 
 
 @lru_cache(maxsize=None)
@@ -387,12 +402,18 @@ def _elimination_plan(n: int, symmetric: bool):
 
 @lru_cache(maxsize=None)
 def _monomial_chain(table: _MonomialTable, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each monomial m of degree <= `degree` but 1: the first variable i
-    with m_i > 0 and the row of m - e_i (0 and 0 for the monomial 1)."""
-    size = table.size_up_to[degree]
-    first = np.argmax(table.exps[:size] > 0, axis=1)
-    key = table.keys[1:size] - ((1 << (_EXP_BITS * table.nvars)) + (1 << (_EXP_BITS * first[1:])))
-    return first, np.concatenate([[0], np.searchsorted(table.keys, key)])
+    """`_parents` of every monomial of degree <= `degree`, with 0 and 0 for
+    the monomial 1."""
+    first, parent = _parents(table, np.arange(1, table.size_up_to[degree]))
+    return np.concatenate([[0], first]), np.concatenate([[0], parent])
+
+
+def _parents(table: _MonomialTable, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the monomials m of `rows`, none of them 1: the first variable i
+    with m_i > 0 and the row of m - e_i."""
+    first = np.argmax(table.exps[rows] > 0, axis=1)
+    key = table.keys[rows] - ((1 << (_EXP_BITS * table.nvars)) + (1 << (_EXP_BITS * first)))
+    return first, np.searchsorted(table.keys, key)
 
 
 def _entry_values(table, rows, offset, weights, p) -> np.ndarray:
@@ -418,6 +439,11 @@ def _interpolate(values: np.ndarray, table: _MonomialTable, offset: int, p: int)
     for j in range(1, table.maxdeg + 1):
         inverse_factorial.append(inverse_factorial[-1] * pow(j, -1, p) % p)
     inverse_factorial = np.array(inverse_factorial, dtype=np.int64)
+    # (alpha!)^-1 = prod_i (alpha_i!)^-1 mod p per row, shared by both lanes
+    scale = np.ones(len(table.keys), dtype=np.int64)
+    for exponents in table.exps.T:
+        scale *= inverse_factorial[exponents]
+        _kernels.reduce_mod(scale, p)
     for lane in values:
         for upper, lower, count in steps:
             for j in range(1, table.maxdeg + 1):
@@ -425,9 +451,8 @@ def _interpolate(values: np.ndarray, table: _MonomialTable, offset: int, p: int)
                 difference = lane[high]
                 difference -= lane[low]
                 lane[high] = _kernels.reduce_mod(difference, p)
-        for exponents in table.exps.T:
-            lane *= inverse_factorial[exponents]
-            _kernels.reduce_mod(lane, p)
+        lane *= scale
+        _kernels.reduce_mod(lane, p)
         for upper, lower, count in steps:
             for j in range(table.maxdeg - 1, -1, -1):
                 high, low = upper[:count[j + 1]], lower[:count[j + 1]]
@@ -479,15 +504,68 @@ def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
     return halves[0], halves[1]
 
 
-def _verify_against_field_det(M: PolyMatrix, result: MvPoly):
-    # constant term against the exact determinant of the constant part
-    const_matrix = QMatrix([[e.constant_term() for e in row] for row in M.rows])
-    if result.constant_term() != det_field(const_matrix):
-        raise AssertionError("modular determinant failed the constant-term check")
-    # full-polynomial spot check at a deterministic pseudo-random point
+def _verify_against_field_det(M: PolyMatrix, table: _MonomialTable, live: np.ndarray,
+                              det_a: np.ndarray, det_b: np.ndarray, denominator: int) -> None:
+    """The evaluation check: the determinant with coefficient
+    (det_a[k] + det_b[k]*sqrt2)/denominator on row live[k] of `table` must
+    equal the exact field determinant of M at a deterministic pseudo-random
+    point of Q(sqrt2)^nvars."""
     rng = random.Random(0x5EED ^ M.nrows ^ M.nvars)
     point = [QSqrt2(Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
              for _ in range(M.nvars)]
-    if result.evaluate(point) != det_field(M.evaluate(point)):
+    if _evaluate(table, live, det_a, det_b, denominator, point) != det_field(M.evaluate(point)):
         raise AssertionError("modular determinant failed the evaluation check")
+
+
+def _evaluate(table: _MonomialTable, live: np.ndarray, det_a: np.ndarray, det_b: np.ndarray,
+              denominator: int, point) -> QSqrt2:
+    """Exact value at `point` (one `QSqrt2` per variable) of the polynomial
+    with coefficient (det_a[k] + det_b[k]*sqrt2)/denominator on the monomial
+    of row live[k] (`live` increasing, `det_*` object arrays of ints).
+
+    With dx the lcm of the point's denominators, X = dx*point is integral,
+    and denominator * dx^D * value, D = table.maxdeg, is the element
+    sum_d dx^(D-d) * S_d of Z[sqrt2], S_d = sum over live m of degree d of
+    c_m * X^m.  The X^m are built one degree at a time, as
+    X^parent(m) * X_first(m) (`_parents`), for the live rows and their chain
+    ancestors only, as object arrays of Python-int pairs; two degrees are
+    held at a time.  The sum over d is a Horner scheme in dx."""
+    dx = lcm(*(x.d for x in point))
+    xa = np.array([x.a * (dx // x.d) for x in point], dtype=object)
+    xb = np.array([x.b * (dx // x.d) for x in point], dtype=object)
+    xb2 = 2 * xb
+    # top down: the rows of each degree that are live or a parent of one above
+    needed = np.zeros(len(table.keys), dtype=bool)
+    needed[live] = True
+    levels = []
+    for d in range(table.maxdeg, 0, -1):
+        start = table.size_up_to[d - 1]
+        rows = start + np.flatnonzero(needed[start:table.size_up_to[d]])
+        first, parent = _parents(table, rows)
+        needed[parent] = True
+        levels.append((rows, first, parent))
+    del needed
+    # live[cut[d]:cut[d + 1]] are the live rows of degree d
+    cut = np.searchsorted(live, [0, *table.size_up_to])
+    rows = np.zeros(1, dtype=np.intp)
+    va, vb = np.array([1], dtype=object), np.array([0], dtype=object)
+    total_a = total_b = 0
+    for d in range(table.maxdeg + 1):
+        if d:
+            below, ba, bb = rows, va, vb
+            rows, first, parent = levels.pop()
+            at = np.searchsorted(below, parent)
+            va, vb = np.empty(len(rows), dtype=object), np.empty(len(rows), dtype=object)
+            for start in range(0, len(rows), _TERM_BLOCK):
+                chunk = slice(start, start + _TERM_BLOCK)
+                pa, pb, var = ba[at[chunk]], bb[at[chunk]], first[chunk]
+                va[chunk] = pa * xa[var] + pb * xb2[var]
+                vb[chunk] = pa * xb[var] + pb * xa[var]
+            del below, ba, bb
+        here = slice(cut[d], cut[d + 1])
+        at = np.searchsorted(rows, live[here])
+        ya, yb, ca, cb = va[at], vb[at], det_a[here], det_b[here]
+        total_a = total_a * dx + ca.dot(ya) + 2 * cb.dot(yb)
+        total_b = total_b * dx + ca.dot(yb) + cb.dot(ya)
+    return QSqrt2.from_ints(total_a, total_b, denominator * dx ** table.maxdeg)

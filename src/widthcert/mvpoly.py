@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
+from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
 
 Monomial = tuple[int, ...]
 
@@ -311,21 +311,25 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
 
     Coefficient of degree j is the sum of |c| over all total-degree-j terms
     (absolute value taken in QSqrt2 as a real number); the constant term is
-    -|f(0)|, which must be nonzero.  The sums run on integers: the terms are
-    grouped by degree and denominator d, and each group's signed pairs (a, b)
-    with |c| = (a + b*sqrt2)/d add up to one `QSqrt2`.
+    -|f(0)|, which must be nonzero.  The sums run on integers: each term
+    c = (a + b*sqrt2)/d adds the signed pair (a, b) of |c| to the sum of its
+    degree and d, and each sum becomes one `QSqrt2`.  The sign of c is read
+    from a and b: c > 0 when a, b >= 0, and otherwise the signs of a and b
+    and the comparison of a^2 with 2b^2 decide it.
     """
     const = f.constant_term()
     if not const:
         raise ValueError("companion bound requires a nonzero constant term")
-    groups: defaultdict[tuple[int, int], list[QSqrt2]] = defaultdict(list)
+    sums: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0])
     for m, c in f.terms.items():
-        groups[sum(m), c.d].append(c)
-    out = [QS2_ZERO] * (max(degree for degree, _ in groups) + 1)
-    for (degree, d), coeffs in groups.items():
-        flip = [c.sign() < 0 for c in coeffs]
-        a = sum(-c.a if neg else c.a for c, neg in zip(coeffs, flip))
-        b = sum(-c.b if neg else c.b for c, neg in zip(coeffs, flip))
+        a, b = c.a, c.b
+        if (b <= 0 or a * a > 2 * b * b) if a < 0 else (b < 0 and a * a < 2 * b * b):
+            a, b = -a, -b
+        pair = sums[sum(m), c.d]
+        pair[0] += a
+        pair[1] += b
+    out = [QS2_ZERO] * (max(degree for degree, _ in sums) + 1)
+    for (degree, d), (a, b) in sums.items():
         out[degree] += QSqrt2.from_ints(a, b, d)
     out[0] = -abs(const)
     return UniPoly(out)
@@ -337,18 +341,48 @@ def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) ->
 
     Requires the single-sign-change shape produced by `cauchy_companion`
     (negative constant term, non-negative higher coefficients, at least one
-    positive); this is verified."""
+    positive); this is verified.
+
+    The bisection halves [0, P/Q] from `_companion_bracket` until its width
+    P/(Q*2^k) is at most tol, so after k halvings the bracket is
+    [P*j, P*(j+1)]/(Q*2^k) for an integer j, and each midpoint is
+    P*(2j+1)/(Q*2^(k+1)).  Its sign is decided on integers by
+    `_sign_at_ratio`."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = _companion_bracket(f0)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if f0.evaluate(mid).sign() < 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    _, hi = _companion_bracket(f0)
+    pairs = _integer_pairs(f0)
+    p, q = hi.numerator, hi.denominator
+    steps = 0
+    while p * tol.denominator > tol.numerator * (q << steps):
+        steps += 1
+    j = 0
+    for k in range(1, steps + 1):
+        j = 2 * j + 1
+        if _sign_at_ratio(pairs, p * j, q << k) >= 0:
+            j -= 1
+    return Fraction(p * j, q << steps), Fraction(p * (j + 1), q << steps)
+
+
+def _integer_pairs(f0: UniPoly) -> list[tuple[int, int]]:
+    """f0's coefficients as pairs (A_i, B_i) over one positive denominator L:
+    c_i = (A_i + B_i*sqrt2)/L."""
+    den = lcm(*(c.d for c in f0.coeffs))
+    return [(c.a * (den // c.d), c.b * (den // c.d)) for c in f0.coeffs]
+
+
+def _sign_at_ratio(pairs: list[tuple[int, int]], m: int, q: int) -> int:
+    """Sign of f0(m/q) for q > 0, f0 given by `_integer_pairs`: that of
+    sum_i (A_i + B_i*sqrt2) * m^i * q^(n-i), n = deg f0, by a homogeneous
+    Horner scheme on ints."""
+    ha, hb = pairs[-1]
+    q_power = 1
+    for a, b in reversed(pairs[:-1]):
+        q_power *= q
+        ha = ha * m + a * q_power
+        hb = hb * m + b * q_power
+    return _sign(ha, hb)
 
 
 def _companion_bracket(f0: UniPoly) -> tuple[Fraction, Fraction]:
@@ -370,6 +404,7 @@ def _companion_bracket(f0: UniPoly) -> tuple[Fraction, Fraction]:
         total = total + c
     ratio = (total / abs(coeffs[0])).enclosure(Fraction(1, 4))
     hi = 1 + ratio.hi
-    while f0.evaluate(hi).sign() <= 0:
+    pairs = _integer_pairs(f0)
+    while _sign_at_ratio(pairs, hi.numerator, hi.denominator) <= 0:
         hi = 2 * hi + 1
     return Fraction(0), hi

@@ -10,6 +10,7 @@ from widthcert.exactlinalg import QMatrix, det_field, inverse_field
 from widthcert.mvpoly import MvPoly
 
 from test_exactlinalg import det_laplace
+from test_mvpoly import fraction_bisection
 
 
 # -- model construction ------------------------------------------------------------
@@ -419,6 +420,25 @@ def test_hessian_section_smoke_is_labeled_non_certifying():
     bound = dc.hessian_section_bound(Fr(39, 4))
     assert bound.detail["non_certifying"] is True
     assert bound.certified > 0
+
+
+def test_companion_brackets_equal_the_fraction_bisection(monkeypatch):
+    # the 66 companions of (iii) and the section companion of (iv): the
+    # dyadic bisection returns the brackets of the Fraction bisection
+    calls = []
+    enclosure = dc.companion_root_enclosure
+
+    def recorded(f0, tol):
+        calls.append((f0, tol))
+        return enclosure(f0, tol)
+
+    monkeypatch.setattr(dc, "companion_root_enclosure", recorded)
+    monkeypatch.setattr(dc, "_PIPELINE", dc.Pipeline())
+    dc.attainment_bound()
+    section = dc.hessian_section_bound(Fr(39, 4), keep_vars=6)
+    assert len(calls) == 67 and section.display == "0.03477"
+    for f0, tol in calls:
+        assert enclosure(f0, tol) == fraction_bisection(f0, tol)
 
 
 # -- full certification (without the long determinant) ----------------------------------------------------

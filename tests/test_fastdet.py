@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as Fr
 from functools import lru_cache
 from itertools import combinations, islice
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from widthcert.fastdet import (
 from widthcert.mvpoly import MvPoly
 
 from test_exactlinalg import det_laplace
+from test_mvpoly import _random_scalar
 
 
 def split_primes_below(bound, count):
@@ -603,17 +604,63 @@ def test_elimination_plan_updates_one_contiguous_tail(n, symmetric):
             assert slots[s] == (k, j)
 
 
+def _crt_arrays(M):
+    """What `det_poly_modular` checks before its term build: the table, the
+    live slots, the CRT a- and b-parts and their denominator."""
+    shared, primes, scale = _setup(M)
+    residues = [_det_one_prime(*shared, p) for p in primes]
+    live = _live_slots(residues)
+    det_a, det_b = _crt_reconstruct([(a[live], b[live]) for a, b in residues], primes)
+    return shared[1], live, det_a, det_b, scale ** M.nrows
+
+
 def test_verify_catches_a_single_tampered_coefficient():
+    # a change of +-1 to the a- or the b-part of any one live coefficient of
+    # the CRT arrays fails the evaluation check
     rng = random.Random(12)
     M = _random_poly_matrix(rng, 3, 2)
-    det = det_poly_modular(M)
-    _, scale = _integerize(M)
-    delta = Fr(1, scale**M.nrows)
-    for m in det.terms:
-        tampered = dict(det.terms)
-        tampered[m] = tampered[m] + delta
-        with pytest.raises(AssertionError):
-            _verify_against_field_det(M, MvPoly(M.nvars, tampered))
+    table, live, det_a, det_b, denominator = _crt_arrays(M)
+    _verify_against_field_det(M, table, live, det_a, det_b, denominator)
+    assert len(live) > 20
+    for k in range(len(live)):
+        for part in (0, 1):
+            for delta in (1, -1):
+                tampered = [det_a.copy(), det_b.copy()]
+                tampered[part][k] += delta
+                with pytest.raises(AssertionError, match="evaluation check"):
+                    _verify_against_field_det(M, table, live, *tampered, denominator)
+
+
+def _as_arrays(f, maxdeg):
+    """f as `_evaluate` reads it: live rows of the (nvars, maxdeg) table and
+    integer coefficient pairs over one denominator."""
+    table = monomial_table(f.nvars, maxdeg)
+    row = {tuple(int(e) for e in exps): i for i, exps in enumerate(table.exps)}
+    den = lcm(*(c.d for c in f.terms.values()))
+    items = sorted((row[m], c) for m, c in f.terms.items())
+    live = np.array([i for i, _ in items], dtype=np.intp)
+    det_a = np.array([c.a * (den // c.d) for _, c in items], dtype=object)
+    det_b = np.array([c.b * (den // c.d) for _, c in items], dtype=object)
+    return table, live, det_a, det_b, den
+
+
+def test_array_evaluation_matches_mvpoly_evaluate():
+    rng = random.Random(31)
+    polys = [MvPoly.zero(3), MvPoly.constant(QSqrt2(Fr(-2, 3), Fr(5, 7)), 3),
+             MvPoly.variable(1, 3, QSqrt2(Fr(1, 2), -1)), MvPoly.variable(0, 1)]
+    for _ in range(30):
+        nvars = rng.randint(1, 4)
+        table = monomial_table(nvars, 5)
+        rows = rng.sample(range(len(table.keys)), rng.randint(1, min(25, len(table.keys))))
+        polys.append(MvPoly(nvars, {tuple(int(e) for e in table.exps[r]): _random_scalar(rng)
+                                    for r in rows}))
+    for f in polys:
+        for maxdeg in (max(f.degree(), 0), 7):
+            arrays = _as_arrays(f, maxdeg)
+            for _ in range(3):
+                point = [_random_scalar(rng) for _ in range(f.nvars)]
+                point[rng.randrange(f.nvars)] = rng.choice((QSqrt2(0), QSqrt2(0, Fr(1, 3)), point[0]))
+                assert fastdet._evaluate(*arrays, point) == f.evaluate(point)
 
 
 def crt_by_object_arrays(residues, primes):

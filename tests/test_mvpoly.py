@@ -344,6 +344,70 @@ def test_root_bound_bracket_grows_when_needed():
     assert Fr(100) - Fr(1, 10**4) <= r < Fr(100)
 
 
+def fraction_bisection(f0, tol):
+    """The bisection on `Fraction` midpoints, each decided by
+    `UniPoly.evaluate`: the oracle of `companion_root_enclosure`'s
+    brackets, for companions of the valid shape."""
+    tol = Fr(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    coeffs = f0.coeffs
+    total = QSqrt2(0)
+    for c in coeffs[1:]:
+        total = total + c
+    hi = 1 + (total / abs(coeffs[0])).enclosure(Fr(1, 4)).hi
+    while f0.evaluate(hi).sign() <= 0:
+        hi = 2 * hi + 1
+    lo = Fr(0)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if f0.evaluate(mid).sign() < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _random_companion(rng, degree):
+    def scalar():
+        return QSqrt2(Fr(rng.randint(0, 9), rng.choice((1, 2, 3, 7))),
+                      Fr(rng.randint(0, 5), rng.choice((1, 2, 5))))
+    coeffs = [-(scalar() or QSqrt2(1))] + [rng.choice((QSqrt2(0), scalar())) for _ in range(degree)]
+    coeffs[-1] = coeffs[-1] or QSqrt2(Fr(1, 3), 1)
+    return UniPoly(coeffs)
+
+
+def test_root_bound_matches_the_fraction_bisection():
+    rng = random.Random(41)
+    for degree in range(1, 17):
+        for _ in range(4):
+            f0 = _random_companion(rng, degree)
+            for tol in (Fr(1, 10**7), Fr(1, 10**9), Fr(3, 7), Fr(10**6)):
+                assert companion_root_enclosure(f0, tol) == fraction_bisection(f0, tol)
+
+
+def test_root_bound_with_the_root_at_a_midpoint():
+    # -1 + x + 2x^2 = (2x - 1)(x + 1): the bracket is [0, 4] and the third
+    # midpoint, 1/2, is the root, where the companion is exactly 0
+    f0 = UniPoly([QSqrt2(-1), QSqrt2(1), QSqrt2(2)])
+    lo, hi = companion_root_enclosure(f0, Fr(1, 10**7))
+    assert (lo, hi) == fraction_bisection(f0, Fr(1, 10**7))
+    assert hi == Fr(1, 2) and lo < hi
+    # with the root 1 = 2/2 the first midpoint already hits it
+    f0 = UniPoly([QSqrt2(-1), QSqrt2(1)])
+    assert companion_root_enclosure(f0, Fr(1, 10**5)) == fraction_bisection(f0, Fr(1, 10**5))
+    assert companion_root_enclosure(f0, Fr(1, 10**5))[1] == 1
+
+
+@pytest.mark.parametrize("c", [QSqrt2(3, -2), QSqrt2(-3, 2), QSqrt2(7, -5), QSqrt2(-7, 5),
+                               QSqrt2(99, -70), QSqrt2(-99, 70), QSqrt2(Fr(99, 4), Fr(-35, 2))])
+def test_companion_signs_near_the_boundary(c):
+    # |a| close to sqrt2*|b|: the sign of a + b*sqrt2 hangs on a^2 against 2b^2
+    for f in (x(0).scale(c) + const(1), (x(0) * x(1)).scale(c) + x(2).scale(-c) - const(c),
+              x(0).scale(c) + x(1).scale(-c) + x(2).scale(QSqrt2(Fr(1, 3), 1)) + const(c)):
+        assert cauchy_companion(f) == _companion_per_term(f)
+
+
 def test_sign_constancy_inside_certified_ball():
     rng = random.Random(29)
     checked = 0
