@@ -545,7 +545,6 @@ def _evaluate(table: _MonomialTable, live: np.ndarray, det_a: np.ndarray, det_b:
         first, parent = _parents(table, rows)
         needed[parent] = True
         levels.append((rows, first, parent))
-    del needed
     # live[cut[d]:cut[d + 1]] are the live rows of degree d
     cut = np.searchsorted(live, [0, *table.size_up_to])
     rows = np.zeros(1, dtype=np.intp)
