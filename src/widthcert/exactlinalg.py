@@ -264,10 +264,11 @@ class PolyMatrix:
 
 def det_poly(M: PolyMatrix) -> MvPoly:
     """Exact polynomial determinant by the certified multi-modular engine
-    (`fastdet.det_poly_modular`): evaluation on a simplex grid, elimination
-    at every point and interpolation, over several word-size primes, with
-    the integer coefficients reconstructed through a certified CRT bound and
-    checked against exact field determinants.
+    (`fastdet.det_poly_modular`): evaluation on a grid cut from the simplex
+    by Leibniz degree caps, elimination at every point and interpolation,
+    over several word-size primes, with the integer coefficients
+    reconstructed through a certified CRT bound and checked against exact
+    field determinants.
     """
     # imported on first use: fastdet imports this module, and callers that
     # need no determinant do not pay for loading numpy

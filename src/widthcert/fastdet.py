@@ -2,24 +2,30 @@
 `exactlinalg.det_poly`.
 
 An n x n matrix whose entries have degree <= e in v variables has a
-determinant of total degree <= D = n*e, so modulo a prime p > D the
-determinant is fixed by its values on the shifted simplex grid
-a + {alpha in N^v : |alpha| <= D}.  The engine evaluates the entries on that
-grid, eliminates at every point and interpolates, modulo several word-size
-primes p = 7 (mod 8).  For those, r = 2^((p+1)/4) is a square root of 2
-mod p, so sqrt2 -> r and sqrt2 -> -r are two ring maps Z[sqrt2] -> F_p, and
-each prime costs two plain scalar lanes x+ and x-.  The residues of
-a + b*sqrt2 come back as a = (x+ + x-)/2 and b = (x+ - x-)/(2r) mod p, and the
-exact integer coefficients by CRT.
+determinant of total degree <= D = n*e, and Leibniz's formula bounds its
+degree in each variable and each pair of variables by a cap read off the
+entries' supports (`degree_caps`).  So its monomials lie in the lower set L
+of the exponents alpha in N^v with |alpha| <= D that keep every cap, and
+modulo a prime p > D the determinant is fixed by its values on the shifted
+grid a + L.  For condition (iv) at c = 39/4, L has 656,685 of the simplex's
+735,471 points (62,597 of 74,613 on the 6-variable section).  The engine
+evaluates the entries on that grid, eliminates at every point and
+interpolates, modulo several word-size primes p = 7 (mod 8).  For those,
+r = 2^((p+1)/4) is a square root of 2 mod p, so sqrt2 -> r and sqrt2 -> -r
+are two ring maps Z[sqrt2] -> F_p, and each prime costs two plain scalar
+lanes x+ and x-.  The residues of a + b*sqrt2 come back as a = (x+ + x-)/2
+and b = (x+ - x-)/(2r) mod p, and the exact integer coefficients by CRT.
 
 Per prime, both lanes at once, in three steps (`_det_one_prime`):
 
 * Evaluation.  For a block of grid points, the entries' residues times the
-  values of their monomials are one float64 matrix product.  The monomial
-  values are integers of size at most max(1, |a|, |a + D|)^e, so each of the
-  nq products is an integer below (p-1) times that, and the sum is exact
-  while nq * (p-1) * max|monomial| < 2^53 (`_prime_limit`; `_setup` takes
-  primes below it, `_det_one_prime` refuses any other before any work).
+  values of their monomials are one float64 matrix product.  The nq entry
+  monomials are all those of degree <= e, from the uncapped table, whatever
+  the caps.  Their values are integers of size at most
+  max(1, |a|, |a + D|)^e, so each of the nq products is an integer below
+  (p-1) times that, and the sum is exact while
+  nq * (p-1) * max|monomial| < 2^53 (`_prime_limit`; `_setup` takes primes
+  below it, `_det_one_prime` refuses any other before any work).
 * Elimination.  Step k of a division-free Schur elimination replaces the
   trailing block T by pivot_k * T - column * row, which multiplies its
   determinant by pivot_k^(m-1) for a block of size m.  So the determinant is
@@ -42,7 +48,10 @@ Per prime, both lanes at once, in three steps (`_det_one_prime`):
   pass per variable with the nodes a + j then gives the coefficients in s.
   This needs p > D, so that the nodes stay distinct mod p.  Grid point
   a + alpha is row alpha of the graded monomial table, so the result comes
-  out indexed like the monomials.
+  out indexed like the monomials.  The passes run on L as on the simplex:
+  a forward difference at alpha reads only rows below alpha, and the
+  Newton-to-monomial pass reads rows above, where the simplex holds 0
+  outside L (the exactness bullet on the caps).
 
 The offset a is 1 in every variable.  Any offset gives the same residues;
 it only decides how many points take the exact path.  For condition (iv),
@@ -55,6 +64,15 @@ monomial values (1.5 MiB).
 
 Exactness is unconditional, not heuristic:
 
+* the caps are sound: every term of the determinant is, by Leibniz, a
+  product of one entry per row and column, so its degree in the variables
+  S is at most the max-plus permanent of the entries' degrees in S, and
+  cancellation only lowers it.  The caps only bound sums of exponents from
+  above, so L is downward closed, and the determinant's coefficients in the
+  Newton basis of the nodes, and in every mixed basis the passes go
+  through, lie in L too.  On the simplex those passes would keep 0 on every
+  row outside L and, on every row of L, read the rows of L alone, so the
+  grid a + L gives the coefficients the simplex gives;
 * the primes are the fewest such primes whose product exceeds four times a
   certified bound on every coefficient of the determinant (the symmetric
   residue range needs twice; the bound is the permanent of the
@@ -96,8 +114,8 @@ import gc
 import random
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import repeat
-from math import lcm, prod
+from itertools import combinations, repeat
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -110,20 +128,35 @@ _EXP_BITS = 6  # per-variable exponent field in packed keys
 _OFFSET = 1  # the grid offset a, in every variable (module docstring)
 _BLOCK = 1024  # grid points evaluated and eliminated together (module docstring)
 _TERM_BLOCK = 1 << 14  # exponent rows turned into tuples at a time
+_NO_TERM = -(1 << 40)  # the degree of a zero entry in `degree_caps`: minus infinity
 
 
 class _MonomialTable:
-    """Graded table of all monomials of total degree <= maxdeg in nvars
-    variables: exponent rows, packed sort keys and per-degree sizes.  Row
-    alpha is also the grid point a + alpha of the interpolation, whose
-    difference steps `newton_steps` holds."""
+    """Graded table of the monomials alpha of total degree <= maxdeg in nvars
+    variables with sum(alpha_i for i in S) <= cap for every (S, cap) of
+    `caps`: exponent rows, packed sort keys and per-degree sizes.  The caps
+    only cut the simplex by upper bounds on sums of exponents, so the rows
+    form a lower set (alpha in it and beta <= alpha componentwise put beta
+    in it); without caps they are the whole simplex.  Row alpha is also the
+    grid point a + alpha of the interpolation, whose difference steps
+    `newton_steps` holds."""
 
-    def __init__(self, nvars: int, maxdeg: int):
+    def __init__(self, nvars: int, maxdeg: int, caps: tuple = ()):
         if maxdeg >= (1 << _EXP_BITS):
             raise ValueError("degree too large for packed keys")
         self.nvars = nvars
         self.maxdeg = maxdeg
-        exps, totals = _gen_exponents(nvars, maxdeg)
+        self.caps = caps
+        top = [maxdeg] * nvars
+        for subset, cap in caps:
+            if len(subset) == 1:
+                top[subset[0]] = min(top[subset[0]], cap)
+        exps, totals = _gen_exponents(maxdeg, top)
+        wider = [(list(subset), cap) for subset, cap in caps if len(subset) > 1]
+        if wider:
+            keep = np.logical_and.reduce([exps[:, subset].sum(axis=1) <= cap
+                                          for subset, cap in wider])
+            exps, totals = exps[keep], totals[keep]
         order = np.lexsort(tuple(exps.T) + (totals,))
         self.exps = exps[order]
         self.totals = totals[order]
@@ -144,8 +177,9 @@ class _MonomialTable:
     def newton_steps(self) -> tuple[tuple[np.ndarray, np.ndarray, list[int]], ...]:
         """Per variable i, (upper, lower, count): `upper` holds the rows
         alpha with alpha_i >= 1, by alpha_i descending, `lower[t]` the row of
-        upper[t] - e_i (index arrays), and count[j] the number of rows with
-        alpha_i >= j, so the first count[j] pairs are those of step j."""
+        upper[t] - e_i (index arrays; a lower set holds it), and count[j] the
+        number of rows with alpha_i >= j, so the first count[j] pairs are
+        those of step j."""
         steps = []
         drop_total = 1 << (_EXP_BITS * self.nvars)
         for i in range(self.nvars):
@@ -161,13 +195,16 @@ class _MonomialTable:
         return tuple(steps)
 
 
-def _gen_exponents(nvars: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
+def _gen_exponents(maxdeg: int, top: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent rows alpha with |alpha| <= maxdeg and alpha_i <= top[i],
+    and their totals."""
     exps = np.zeros((1, 0), dtype=np.int8)
     totals = np.zeros(1, dtype=np.int16)
-    for _ in range(nvars):
-        reps = (maxdeg - totals.astype(np.int64)) + 1
+    for cap in top:
+        reps = np.minimum(maxdeg - totals.astype(np.int64), cap) + 1
         idx = np.repeat(np.arange(exps.shape[0]), reps)
-        col = np.concatenate([np.arange(r, dtype=np.int8) for r in reps])
+        # 0 .. reps - 1 within the run of each parent row
+        col = (np.arange(len(idx)) - np.repeat(np.cumsum(reps) - reps, reps)).astype(np.int8)
         new = np.empty((idx.shape[0], exps.shape[1] + 1), dtype=np.int8)
         new[:, :-1] = exps[idx]
         new[:, -1] = col
@@ -177,8 +214,20 @@ def _gen_exponents(nvars: int, maxdeg: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def monomial_table(nvars: int, maxdeg: int) -> _MonomialTable:
-    return _MonomialTable(nvars, maxdeg)
+def monomial_table(nvars: int, maxdeg: int, caps: tuple = ()) -> _MonomialTable:
+    """The table of `_MonomialTable`, one per (nvars, maxdeg, caps) for the
+    life of the process; `caps` as `degree_caps` returns them."""
+    return _MonomialTable(nvars, maxdeg, caps)
+
+
+def _entry_table(nvars: int, nq: int) -> _MonomialTable:
+    """The uncapped table of the nq entry monomials that index the third
+    axis of a coefficient tensor: all monomials of degree <= e in nvars
+    variables, for the e with C(nvars + e, e) = nq."""
+    e = 0
+    while comb(nvars + e, e) < nq:
+        e += 1
+    return monomial_table(nvars, e)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +281,11 @@ def crt_primes(bound: int, below: int) -> list[int]:
 
 def _prime_limit(table: _MonomialTable, nq: int, offset: int) -> int:
     """The primes below this keep every product of two residues below 2^62
-    and the float64 evaluation on `table`'s grid, with entries over its first
-    nq monomials, exact: nq * (p-1) * max|monomial value| < 2^53."""
+    and the float64 evaluation on `table`'s grid, with entries over the nq
+    monomials of `_entry_table`, exact: nq * (p-1) * max|monomial value| <
+    2^53."""
     reach = max(1, abs(offset), abs(offset + table.maxdeg))
-    largest = reach ** int(table.totals[nq - 1])
+    largest = reach ** _entry_table(table.nvars, nq).maxdeg
     return min(1 << 31, (2**53 - 1) // (nq * largest) + 2)
 
 
@@ -271,6 +321,47 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
     return value[-1]
 
 
+def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
+    """Caps on the determinant's degree in every single variable and every
+    pair of variables, those that cut the simplex of degree `maxdeg`, as
+    ((i,), cap) and ((i, j), cap) pairs: support[r, c, q] says that entry
+    (r, c) has the monomial of row q of `exps`.
+
+    By Leibniz's formula every term of the determinant is a product of one
+    entry per row and column, so its degree in the variables S is at most
+    the max-plus permanent of the entries' degrees deg_S, a zero entry
+    counting as minus infinity; cancellation only lowers it.  The permanent
+    runs by `coefficient_norm_bound`'s recursion over column subsets, a
+    popcount level at a time and for every S at once.  A variable's cap is
+    kept when it is below maxdeg, a pair's when it is below maxdeg and below
+    the sum of its two variables' caps.  When every permutation meets a zero
+    entry, the determinant is 0 and every cap is 0."""
+    n, nvars = support.shape[0], exps.shape[1]
+    subsets = [(i,) for i in range(nvars)] + list(combinations(range(nvars), 2))
+    indicator = np.zeros((nvars, len(subsets)), dtype=np.int64)
+    for s, subset in enumerate(subsets):
+        indicator[list(subset), s] = 1
+    # deg[r, c, s]: the degree of entry (r, c) in the variables of subsets[s]
+    deg = np.where(support[..., None], exps.astype(np.int64) @ indicator, _NO_TERM).max(axis=2)
+    masks = np.arange(1 << n)
+    level = np.bitwise_count(masks)
+    value = np.full((1 << n, len(subsets)), _NO_TERM, dtype=np.int64)
+    value[0] = 0
+    for k in range(1, n + 1):
+        at = masks[level == k]
+        best = value[at]
+        for j in range(n):
+            has = (at >> j & 1).astype(bool)
+            best[has] = np.maximum(best[has], deg[k - 1, j] + value[at[has] ^ (1 << j)])
+        value[at] = best
+    cap = np.maximum(value[-1], 0).tolist()
+    single = [min(c, maxdeg) for c in cap[:nvars]]
+    caps = [((i,), c) for i, c in enumerate(single) if c < maxdeg]
+    caps += [((i, j), c) for (i, j), c in zip(subsets[nvars:], cap[nvars:])
+             if c < min(maxdeg, single[i] + single[j])]
+    return tuple(caps)
+
+
 # ---------------------------------------------------------------------------
 # the modular determinant
 # ---------------------------------------------------------------------------
@@ -279,21 +370,31 @@ def coefficient_norm_bound(entries: list[list[dict]]) -> int:
 def _setup(M: PolyMatrix):
     """What every prime shares: the arguments of `_det_one_prime` before p
     (n, grid table, symmetry, grid offset, integer coefficient tensor), the
-    primes, and the scale that made the entries integral."""
+    primes, and the scale that made the entries integral.  The tensor's
+    third axis is the uncapped table of the entry monomials, all of degree
+    <= e for the largest entry degree e; the grid table is the simplex of
+    degree n*e cut by the entries' `degree_caps`, so a cap below e never
+    drops an entry monomial."""
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
     n = M.nrows
     entry_deg = max(0, M.max_entry_degree())
-    table = monomial_table(M.nvars, entry_deg * n)
+    entry_table = monomial_table(M.nvars, entry_deg)
+    qindex = {m: q for q, m in enumerate(map(tuple, entry_table.exps.tolist()))}
+    if len(qindex) != comb(M.nvars + entry_deg, entry_deg):
+        raise AssertionError("entry monomial table is incomplete")
     entries, scale = _integerize(M)
-    nq = table.size_up_to[entry_deg]
-    primes = crt_primes(coefficient_norm_bound(entries), _prime_limit(table, nq, _OFFSET))
-    qindex = {tuple(int(x) for x in table.exps[i]): i for i in range(nq)}
-    coeff_int = np.zeros((n, n, nq, 2), dtype=object)
+    coeff_int = np.zeros((n, n, len(qindex), 2), dtype=object)
+    support = np.zeros((n, n, len(qindex)), dtype=bool)
     for i, row in enumerate(entries):
         for j, entry in enumerate(row):
             for m, pair in entry.items():
                 coeff_int[i, j, qindex[m]] = pair
+                support[i, j, qindex[m]] = True
+    maxdeg = entry_deg * n
+    table = monomial_table(M.nvars, maxdeg, degree_caps(support, entry_table.exps, maxdeg))
+    primes = crt_primes(coefficient_norm_bound(entries),
+                        _prime_limit(table, len(qindex), _OFFSET))
     symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(i))
     return (n, table, symmetric, _OFFSET, coeff_int), primes, scale
 
@@ -343,6 +444,7 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
     nq = coeff_int.shape[2]
     if p >= _prime_limit(table, nq, offset):
         raise OverflowError("prime too large for exact evaluation")
+    entry_table = _entry_table(table.nvars, nq)
     slots, steps = _elimination_plan(n, symmetric)
     cf = (coeff_int % p).astype(np.int64)
     lanes = ((cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p)
@@ -354,7 +456,8 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
     bottom = np.empty((2, size), dtype=np.int64)
     for start in range(0, size, _BLOCK):
         rows = slice(start, min(start + _BLOCK, size))
-        last, divisor = _kernels.eliminate(_entry_values(table, rows, offset, weights, p), steps, p)
+        values = _entry_values(entry_table, table.exps[rows], offset, weights, p)
+        last, divisor = _kernels.eliminate(values, steps, p)
         top[:, rows] = last.reshape(2, -1)
         bottom[:, rows] = divisor.reshape(2, -1)
     zero = bottom == 0
@@ -363,7 +466,7 @@ def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarra
     for row in np.flatnonzero(zero.any(axis=0)).tolist():
         # a zero divisor: the exact determinant at the point a + alpha instead
         point = [offset + e for e in table.exps[row].tolist()]
-        monomials = [prod(map(pow, point, m)) for m in table.exps[:nq].tolist()]
+        monomials = [prod(map(pow, point, m)) for m in entry_table.exps.tolist()]
         entries = (coeff_int * np.array(monomials, dtype=object)[:, None]).sum(axis=2).tolist()
         det = det_field(QMatrix([[QSqrt2.from_ints(a, b, 1) for a, b in entry_row]
                                  for entry_row in entries]))
@@ -401,10 +504,10 @@ def _elimination_plan(n: int, symmetric: bool):
 
 
 @lru_cache(maxsize=None)
-def _monomial_chain(table: _MonomialTable, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_parents` of every monomial of degree <= `degree`, with 0 and 0 for
-    the monomial 1."""
-    first, parent = _parents(table, np.arange(1, table.size_up_to[degree]))
+def _monomial_chain(table: _MonomialTable) -> tuple[np.ndarray, np.ndarray]:
+    """`_parents` of every monomial of `table`, with 0 and 0 for the
+    monomial 1."""
+    first, parent = _parents(table, np.arange(1, len(table.keys)))
     return np.concatenate([[0], first]), np.concatenate([[0], parent])
 
 
@@ -416,16 +519,15 @@ def _parents(table: _MonomialTable, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return first, np.searchsorted(table.keys, key)
 
 
-def _entry_values(table, rows, offset, weights, p) -> np.ndarray:
-    """Residues of every entry slot at the grid points a + exps[rows], one
-    row per slot and one column per (lane, point), lane-major."""
-    nq = weights.shape[1]
-    degree = int(table.totals[nq - 1])
-    first, parent = _monomial_chain(table, degree)
-    x = table.exps[rows].T + float(offset)
-    monomials = np.ones((nq, x.shape[1]))
-    for d in range(1, degree + 1):
-        same = slice(table.size_up_to[d - 1], table.size_up_to[d])
+def _entry_values(entry_table, points, offset, weights, p) -> np.ndarray:
+    """Residues of every entry slot at the grid points a + points (exponent
+    rows), one row per slot and one column per (lane, point), lane-major;
+    the columns of `weights` are the monomials of `entry_table`."""
+    first, parent = _monomial_chain(entry_table)
+    x = points.T + float(offset)
+    monomials = np.ones((len(entry_table.keys), x.shape[1]))
+    for d in range(1, entry_table.maxdeg + 1):
+        same = slice(entry_table.size_up_to[d - 1], entry_table.size_up_to[d])
         monomials[same] = monomials[parent[same]] * x[first[same]]
     values = _kernels.reduce_mod((weights @ monomials).astype(np.int64), p)
     return values.reshape(len(weights) // 2, 2 * x.shape[1])

@@ -2,13 +2,15 @@
 expansion everywhere, its residues must agree with the Laplace subset
 kernel kept here as the oracle, that kernel must agree with a plain-Python
 reference, the certified bound must be the permanent that the Laplace plan
-computes, and the evaluation check must catch a wrong coefficient."""
+computes, the degree caps that cut the grid must be the maxima over all
+permutations, and the evaluation check must catch a wrong coefficient or a
+cap set too low."""
 
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
-from itertools import combinations, islice
-from math import isqrt, lcm, prod
+from itertools import combinations, islice, permutations, product
+from math import comb, isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from widthcert.fastdet import (
     _MonomialTable,
     _crt_reconstruct,
     _det_one_prime,
+    _entry_table,
     _integerize,
     _is_prime,
     _live_slots,
@@ -30,6 +33,7 @@ from widthcert.fastdet import (
     _verify_against_field_det,
     coefficient_norm_bound,
     crt_primes,
+    degree_caps,
     det_poly_modular,
     monomial_table,
 )
@@ -67,6 +71,24 @@ def test_monomial_table_sizes():
     assert table.size_up_to[0] == 1
     assert table.size_up_to[2] == 45
     assert table.size_up_to[16] == 735471
+
+
+@pytest.mark.parametrize("nvars,maxdeg", [(1, 4), (2, 5), (3, 6), (4, 4), (5, 3)])
+def test_monomial_table_rows_are_the_cut_simplex(nvars, maxdeg):
+    # graded, then by the last exponent, ..., then the first: the order of
+    # the packed keys
+    rng = random.Random(10 * nvars + maxdeg)
+    simplex = [m for m in product(range(maxdeg + 1), repeat=nvars) if sum(m) <= maxdeg]
+    subsets = [(i,) for i in range(nvars)] + list(combinations(range(nvars), 2))
+    for trial in range(6):
+        caps = () if trial == 0 else tuple(
+            (S, rng.randint(0, maxdeg)) for S in subsets if rng.random() < 0.4)
+        want = sorted((m for m in simplex if all(sum(m[i] for i in S) <= c for S, c in caps)),
+                      key=lambda m: (sum(m), m[::-1]))
+        table = _MonomialTable(nvars, maxdeg, caps)
+        assert [tuple(m) for m in table.exps.tolist()] == want
+        assert table.totals.tolist() == [sum(m) for m in want]
+        assert table.size_up_to == [sum(sum(m) <= d for m in want) for d in range(maxdeg + 1)]
 
 
 def test_primes_are_prime_and_descending():
@@ -365,6 +387,28 @@ def laplace_residues(n, table, entry_deg, shift, coeff_int, p):
             (plus - minus) % p * pow(2 * r, -1, p) % p)
 
 
+def assert_residues_match_the_oracle(shared, got, p):
+    """`_det_one_prime`'s residues `got` on the grid table of `shared`
+    against the Laplace oracle on the whole simplex of the same degree, by
+    exponent row: equal on every grid row and 0 on every row the caps
+    dropped.  The oracle runs on the whole simplex, independent of the
+    caps, so that it shows the dropped coefficients are 0; returns how many
+    rows were dropped."""
+    n, table, _, _, coeff_int = shared
+    nq = coeff_int.shape[2]
+    full = monomial_table(table.nvars, table.maxdeg)
+    want = laplace_residues(n, full, _entry_table(table.nvars, nq).maxdeg, shift_map(full, nq),
+                            coeff_int, p)
+    rows = np.searchsorted(full.keys, table.keys)
+    assert np.array_equal(full.keys[rows], table.keys)
+    dropped = np.ones(len(full.keys), dtype=bool)
+    dropped[rows] = False
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w[rows]), p
+        assert not w[dropped].any(), p
+    return int(np.count_nonzero(dropped))
+
+
 def _level_shift_map(table, level_deg, prev_deg):
     """maps[q, r] = index of monomial_r - q in the degree <= prev_deg block,
     or the pad slot (the size of that block) when the difference has a
@@ -494,13 +538,9 @@ def test_residues_match_the_laplace_oracle(seed, n, nvars, symmetric):
         M = _symmetric(M)
     shared = _setup(M)[0]
     assert shared[2] == symmetric
-    table, coeff_int = shared[1], shared[4]
-    nq = coeff_int.shape[2]
     # primes within the oracle kernel's overflow guard
     for p in (split_primes_below(1 << 25, 1)[0], split_primes_below(1 << 20, 1)[0]):
-        want = laplace_residues(n, table, 2, shift_map(table, nq), coeff_int, p)
-        got = _det_one_prime(*shared, p)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
+        assert_residues_match_the_oracle(shared, _det_one_prime(*shared, p), p)
 
 
 def test_section_residues_match_the_laplace_oracle():
@@ -513,9 +553,135 @@ def test_section_residues_match_the_laplace_oracle():
     n, table, symmetric, _, coeff_int = shared
     assert symmetric and table.maxdeg == 16
     p = split_primes_below(1 << 25, 1)[0]
-    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
-    got = _det_one_prime(*shared, p)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the caps drop 74,613 - 62,597 rows of the simplex
+    assert assert_residues_match_the_oracle(shared, _det_one_prime(*shared, p), p) == 12016
+
+
+def _permutation_caps(support, exps):
+    """Per single variable and pair S, the largest degree in S over the
+    permutations whose entries are all nonzero, or None when there is no
+    such permutation: the Leibniz bound of `degree_caps` by brute force."""
+    n, nvars = support.shape[0], exps.shape[1]
+    subsets = [(i,) for i in range(nvars)] + list(combinations(range(nvars), 2))
+    deg = {S: [[max((sum(int(exps[q, i]) for i in S) for q in np.flatnonzero(support[r, c])),
+                    default=None) for c in range(n)] for r in range(n)] for S in subsets}
+    caps = dict.fromkeys(subsets)
+    for perm in permutations(range(n)):
+        for S in subsets:
+            degs = [deg[S][r][perm[r]] for r in range(n)]
+            if None not in degs and (caps[S] is None or sum(degs) > caps[S]):
+                caps[S] = sum(degs)
+    return caps
+
+
+def _cut_simplex(nvars, maxdeg, caps):
+    """The exponent rows of the simplex that keep every cap, as tuples."""
+    rows = monomial_table(nvars, maxdeg).exps.tolist()
+    return {tuple(m) for m in rows if all(sum(m[i] for i in S) <= c for S, c in caps.items())}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_degree_caps_are_the_permutation_maxima(n):
+    rng = random.Random(90 + n)
+    for trial in range(12):
+        nvars, e = rng.randint(2, 4), rng.randint(1, 3)
+        exps = monomial_table(nvars, e).exps
+        density = rng.choice((0.1, 0.3, 0.6))
+        support = np.array([[[rng.random() < density for _ in exps] for _ in range(n)]
+                            for _ in range(n)])
+        # zero entries, now and then a whole zero row
+        support[np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])] = False
+        if trial == 0:
+            support[rng.randrange(n)] = False
+        maxdeg = n * e
+        want = _permutation_caps(support, exps)
+        got = dict(degree_caps(support, exps, maxdeg))
+        if want[(0,)] is None:
+            # no permutation avoids a zero entry: the determinant is 0
+            assert all(c is None for c in want.values())
+            assert got == {(i,): 0 for i in range(nvars)}
+            continue
+        single = [min(want[(i,)], maxdeg) for i in range(nvars)]
+        for S, cap in want.items():
+            cut = maxdeg if len(S) == 1 else min(maxdeg, single[S[0]] + single[S[1]])
+            assert got.get(S) == (cap if cap < cut else None), (S, cap)
+        assert _cut_simplex(nvars, maxdeg, got) == _cut_simplex(nvars, maxdeg, want)
+
+
+def _capped_poly_matrix(rng, n, nvars, symmetric):
+    """A random matrix of degree-2 entries whose caps bind: variables 0 and
+    1 only in row 0 and column 0, so each has degree <= 4 and so has their
+    sum, and variable 2 of degree <= 1 in every entry."""
+    M = _random_poly_matrix(rng, n, nvars)
+    if symmetric:
+        M = _symmetric(M)
+
+    def keep(i, j, m):
+        return (i == 0 or j == 0 or not (m[0] or m[1])) and (nvars < 3 or m[2] <= 1)
+
+    return PolyMatrix([[MvPoly(nvars, {m: c for m, c in e.terms.items() if keep(i, j, m)})
+                        for j, e in enumerate(row)] for i, row in enumerate(M.rows)])
+
+
+@pytest.mark.parametrize("n,symmetric", [(n, s) for n in range(3, 7) for s in (False, True)])
+def test_capped_residues_match_the_laplace_oracle(n, symmetric):
+    M = _capped_poly_matrix(random.Random(60 + 2 * n + symmetric), n, 3, symmetric)
+    shared = _setup(M)[0]
+    table = shared[1]
+    assert shared[2] == symmetric
+    caps = dict(table.caps)
+    assert max(caps[(0,)], caps[(1,)], caps[(0, 1)]) <= 4 and caps[(2,)] <= n
+    for p in (split_primes_below(1 << 25, 1)[0], 31):
+        assert assert_residues_match_the_oracle(shared, _det_one_prime(*shared, p), p) > 0
+    det = det_poly_modular(M)
+    assert det == det_laplace(M)
+    # the determinant reaches every cap, so none could be lower
+    for S, cap in caps.items():
+        assert max(sum(m[i] for i in S) for m in det.terms) == cap
+
+
+def test_a_cap_below_the_truth_fails_the_evaluation_check(monkeypatch):
+    M = _capped_poly_matrix(random.Random(70), 4, 3, False)
+    det = det_poly_modular(M)
+    assert det == det_laplace(M)
+    true_caps = dict(_setup(M)[0][1].caps)
+    for S in ((0,), (2,), (0, 1)):
+        # the determinant reaches the cap, so a grid cut one below drops a
+        # live coefficient
+        assert max(sum(m[i] for i in S) for m in det.terms) == true_caps[S]
+        monkeypatch.setattr(fastdet, "degree_caps", lambda *args, S=S: tuple(
+            (T, c - (T == S)) for T, c in degree_caps(*args)))
+        assert dict(_setup(M)[0][1].caps)[S] == true_caps[S] - 1
+        with pytest.raises(AssertionError, match="evaluation check"):
+            det_poly_modular(M)
+
+
+def test_entry_monomials_outlive_a_cap_below_the_entry_degree():
+    # det [[s^2 + 1, 1], [1, 0]] = -1: the cap on s is 0, below the entry
+    # degree 2, so the grid is the single point a; the entry monomial s^2
+    # is still indexed, from the uncapped degree-2 table
+    s = MvPoly.variable(0, 2)
+    one = MvPoly.constant(1, 2)
+    M = PolyMatrix([[s * s + one, one], [one, MvPoly.zero(2)]])
+    _, table, _, _, coeff_int = _setup(M)[0]
+    assert dict(table.caps) == {(0,): 0, (1,): 0} and len(table.keys) == 1
+    assert coeff_int.shape[2] == monomial_table(2, 2).size_up_to[2] == 6
+    assert det_poly_modular(M) == MvPoly.constant(-1, 2)
+
+
+@pytest.mark.parametrize("keep_vars,simplex,grid", [(4, 4845, 3825), (6, 74613, 62597),
+                                                     (8, 735471, 656685)])
+def test_hessian_grids_are_cut_by_the_caps(keep_vars, simplex, grid):
+    # condition (iv) at c = 39/4 and its sections; only the set-up runs
+    from widthcert import deltacert as dc
+
+    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
+        lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
+                                     if not any(m[keep_vars:])}))
+    table = _setup(matrix)[0][1]
+    assert table.maxdeg == 16 and table.caps
+    assert comb(keep_vars + 16, 16) == simplex
+    assert len(table.keys) == grid
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -534,7 +700,8 @@ def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     det_field = fastdet.det_field
     monkeypatch.setattr(fastdet, "det_field",
                         lambda matrix: calls.append(matrix) or det_field(matrix))
-    n, table, sym, offset, coeff_int = _setup(M)[0]
+    shared = _setup(M)[0]
+    n, table, sym, offset, coeff_int = shared
     assert offset == 1 and sym == symmetric
     p = split_primes_below(1 << 25, 1)[0]
     got = _det_one_prime(n, table, sym, offset, coeff_int, p)
@@ -542,12 +709,11 @@ def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     assert len(calls) == face
     assert all(matrix.rows[0][0] == 0 for matrix in calls)
     assert all(x.d == 1 for matrix in calls for row in matrix.rows for x in row)
-    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert_residues_match_the_oracle(shared, got, p)
     calls.clear()
     shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
     assert calls == []
-    assert all(np.array_equal(g, w) for g, w in zip(shifted, want))
+    assert all(np.array_equal(g, w) for g, w in zip(shifted, got))
     assert det_poly_modular(M) == det_laplace(M)
 
 
@@ -569,19 +735,19 @@ def test_a_later_zero_pivot_takes_the_scalar_path(monkeypatch, symmetric):
     det_field = fastdet.det_field
     monkeypatch.setattr(fastdet, "det_field",
                         lambda matrix: calls.append(matrix) or det_field(matrix))
-    n, table, sym, offset, coeff_int = _setup(M)[0]
+    shared = _setup(M)[0]
+    n, table, sym, offset, coeff_int = shared
     assert offset == 1 and sym == symmetric
     p = split_primes_below(1 << 25, 1)[0]
     got = _det_one_prime(n, table, sym, offset, coeff_int, p)
     face = int(np.count_nonzero(table.exps[:, 0] == 0))
     assert len(calls) == face
     assert all(matrix.rows[1][1] == 0 and matrix.rows[0][0] != 0 for matrix in calls)
-    want = laplace_residues(n, table, 2, shift_map(table, coeff_int.shape[2]), coeff_int, p)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert_residues_match_the_oracle(shared, got, p)
     calls.clear()
     shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
     assert calls == []
-    assert all(np.array_equal(g, w) for g, w in zip(shifted, want))
+    assert all(np.array_equal(g, w) for g, w in zip(shifted, got))
 
 
 @pytest.mark.parametrize("n,symmetric", [(n, s) for n in range(1, 7) for s in (False, True)])
