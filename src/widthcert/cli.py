@@ -332,8 +332,12 @@ def _cmd_certify_neighborhood(args) -> int:
 
 
 def _cmd_width(args) -> int:
-    with open(args.polytope, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.polytope, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise PolytopeFileError(f"not UTF-8 text: {err.reason}", line) from err
     polytope, lattice = parse_polytope_file(text)
     result = lattice_width(polytope, lattice)
     enc = result.width.enclosure(Fraction(1, 10**9))

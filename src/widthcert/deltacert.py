@@ -16,7 +16,6 @@ presentation only.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -882,7 +881,6 @@ class CertificateReport:
     overall_display: str
     barycentric: Fraction
     barycentric_display: str
-    elapsed_seconds: float
 
     @property
     def verdict(self) -> bool:
@@ -899,7 +897,6 @@ def certify(c: Fraction, with_hessian: bool = False,
     are read from the pipeline, which computes them on the first call.
     """
     c = Fraction(c)
-    start = time.monotonic()
     pl = get_pipeline()
     local = local_maximality_certificate(c)
     bounds = {
@@ -922,5 +919,4 @@ def certify(c: Fraction, with_hessian: bool = False,
         overall_display=_display_5(*overall_enc),
         barycentric=barycentric,
         barycentric_display=_display_5(overall_enc[0] / 2, overall_enc[1] / 2),
-        elapsed_seconds=time.monotonic() - start,
     )

@@ -12,7 +12,7 @@ is D_k / D_{k-1}, the ratio of consecutive leading principal minors).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2
 from .mvpoly import MvPoly
@@ -287,6 +287,10 @@ def adjugate_poly(M: PolyMatrix) -> PolyMatrix:
     return PolyMatrix([[cols[j][i] for j in range(3)] for i in range(3)])
 
 
-def _cross(a: Sequence[MvPoly], b: Sequence[MvPoly]) -> list[MvPoly]:
-    return [a[(k + 1) % 3] * b[(k + 2) % 3] - a[(k + 2) % 3] * b[(k + 1) % 3]
-            for k in range(3)]
+_R = TypeVar("_R")  # a ring element: int, `QSqrt2` or `MvPoly`
+
+
+def _cross(a: Sequence[_R], b: Sequence[_R]) -> tuple[_R, _R, _R]:
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])

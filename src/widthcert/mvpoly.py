@@ -313,9 +313,8 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
     (absolute value taken in QSqrt2 as a real number); the constant term is
     -|f(0)|, which must be nonzero.  The sums run on integers: each term
     c = (a + b*sqrt2)/d adds the signed pair (a, b) of |c| to the sum of its
-    degree and d, and each sum becomes one `QSqrt2`.  The sign of c is read
-    from a and b: c > 0 when a, b >= 0, and otherwise the signs of a and b
-    and the comparison of a^2 with 2b^2 decide it.
+    degree and d, and each sum becomes one `QSqrt2`.  The sign of c is
+    `exactnum._sign(a, b)`.
     """
     const = f.constant_term()
     if not const:
@@ -323,7 +322,7 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
     sums: defaultdict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0])
     for m, c in f.terms.items():
         a, b = c.a, c.b
-        if (b <= 0 or a * a > 2 * b * b) if a < 0 else (b < 0 and a * a < 2 * b * b):
+        if _sign(a, b) < 0:
             a, b = -a, -b
         pair = sums[sum(m), c.d]
         pair[0] += a

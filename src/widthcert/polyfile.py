@@ -120,13 +120,10 @@ def parse_polytope_file(text: str) -> tuple[Polytope, AffineLattice]:
         raise PolytopeFileError("no vertices section")
     if (origin is None) != (not basis):
         raise PolytopeFileError("lattice origin and lattice basis must appear together")
-    if origin is None:
-        lattice = AffineLattice.standard()
-    else:
-        if len(basis) != 3:
-            raise PolytopeFileError(f"lattice basis needs 3 vectors, got {len(basis)}")
-        lattice = AffineLattice(origin, basis)
+    if basis and len(basis) != 3:
+        raise PolytopeFileError(f"lattice basis needs 3 vectors, got {len(basis)}")
     try:
+        lattice = AffineLattice(origin, basis) if basis else AffineLattice.standard()
         polytope = Polytope(vertices)
     except ValueError as err:
         raise PolytopeFileError(str(err)) from err

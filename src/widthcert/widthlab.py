@@ -44,7 +44,7 @@ from math import lcm
 from typing import Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
-from .exactlinalg import QMatrix, SingularMatrixError, det_field, inverse_field
+from .exactlinalg import QMatrix, SingularMatrixError, _cross, det_field, inverse_field
 
 Vec3 = tuple[QSqrt2, QSqrt2, QSqrt2]
 
@@ -64,14 +64,6 @@ def _dot(a: Sequence[QSqrt2], b: Sequence[QSqrt2]) -> QSqrt2:
 
 def _vsub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _cross(a: Vec3, b: Vec3) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 class DegeneratePolytopeError(ValueError):
@@ -298,9 +290,9 @@ def _reduce(K: Polytope, L: AffineLattice) -> tuple[
     diffs = _independent_differences(K)
     U, G = _lll([[d(e) for e in diffs] for d in duals])
     reduced = tuple(dual_functional(duals, row) for row in U)
-    # U^-T = (adjugate of U)^T / det U, and det U = +-1
-    cyclic = ((1, 2), (2, 0), (0, 1))
-    cof = [[U[i][j] * U[k][l] - U[i][l] * U[k][j] for j, l in cyclic] for i, k in cyclic]
+    # U^-T = (adjugate of U)^T / det U, and det U = +-1; row i of the
+    # cofactor matrix is the cross product of the other two rows of U
+    cof = [_cross(U[(i + 1) % 3], U[(i + 2) % 3]) for i in range(3)]
     det = sum(U[0][j] * cof[0][j] for j in range(3))
     if det not in (1, -1):
         raise AssertionError("LLL transform is not unimodular")

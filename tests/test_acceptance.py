@@ -1,20 +1,22 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
-line.  Criterion 4 (the full degree-16 determinant sweep) is long-running
-and sits behind --run-slow."""
+line.  Criterion 4 runs the full degree-16 determinant condition (iv) at the
+three published weights, through one `certify-neighborhood --with-hessian`
+call checked against its golden output."""
 
 import random
 import time
 from fractions import Fraction as Fr
 
-import pytest
-
 from widthcert import deltacert as dc
+from widthcert import fastdet
 from widthcert import globalbounds as gb
+from widthcert.cli import EXIT_OK
 from widthcert.exactnum import QSqrt2, interval_eval
 from widthcert.exactlinalg import adjugate_poly
 from widthcert.mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
 from widthcert.widthlab import Functional, dual_lattice, hollow_check, lattice_width
 
+from test_cli import GOLDEN, run_cli
 from test_exactlinalg import det_laplace
 
 
@@ -97,13 +99,44 @@ def test_criterion_3_radius_table():
             assert dc.linear_bound(c).display == expected
 
 
-@pytest.mark.slow
-def test_criterion_4_hessian_column():
-    with _Criterion(4, "degree-16 determinant condition at c in {9.75, 7, 12}",
-                    limit_seconds=24 * 3600):
-        assert dc.hessian_bound(Fr(39, 4)).display == "0.02646"
-        assert dc.hessian_bound(Fr(7)).display == "0.03185"
-        assert dc.hessian_bound(Fr(12)).display == "0.01501"
+#: condition (iv) at the paper's published weights: display and certificate
+PUBLISHED_IV = {
+    Fr(7): ("0.03185", Fr(318501, 10**7)),
+    Fr(39, 4): ("0.02646", Fr(264573, 10**7)),
+    Fr(12): ("0.01501", Fr(37521, 2500000)),
+}
+
+
+def test_criterion_4_hessian_column(monkeypatch, capsys):
+    # one CLI sweep over the three weights: its kv output is golden, and each
+    # weight's determinant is checked as it runs
+    primes, runs = [], []
+    one_prime, hessian_bound = fastdet._det_one_prime, dc.hessian_bound
+
+    def recording_prime(*args):
+        primes.append(args[5])
+        return one_prime(*args)
+
+    def recording_bound(c, *args):
+        primes.clear()
+        bound = hessian_bound(c, *args)
+        runs.append((c, bound, list(primes)))
+        return bound
+
+    monkeypatch.setattr(fastdet, "_det_one_prime", recording_prime)
+    monkeypatch.setattr(dc, "hessian_bound", recording_bound)
+    with _Criterion(4, "degree-16 determinant condition at c in {7, 9.75, 12}",
+                    limit_seconds=600):
+        code, out, err = run_cli(capsys, "--format", "kv", "certify-neighborhood",
+                                 "--with-hessian", "--sweep", "7,39/4,12", "--tol", "1e-9")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (GOLDEN / "neighborhood_hessian.kv").read_text(encoding="utf-8")
+        assert [c for c, _, _ in runs] == list(PUBLISHED_IV)
+        for c, bound, used in runs:
+            assert (bound.display, bound.certified) == PUBLISHED_IV[c], f"c={c}"
+            assert bound.detail == {"det_degree": 16, "det_terms": 374459}
+            assert len(used) == 5
+            assert all(p % 8 == 7 for p in used)
 
 
 def test_criterion_5_global_bounds():

@@ -281,6 +281,20 @@ def test_width_subcommand_rejects_floats(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"vertices:\n0, 0, 0\n1, 0, 0\n0, 1, 0\n0, 0, 1\nlattice origin:\n0, 0, 0\n"
+     b"lattice basis:\n1, 0, 0\n0, 1, 0\n1, 1, 0\n",
+     "error: lattice basis is linearly dependent\n"),
+    (b"vertices:\n# one \xff byte\n0, 0, 0\n1, 0, 0\n0, 1, 0\n0, 0, 1\n",
+     "error: line 2: not UTF-8 text: invalid start byte\n"),
+])
+def test_width_subcommand_rejects_bad_files(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.poly"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "width", "--polytope", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
 def test_width_subcommand_missing_file(capsys):
     code, _, err = run_cli(capsys, "width", "--polytope", "/nonexistent.poly")
     assert code == EXIT_USAGE
