@@ -535,14 +535,14 @@ def interval_eval(expr: AlgExpr, precision: Fraction) -> RatInterval:
     )
 
 
-#: the enclosure width at which `certify_less` gives up by default
+#: the enclosure width at which `certify_less` gives up
 CERTIFY_MIN_WIDTH = Fraction(1, 10**20)
 
 
-def certify_less(e1, e2, min_width: Fraction = CERTIFY_MIN_WIDTH) -> bool:
+def certify_less(e1, e2) -> bool:
     """True iff refinement separates e1 strictly below e2, False for the
     reverse separation.  Raises UndecidedComparison if the enclosures still
-    overlap at width `min_width` (values too close, or equal)."""
+    overlap at width CERTIFY_MIN_WIDTH (values too close, or equal)."""
     e1, e2 = alg(e1), alg(e2)
     with suppress(IntervalDomainError):  # out of depths after a skipped one: undecided
         for a, b in _deepening(e1, e2):
@@ -550,6 +550,6 @@ def certify_less(e1, e2, min_width: Fraction = CERTIFY_MIN_WIDTH) -> bool:
                 return True
             if b.strictly_below(a):
                 return False
-            if max(a.width(), b.width()) < min_width:
+            if max(a.width(), b.width()) < CERTIFY_MIN_WIDTH:
                 break
-    raise UndecidedComparison(f"undecided at enclosure width {min_width}: {e1} vs {e2}")
+    raise UndecidedComparison(f"undecided at enclosure width {CERTIFY_MIN_WIDTH}: {e1} vs {e2}")

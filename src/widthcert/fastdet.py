@@ -77,16 +77,16 @@ Exactness is unconditional, not heuristic:
   certified bound on every coefficient of the determinant (the symmetric
   residue range needs twice; the bound is the permanent of the
   coefficient-norms ``sum(|a| + 2|b|)`` of the entries, which are
-  submultiplicative for Z[sqrt2] polynomials, by a recursion over column
-  subsets);
+  submultiplicative for Z[sqrt2] polynomials, by the recursion over column
+  subsets that also gives the caps, `_subset_permanent`);
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
   Q(sqrt2)^nvars (`_evaluate` sums that side on Python ints).
 
-Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter as
-the pairs (a, b) scaled to their common denominator.  After the primes, in
-bulk (`det_poly_modular`):
+Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter
+once, as one tensor of the pairs (a, b) scaled to their common denominator
+(`_setup`).  After the primes, in bulk (`det_poly_modular`):
 
 * CRT (`_crt_reconstruct`) on the live slots only, where some residue is
   nonzero: exactly the nonzero coefficients.  Their Garner mixed-radix
@@ -111,8 +111,9 @@ symmetry, and the difference steps of each monomial table
 from __future__ import annotations
 
 import gc
+import operator
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, lcm, prod
@@ -220,16 +221,6 @@ def monomial_table(nvars: int, maxdeg: int, caps: tuple = ()) -> _MonomialTable:
     return _MonomialTable(nvars, maxdeg, caps)
 
 
-def _entry_table(nvars: int, nq: int) -> _MonomialTable:
-    """The uncapped table of the nq entry monomials that index the third
-    axis of a coefficient tensor: all monomials of degree <= e in nvars
-    variables, for the e with C(nvars + e, e) = nq."""
-    e = 0
-    while comb(nvars + e, e) < nq:
-        e += 1
-    return monomial_table(nvars, e)
-
-
 # ---------------------------------------------------------------------------
 # primes
 # ---------------------------------------------------------------------------
@@ -279,14 +270,14 @@ def crt_primes(bound: int, below: int) -> list[int]:
     return primes
 
 
-def _prime_limit(table: _MonomialTable, nq: int, offset: int) -> int:
+def _prime_limit(table: _MonomialTable, entry_table: _MonomialTable, offset: int) -> int:
     """The primes below this keep every product of two residues below 2^62
     and the float64 evaluation on `table`'s grid, with entries over the nq
-    monomials of `_entry_table`, exact: nq * (p-1) * max|monomial value| <
+    monomials of `entry_table`, exact: nq * (p-1) * max|monomial value| <
     2^53."""
     reach = max(1, abs(offset), abs(offset + table.maxdeg))
-    largest = reach ** _entry_table(table.nvars, nq).maxdeg
-    return min(1 << 31, (2**53 - 1) // (nq * largest) + 2)
+    nq = len(entry_table.keys)
+    return min(1 << 31, (2**53 - 1) // (nq * reach ** entry_table.maxdeg) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +285,29 @@ def _prime_limit(table: _MonomialTable, nq: int, offset: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integerize(M: PolyMatrix) -> tuple[list[list[dict]], int]:
-    """Scale all entries by the lcm of their coefficients' denominators `d`,
-    so coefficients become integer pairs (a, b) meaning a + b*sqrt2."""
-    scale = lcm(*(c.d for row in M.rows for e in row for c in e.terms.values()))
-    entries = [
-        [{m: (c.a * (scale // c.d), c.b * (scale // c.d)) for m, c in e.terms.items()} for e in row]
-        for row in M.rows
-    ]
-    return entries, scale
-
-
-def coefficient_norm_bound(entries: list[list[dict]]) -> int:
-    """Upper bound on |a| and |b| of every coefficient of the determinant.
-
-    Uses the submultiplicative weight n(a + b*sqrt2) = |a| + 2|b| (valid since
-    n(xy) <= n(x)n(y)) summed over terms: the bound is the permanent of these
-    norms, by a recursion over column subsets held as bitmasks, where value[S]
-    is the permanent of rows 0 .. |S|-1 on the columns in S."""
-    norms = [[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row] for row in entries]
-    n = len(norms)
-    value = [1] * (1 << n)
+def _subset_permanent(weights, plus, times, one):
+    """The permanent of the square matrix `weights` over the semiring
+    (plus, times) with unit `one`, by a recursion over column subsets held
+    as bitmasks: value[S] is the permanent of rows 0 .. |S|-1 on the columns
+    in S, the plus over j in S of times(weights[|S|-1][j], value[S - j])."""
+    n = len(weights)
+    value = [one]
     for mask in range(1, 1 << n):
-        row = norms[mask.bit_count() - 1]
-        value[mask] = sum(row[j] * value[mask ^ 1 << j] for j in range(n) if mask >> j & 1)
+        row = weights[mask.bit_count() - 1]
+        value.append(reduce(plus, [times(row[j], value[mask ^ 1 << j])
+                                   for j in range(n) if mask >> j & 1]))
     return value[-1]
+
+
+def coefficient_norm_bound(coeff_int: np.ndarray) -> int:
+    """Upper bound on |a| and |b| of every coefficient of the determinant of
+    the matrix whose entry (r, c) has the coefficients a + b*sqrt2 of the
+    pairs coeff_int[r, c, :] (`_setup`).  Uses the submultiplicative weight
+    n(a + b*sqrt2) = |a| + 2|b| (valid since n(xy) <= n(x)n(y)) summed over
+    terms: the bound is the permanent of these norms over (+, x) on Python
+    ints (`_subset_permanent`)."""
+    norms = (abs(coeff_int[..., 0]) + 2 * abs(coeff_int[..., 1])).sum(axis=2)
+    return _subset_permanent(norms.tolist(), operator.add, operator.mul, 1)
 
 
 def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
@@ -331,30 +320,20 @@ def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
     entry per row and column, so its degree in the variables S is at most
     the max-plus permanent of the entries' degrees deg_S, a zero entry
     counting as minus infinity; cancellation only lowers it.  The permanent
-    runs by `coefficient_norm_bound`'s recursion over column subsets, a
-    popcount level at a time and for every S at once.  A variable's cap is
-    kept when it is below maxdeg, a pair's when it is below maxdeg and below
-    the sum of its two variables' caps.  When every permutation meets a zero
-    entry, the determinant is 0 and every cap is 0."""
-    n, nvars = support.shape[0], exps.shape[1]
+    is `_subset_permanent` over (max, +) on the vectors of deg_S for every S
+    at once.  A variable's cap is kept when it is below maxdeg, a pair's
+    when it is below maxdeg and below the sum of its two variables' caps.
+    When every permutation meets a zero entry, the determinant is 0 and
+    every cap is 0."""
+    nvars = exps.shape[1]
     subsets = [(i,) for i in range(nvars)] + list(combinations(range(nvars), 2))
     indicator = np.zeros((nvars, len(subsets)), dtype=np.int64)
     for s, subset in enumerate(subsets):
         indicator[list(subset), s] = 1
     # deg[r, c, s]: the degree of entry (r, c) in the variables of subsets[s]
     deg = np.where(support[..., None], exps.astype(np.int64) @ indicator, _NO_TERM).max(axis=2)
-    masks = np.arange(1 << n)
-    level = np.bitwise_count(masks)
-    value = np.full((1 << n, len(subsets)), _NO_TERM, dtype=np.int64)
-    value[0] = 0
-    for k in range(1, n + 1):
-        at = masks[level == k]
-        best = value[at]
-        for j in range(n):
-            has = (at >> j & 1).astype(bool)
-            best[has] = np.maximum(best[has], deg[k - 1, j] + value[at[has] ^ (1 << j)])
-        value[at] = best
-    cap = np.maximum(value[-1], 0).tolist()
+    top = _subset_permanent(deg, np.maximum, np.add, np.zeros(len(subsets), dtype=np.int64))
+    cap = np.maximum(top, 0).tolist()
     single = [min(c, maxdeg) for c in cap[:nvars]]
     caps = [((i,), c) for i, c in enumerate(single) if c < maxdeg]
     caps += [((i, j), c) for (i, j), c in zip(subsets[nvars:], cap[nvars:])
@@ -369,12 +348,13 @@ def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
 
 def _setup(M: PolyMatrix):
     """What every prime shares: the arguments of `_det_one_prime` before p
-    (n, grid table, symmetry, grid offset, integer coefficient tensor), the
-    primes, and the scale that made the entries integral.  The tensor's
-    third axis is the uncapped table of the entry monomials, all of degree
-    <= e for the largest entry degree e; the grid table is the simplex of
-    degree n*e cut by the entries' `degree_caps`, so a cap below e never
-    drops an entry monomial."""
+    (entry table, grid table, symmetry, grid offset, coeff_int), the primes,
+    and the scale that made the entries integral.  coeff_int[r, c, q] is the
+    pair (a, b) of entry (r, c)'s coefficient a + b*sqrt2 on row q of the
+    uncapped entry table (degree <= e, the largest entry degree), times that
+    scale; the bound, the caps and the symmetry flag are read off it.  The
+    grid table is the simplex of degree n*e cut by the caps of coeff_int's
+    support, so a cap below e never drops an entry monomial."""
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
     n = M.nrows
@@ -383,20 +363,19 @@ def _setup(M: PolyMatrix):
     qindex = {m: q for q, m in enumerate(map(tuple, entry_table.exps.tolist()))}
     if len(qindex) != comb(M.nvars + entry_deg, entry_deg):
         raise AssertionError("entry monomial table is incomplete")
-    entries, scale = _integerize(M)
+    scale = lcm(*(c.d for row in M.rows for e in row for c in e.terms.values()))
     coeff_int = np.zeros((n, n, len(qindex), 2), dtype=object)
-    support = np.zeros((n, n, len(qindex)), dtype=bool)
-    for i, row in enumerate(entries):
+    for i, row in enumerate(M.rows):
         for j, entry in enumerate(row):
-            for m, pair in entry.items():
-                coeff_int[i, j, qindex[m]] = pair
-                support[i, j, qindex[m]] = True
+            for m, c in entry.terms.items():
+                coeff_int[i, j, qindex[m]] = c.a * (scale // c.d), c.b * (scale // c.d)
     maxdeg = entry_deg * n
+    support = (coeff_int != 0).any(axis=3)
     table = monomial_table(M.nvars, maxdeg, degree_caps(support, entry_table.exps, maxdeg))
-    primes = crt_primes(coefficient_norm_bound(entries),
-                        _prime_limit(table, len(qindex), _OFFSET))
-    symmetric = all(entries[i][j] == entries[j][i] for i in range(n) for j in range(i))
-    return (n, table, symmetric, _OFFSET, coeff_int), primes, scale
+    primes = crt_primes(coefficient_norm_bound(coeff_int),
+                        _prime_limit(table, entry_table, _OFFSET))
+    symmetric = np.array_equal(coeff_int, coeff_int.transpose(1, 0, 2, 3))
+    return (entry_table, table, symmetric, _OFFSET, coeff_int), primes, scale
 
 
 def det_poly_modular(M: PolyMatrix) -> MvPoly:
@@ -409,7 +388,7 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     del residues  # the term build below is full (iv)'s memory peak
 
     # undo the entry scaling: det(scale*M) = scale^n det(M)
-    n, table = shared[:2]
+    n, table = M.nrows, shared[1]
     _verify_against_field_det(M, table, live, det_a, det_b, scale ** n)
     exps = table.exps[live]
     monomials = (m for start in range(0, len(live), _TERM_BLOCK)
@@ -432,20 +411,22 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     return result
 
 
-def _det_one_prime(n, table, symmetric, offset, coeff_int, p) -> tuple[np.ndarray, np.ndarray]:
+def _det_one_prime(entry_table, table, symmetric, offset, coeff_int,
+                   p) -> tuple[np.ndarray, np.ndarray]:
     """Residues mod p of the a- and b-parts of every determinant coefficient
     of degree <= table.maxdeg, from the scalar lanes a + b*r and a - b*r on
-    the grid with the given offset (see the module docstring)."""
+    the grid with the given offset (see the module docstring); coeff_int's
+    third axis runs over the rows of `entry_table`."""
+    if coeff_int.shape[2] != len(entry_table.keys):
+        raise ValueError("the coefficient tensor does not match the entry table")
     r = pow(2, (p + 1) // 4, p)
     if r * r % p != 2:
         raise ValueError(f"2^((p+1)/4) is not a square root of 2 mod {p}")
     if p <= table.maxdeg:
         raise ValueError(f"{p} is too small to interpolate degree {table.maxdeg}")
-    nq = coeff_int.shape[2]
-    if p >= _prime_limit(table, nq, offset):
+    if p >= _prime_limit(table, entry_table, offset):
         raise OverflowError("prime too large for exact evaluation")
-    entry_table = _entry_table(table.nvars, nq)
-    slots, steps = _elimination_plan(n, symmetric)
+    slots, steps = _elimination_plan(len(coeff_int), symmetric)
     cf = (coeff_int % p).astype(np.int64)
     lanes = ((cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p)
     # row 2t + lane: the monomial coefficients of entry slots[t] in that lane

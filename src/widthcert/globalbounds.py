@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactnum import (
-    CERTIFY_MIN_WIDTH,
     AlgExpr,
     QSqrt2,
     RatInterval,
@@ -81,19 +80,6 @@ class Inequality:
         if self.relation == ">":
             return certify_less(self.claimed, self.expression)
         raise ValueError(f"relation must be '<' or '>', got {self.relation!r}")
-
-    def verdict_given(self, enclosure: RatInterval, precision: Fraction) -> bool:
-        """`verdict`, read off `enclosure` when that `interval_eval` result of
-        width <= precision already lies strictly on the claimed side of a
-        rational `claimed`.  `certify_less` would return True then too: it
-        refines the same nested enclosures, and for precision >=
-        CERTIFY_MIN_WIDTH it cannot give up before this one.  The verdict is
-        kept as the row's `verdict`.  Every other case goes to `verdict`."""
-        if isinstance(self.claimed, Fraction) and precision >= CERTIFY_MIN_WIDTH and (
-                enclosure.hi < self.claimed if self.relation == "<"
-                else self.relation == ">" and self.claimed < enclosure.lo):
-            self.__dict__.setdefault("verdict", True)
-        return self.verdict
 
 
 # Symbols: mu1..mu3 covering minima of a maximizer K, lam1..lam3 successive
@@ -211,7 +197,7 @@ def _report(row: Inequality, precision: Fraction) -> BoundReport:
     enclosure = interval_eval(row.expression, precision)
     rep = BoundReport(name=row.report_name, expression=row.expression, enclosure=enclosure,
                       claimed=Fraction(row.claimed), relation=row.relation,
-                      verdict=row.verdict_given(enclosure, precision), note=row.note)
+                      verdict=row.verdict, note=row.note)
     if row.integer_cap is not None:
         if not rep.verdict:
             raise AssertionError(f"certification failed for {rep.name}")

@@ -82,10 +82,10 @@ class MvPoly:
         return MvPoly(nvars, {(0,) * nvars: QSqrt2.coerce(c)})
 
     @staticmethod
-    def variable(i: int, nvars: int, coeff=QS2_ONE) -> "MvPoly":
+    def variable(i: int, nvars: int) -> "MvPoly":
         e = [0] * nvars
         e[i] = 1
-        return MvPoly(nvars, {tuple(e): QSqrt2.coerce(coeff)})
+        return MvPoly(nvars, {tuple(e): QS2_ONE})
 
     @staticmethod
     def linear_form(coeffs: Sequence) -> "MvPoly":

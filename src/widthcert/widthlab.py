@@ -39,12 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 from typing import Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
-from .exactlinalg import QMatrix, SingularMatrixError, _cross, det_field, inverse_field
+from .exactlinalg import QMatrix, SingularMatrixError, _cross, _echelon, det_field, inverse_field
 
 Vec3 = tuple[QSqrt2, QSqrt2, QSqrt2]
 
@@ -209,13 +209,15 @@ def dual_functional(duals: Sequence[Functional], u: Sequence[int]) -> Functional
 
 
 def _independent_differences(K: Polytope) -> tuple[Vec3, Vec3, Vec3]:
-    """The first three linearly independent differences v - v0 of K's vertices."""
+    """The first three linearly independent differences v - v0 of K's
+    vertices (lexicographically first): the pivot columns of one `_echelon`
+    pass over the 3 x m matrix whose columns are the differences."""
     v0 = K.vertices[0]
     diffs = [_vsub(v, v0) for v in K.vertices[1:]]
-    for indep in combinations(diffs, 3):
-        if det_field(QMatrix(indep)):
-            return indep  # type: ignore[return-value]
-    raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
+    pivots = _echelon([[d[i] for d in diffs] for i in range(3)])[1]
+    if len(pivots) < 3:
+        raise DegeneratePolytopeError("lattice width needs a full-dimensional polytope")
+    return tuple(diffs[j] for j in pivots)  # type: ignore[return-value]
 
 
 def _coefficient_box(G: Sequence[Sequence[QSqrt2]], w0: QSqrt2) -> list[int]:

@@ -273,6 +273,25 @@ def test_width_sweep_over_the_cap_exits_2(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_a_flat_file_of_many_vertices_exits_2_after_one_elimination(
+        tmp_path, capsys, monkeypatch):
+    # 2000 coplanar vertices (x, x^2, 0): one elimination over all their
+    # differences finds rank 2, where trying every triple of them would not
+    # end in hours
+    from widthcert import widthlab
+
+    eliminations = []
+    echelon = widthlab._echelon
+    monkeypatch.setattr(widthlab, "_echelon",
+                        lambda rows: eliminations.append(rows) or echelon(rows))
+    path = tmp_path / "flat.poly"
+    path.write_text("vertices:\n" + "".join(f"{x}, {x * x}, 0\n" for x in range(2000)))
+    code, out, err = run_cli(capsys, "width", "--polytope", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: lattice width needs a full-dimensional polytope\n"
+    assert [[len(row) for row in rows] for rows in eliminations] == [[1999] * 3]
+
+
 def test_width_subcommand_rejects_floats(tmp_path, capsys):
     path = tmp_path / "bad.poly"
     path.write_text("vertices:\n0.5, 0, 0\n1, 0, 0\n0, 1, 0\n0, 0, 1\n")

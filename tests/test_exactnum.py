@@ -259,7 +259,7 @@ def test_certify_less_reciprocal_cube_both_directions():
 
 def test_certify_less_equal_values_undecided():
     with pytest.raises(UndecidedComparison):
-        certify_less(sqrt(2), sqrt(2), min_width=Fr(1, 10**6))
+        certify_less(sqrt(2), sqrt(2))
 
 
 def _near_pole():

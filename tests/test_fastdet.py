@@ -23,8 +23,6 @@ from widthcert.fastdet import (
     _MonomialTable,
     _crt_reconstruct,
     _det_one_prime,
-    _entry_table,
-    _integerize,
     _is_prime,
     _live_slots,
     _prime_limit,
@@ -109,13 +107,12 @@ def test_primes_are_prime_and_descending():
 def test_norm_bound_dominates_small_case():
     rng = random.Random(1)
     M = _random_poly_matrix(rng, 3, 2)
-    entries = [[{m: (int(c.rat * 4), int(c.irr * 4)) for m, c in e.terms.items()}
-                for e in row] for row in M.rows]
-    bound = coefficient_norm_bound(entries)
+    shared, _, scale = _setup(M)
+    bound = coefficient_norm_bound(shared[4])
     det = det_laplace(M)
     for c in det.terms.values():
-        assert abs(c.rat * 64) <= bound
-        assert abs(c.irr * 64) <= bound
+        assert abs(c.rat * scale**3) <= bound
+        assert abs(c.irr * scale**3) <= bound
 
 
 @pytest.mark.parametrize("n,nvars", [(2, 2), (3, 2), (3, 3), (4, 3)])
@@ -227,12 +224,11 @@ def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
         lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
                                      if not any(m[keep_vars:])}))
-    bound = coefficient_norm_bound(_integerize(matrix)[0])
+    shared, primes, _ = _setup(matrix)
+    bound = coefficient_norm_bound(shared[4])
     assert bound.bit_length() == bits
-    below = _prime_limit(monomial_table(keep_vars, 16), monomial_table(keep_vars, 2).size_up_to[2],
-                         _OFFSET)
+    below = _prime_limit(monomial_table(keep_vars, 16), monomial_table(keep_vars, 2), _OFFSET)
     assert below == 1 << 31
-    primes = _setup(matrix)[1]
     assert len(primes) == count
     _assert_fewest_primes(primes, bound, below)
 
@@ -322,25 +318,29 @@ def laplace_permanent(norms):
     return int(value[0])
 
 
-def _random_entries(rng, n):
-    """Integer coefficient dicts {monomial: (a, b)} with empty entries and,
-    now and then, a whole row of them."""
+def _random_coefficients(rng, n):
+    """An integer coefficient tensor (n, n, 3 monomials, (a, b)) with zero
+    entries and, now and then, a whole row of them."""
     zero_row = rng.randrange(n) if rng.random() < 0.3 else None
-    return [[{} if i == zero_row or rng.random() < 0.25 else
-             {(t,): (rng.randint(-9, 9), rng.randint(-9, 9)) for t in range(rng.randint(1, 3))}
-             for _ in range(n)] for i in range(n)]
+    coeff_int = np.zeros((n, n, 3, 2), dtype=object)
+    for i, j in product(range(n), repeat=2):
+        if i != zero_row and rng.random() >= 0.25:
+            for t in range(rng.randint(1, 3)):
+                coeff_int[i, j, t] = rng.randint(-9, 9), rng.randint(-9, 9)
+    return coeff_int
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_norm_bound_is_the_laplace_permanent(n):
     rng = random.Random(70 + n)
     for _ in range(20):
-        entries = _random_entries(rng, n)
-        norms = [[sum(abs(a) + 2 * abs(b) for a, b in e.values()) for e in row]
-                 for row in entries]
-        assert coefficient_norm_bound(entries) == laplace_permanent(norms)
+        coeff_int = _random_coefficients(rng, n)
+        norms = [[sum(abs(a) + 2 * abs(b) for a, b in entry) for entry in row]
+                 for row in coeff_int.tolist()]
+        assert coefficient_norm_bound(coeff_int) == laplace_permanent(norms)
     # all ones: the permanent is n!
-    ones = [[{(0,): (1, 0)}] * n for _ in range(n)]
+    ones = np.zeros((n, n, 1, 2), dtype=object)
+    ones[..., 0] = 1
     assert coefficient_norm_bound(ones) == prod(range(1, n + 1))
 
 
@@ -394,11 +394,10 @@ def assert_residues_match_the_oracle(shared, got, p):
     dropped.  The oracle runs on the whole simplex, independent of the
     caps, so that it shows the dropped coefficients are 0; returns how many
     rows were dropped."""
-    n, table, _, _, coeff_int = shared
-    nq = coeff_int.shape[2]
+    entry_table, table, _, _, coeff_int = shared
     full = monomial_table(table.nvars, table.maxdeg)
-    want = laplace_residues(n, full, _entry_table(table.nvars, nq).maxdeg, shift_map(full, nq),
-                            coeff_int, p)
+    want = laplace_residues(len(coeff_int), full, entry_table.maxdeg,
+                            shift_map(full, len(entry_table.keys)), coeff_int, p)
     rows = np.searchsorted(full.keys, table.keys)
     assert np.array_equal(full.keys[rows], table.keys)
     dropped = np.ones(len(full.keys), dtype=bool)
@@ -472,7 +471,7 @@ def test_det_one_prime_residues_match_laplace(seed, n, nvars):
     # wrong sign, a lost 1/2 or swapped lanes would show in the b-part or a-part
     M = _random_poly_matrix(random.Random(seed), n, nvars)
     exact = det_laplace(M)
-    scale = _integerize(M)[1]
+    scale = _setup(M)[2]
     want = {m: (int(c.rat * scale**n), int(c.irr * scale**n)) for m, c in exact.terms.items()}
     assert sum(1 for a, b in want.values() if a and b) > 10
     # the smallest split prime above the degree 2n that the grid interpolates
@@ -509,7 +508,7 @@ def test_det_one_prime_guard_rejects_a_prime_past_the_float_limit():
     rng = random.Random(26)
     M = _random_poly_matrix(rng, 2, 2, max_degree=6)
     shared, primes, _ = _setup(M)
-    limit = _prime_limit(shared[1], shared[4].shape[2], _OFFSET)
+    limit = _prime_limit(shared[1], shared[0], _OFFSET)
     assert limit < 1 << 27
     assert primes == split_primes_below(limit, len(primes))
     with pytest.raises(OverflowError):
@@ -518,9 +517,38 @@ def test_det_one_prime_guard_rejects_a_prime_past_the_float_limit():
     assert det_poly_modular(M) == det_laplace(M)
 
 
+def test_det_one_prime_refuses_a_tensor_off_the_entry_table():
+    # the monomial axis must be the entry table's rows, one more or one fewer
+    # is not rounded to some other table
+    shared, primes, _ = _setup(_random_poly_matrix(random.Random(27), 3, 2))
+    entry_table, table, symmetric, offset, coeff_int = shared
+    assert coeff_int.shape[2] == len(entry_table.keys) == 6
+    wider = np.concatenate([coeff_int, np.zeros_like(coeff_int[:, :, :1])], axis=2)
+    for bad in (coeff_int[:, :, :-1], wider):
+        with pytest.raises(ValueError, match="entry table"):
+            _det_one_prime(entry_table, table, symmetric, offset, bad, primes[0])
+    _det_one_prime(*shared, primes[0])
+
+
 def _symmetric(M):
     return PolyMatrix([[M.rows[min(i, j)][max(i, j)] for j in range(M.ncols)]
                        for i in range(M.nrows)])
+
+
+def test_a_b_part_off_the_transpose_is_not_symmetric():
+    # M symmetric except for the sqrt2-part of one coefficient of entry (0, 2)
+    M = _symmetric(_random_poly_matrix(random.Random(41), 4, 3))
+    assert _setup(M)[0][2] is True
+    rows = [list(row) for row in M.rows]
+    m = next(iter(rows[0][2].terms))
+    rows[0][2] = rows[0][2] + MvPoly(3, {m: QSqrt2(0, 1)})
+    M = PolyMatrix(rows)
+    assert (M.rows[0][2].terms[m] - M.rows[2][0].terms[m]) == QSqrt2(0, 1)
+    shared = _setup(M)[0]
+    assert shared[2] is False
+    for p in (split_primes_below(1 << 25, 1)[0], 31):
+        assert_residues_match_the_oracle(shared, _det_one_prime(*shared, p), p)
+    assert det_poly_modular(M) == det_laplace(M)
 
 
 @pytest.mark.parametrize("seed,n,nvars,symmetric", [
@@ -550,7 +578,7 @@ def test_section_residues_match_the_laplace_oracle():
     matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
         lambda p: MvPoly(6, {m[:6]: c for m, c in p.terms.items() if not any(m[6:])}))
     shared = _setup(matrix)[0]
-    n, table, symmetric, _, coeff_int = shared
+    _, table, symmetric, _, coeff_int = shared
     assert symmetric and table.maxdeg == 16
     p = split_primes_below(1 << 25, 1)[0]
     # the caps drop 74,613 - 62,597 rows of the simplex
@@ -663,8 +691,9 @@ def test_entry_monomials_outlive_a_cap_below_the_entry_degree():
     s = MvPoly.variable(0, 2)
     one = MvPoly.constant(1, 2)
     M = PolyMatrix([[s * s + one, one], [one, MvPoly.zero(2)]])
-    _, table, _, _, coeff_int = _setup(M)[0]
+    entry_table, table, _, _, coeff_int = _setup(M)[0]
     assert dict(table.caps) == {(0,): 0, (1,): 0} and len(table.keys) == 1
+    assert entry_table is monomial_table(2, 2)
     assert coeff_int.shape[2] == monomial_table(2, 2).size_up_to[2] == 6
     assert det_poly_modular(M) == MvPoly.constant(-1, 2)
 
@@ -701,17 +730,17 @@ def test_zero_pivots_take_the_scalar_path(monkeypatch, symmetric):
     monkeypatch.setattr(fastdet, "det_field",
                         lambda matrix: calls.append(matrix) or det_field(matrix))
     shared = _setup(M)[0]
-    n, table, sym, offset, coeff_int = shared
+    entry_table, table, sym, offset, coeff_int = shared
     assert offset == 1 and sym == symmetric
     p = split_primes_below(1 << 25, 1)[0]
-    got = _det_one_prime(n, table, sym, offset, coeff_int, p)
+    got = _det_one_prime(entry_table, table, sym, offset, coeff_int, p)
     face = int(np.count_nonzero(table.exps[:, 0] == 0))
     assert len(calls) == face
     assert all(matrix.rows[0][0] == 0 for matrix in calls)
     assert all(x.d == 1 for matrix in calls for row in matrix.rows for x in row)
     assert_residues_match_the_oracle(shared, got, p)
     calls.clear()
-    shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
+    shifted = _det_one_prime(entry_table, table, sym, offset + 1, coeff_int, p)
     assert calls == []
     assert all(np.array_equal(g, w) for g, w in zip(shifted, got))
     assert det_poly_modular(M) == det_laplace(M)
@@ -736,16 +765,16 @@ def test_a_later_zero_pivot_takes_the_scalar_path(monkeypatch, symmetric):
     monkeypatch.setattr(fastdet, "det_field",
                         lambda matrix: calls.append(matrix) or det_field(matrix))
     shared = _setup(M)[0]
-    n, table, sym, offset, coeff_int = shared
+    entry_table, table, sym, offset, coeff_int = shared
     assert offset == 1 and sym == symmetric
     p = split_primes_below(1 << 25, 1)[0]
-    got = _det_one_prime(n, table, sym, offset, coeff_int, p)
+    got = _det_one_prime(entry_table, table, sym, offset, coeff_int, p)
     face = int(np.count_nonzero(table.exps[:, 0] == 0))
     assert len(calls) == face
     assert all(matrix.rows[1][1] == 0 and matrix.rows[0][0] != 0 for matrix in calls)
     assert_residues_match_the_oracle(shared, got, p)
     calls.clear()
-    shifted = _det_one_prime(n, table, sym, offset + 1, coeff_int, p)
+    shifted = _det_one_prime(entry_table, table, sym, offset + 1, coeff_int, p)
     assert calls == []
     assert all(np.array_equal(g, w) for g, w in zip(shifted, got))
 
@@ -813,7 +842,7 @@ def _as_arrays(f, maxdeg):
 def test_array_evaluation_matches_mvpoly_evaluate():
     rng = random.Random(31)
     polys = [MvPoly.zero(3), MvPoly.constant(QSqrt2(Fr(-2, 3), Fr(5, 7)), 3),
-             MvPoly.variable(1, 3, QSqrt2(Fr(1, 2), -1)), MvPoly.variable(0, 1)]
+             MvPoly.linear_form([0, QSqrt2(Fr(1, 2), -1), 0]), MvPoly.variable(0, 1)]
     for _ in range(30):
         nvars = rng.randint(1, 4)
         table = monomial_table(nvars, 5)

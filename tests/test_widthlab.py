@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction as Fr
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import numpy as np
 import pytest
 
 from widthcert import widthlab
-from widthcert.exactlinalg import inverse_field
+from widthcert.exactlinalg import QMatrix, det_field, inverse_field
 from widthcert.exactnum import QSqrt2
 from widthcert.polyfile import format_scalar
 from widthcert.widthlab import (
@@ -125,6 +125,37 @@ def test_degenerate_polytope_rejected():
     flat = Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
     with pytest.raises(DegeneratePolytopeError):
         lattice_width(flat, Z3)
+
+
+def _first_independent_triple(K):
+    """The first triple of vertex differences v - v0, in `combinations`
+    order, with a nonzero determinant, or None."""
+    diffs = [tuple(x - y for x, y in zip(v, K.vertices[0])) for v in K.vertices[1:]]
+    return next((t for t in combinations(diffs, 3) if det_field(QMatrix(t))), None)
+
+
+def test_independent_differences_are_the_first_independent_triple():
+    # vertices on a line and a plane through the first one, mixed with
+    # general ones and sqrt2 coordinates, so that many triples are dependent
+    rng = random.Random(17)
+    for _ in range(300):
+        verts, size = set(), rng.randint(1, 10)
+        while len(verts) < size:
+            t, u = rng.randint(-3, 3), rng.randint(-3, 3)
+            kind = rng.random()
+            if kind < 0.35:
+                verts.add((t, 2 * t, -t))
+            elif kind < 0.85:
+                verts.add((QSqrt2(t, u), u, 0))
+            else:
+                verts.add((t, u, QSqrt2(rng.randint(-2, 2), rng.randint(-1, 1))))
+        K = Polytope(rng.sample(sorted(verts, key=repr), len(verts)))
+        want = _first_independent_triple(K)
+        if want is None:
+            with pytest.raises(DegeneratePolytopeError):
+                widthlab._independent_differences(K)
+        else:
+            assert widthlab._independent_differences(K) == want
 
 
 def _brute_force_width(scaled_vertices, box=20):
