@@ -74,19 +74,36 @@ Exactness is unconditional, not heuristic:
   row outside L and, on every row of L, read the rows of L alone, so the
   grid a + L gives the coefficients the simplex gives;
 * the primes are the fewest such primes whose product exceeds four times a
-  certified bound on every coefficient of the determinant (the symmetric
-  residue range needs twice; the bound is the permanent of the
-  coefficient-norms ``sum(|a| + 2|b|)`` of the entries, which are
-  submultiplicative for Z[sqrt2] polynomials, by the recursion over column
-  subsets that also gives the caps, `_subset_permanent`);
+  certified bound on every coefficient of the determinant they compute
+  (the symmetric residue range needs twice).  That determinant is of the
+  scaled tensor, not of M itself: the entries at s = 2^-k * u, the pair
+  on a monomial of degree d times 2^(k*(e-d)) so that it stays integral,
+  divided by the content g, the gcd of all the parts (`_setup`).  The
+  rescaling balances coefficients that grow with the degree, and it pays
+  only with the content: on the 6-variable section at k = 2, g = 8 is
+  worth 24 bits.  The bound is the smaller of two certified ones
+  (`coefficient_norm_bound`): the permanent of the entries'
+  coefficient-norms ``sum(|a| + 2|b|)``, which are submultiplicative for
+  Z[sqrt2] polynomials, by the recursion over column subsets that also
+  gives the caps (`_subset_permanent`); and a Hadamard bound per real
+  embedding of Q(sqrt2), in integers through an enclosure of sqrt2 * 2^64
+  and an `isqrt` rounded up.  k runs over 0 .. 4 by a fixed rule, the
+  smallest bound (`_rescaling`).  Coefficient alpha of det M is then
+  C_alpha * g^n * 2^(k*|alpha|) / (2^(k*e*n) * scale^n), C_alpha the CRT
+  value; that ratio is reduced once per total degree.  For condition (iv)
+  this takes 4 primes at c = 7 and 39/4 and 3 at c = 12, where the plain
+  permanent (144 bits at 39/4) needed 5;
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
-  Q(sqrt2)^nvars (`_evaluate` sums that side on Python ints).
+  Q(sqrt2)^nvars, in the scaled domain: the CRT values at 2^k times the
+  point, times the ratio of degree 0 (`_evaluate` sums that side on Python
+  ints).
 
 Every `QSqrt2` is already three ints (a + b*sqrt2)/d, so the entries enter
-once, as one tensor of the pairs (a, b) scaled to their common denominator
-(`_setup`).  After the primes, in bulk (`det_poly_modular`):
+once, as one tensor of the pairs (a, b) scaled to their common denominator,
+and the scaled tensor is built from it once (`_setup`).  After the primes,
+in bulk (`det_poly_modular`):
 
 * CRT (`_crt_reconstruct`) on the live slots only, where some residue is
   nonzero: exactly the nonzero coefficients.  Their Garner mixed-radix
@@ -98,7 +115,8 @@ once, as one tensor of the pairs (a, b) scaled to their common denominator
   and their chain ancestors only, and each degree's sum is one dot product
   per part (`_evaluate`).  Two degrees are held at a time.
 * Terms.  The exponent rows of the live slots become tuples a block at a
-  time, each coefficient one `QSqrt2.from_ints(a, b, scale^n)`, and the
+  time, each coefficient one `QSqrt2.from_ints(a * num, b * num, den)`
+  with num/den the reduced ratio of its total degree, and the
   term dict is built in one pass and adopted by `MvPoly` without a second
   check (`MvPoly._of_clean_terms`), with the cyclic collector paused.
 * Constant-term check, on the returned polynomial.
@@ -115,8 +133,8 @@ import operator
 import random
 from functools import cached_property, lru_cache, reduce
 from fractions import Fraction
-from itertools import combinations, repeat
-from math import comb, lcm, prod
+from itertools import chain, combinations, repeat
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -130,6 +148,9 @@ _OFFSET = 1  # the grid offset a, in every variable (module docstring)
 _BLOCK = 1024  # grid points evaluated and eliminated together (module docstring)
 _TERM_BLOCK = 1 << 14  # exponent rows turned into tuples at a time
 _NO_TERM = -(1 << 40)  # the degree of a zero entry in `degree_caps`: minus infinity
+_MAX_HALVING = 4  # the rescaling s = 2^-k * u tries k = 0 .. this (`_rescaling`)
+_SQRT2_BITS = 64  # F: sqrt2 * 2^F lies in [_SQRT2_FLOOR, _SQRT2_FLOOR + 1)
+_SQRT2_FLOOR = isqrt(2 << 2 * _SQRT2_BITS)
 
 
 class _MonomialTable:
@@ -299,15 +320,85 @@ def _subset_permanent(weights, plus, times, one):
     return value[-1]
 
 
+def _entry_sums(coeff_int: np.ndarray) -> np.ndarray:
+    """Per entry (r, c) and monomial q of the pairs coeff_int[r, c, q] of
+    a + b*sqrt2, three integers (an object array of shape (3, n, n, nq)):
+    the norm |a| + 2|b|, and upper bounds of 2^F * |a + b*sqrt2| and
+    2^F * |a - b*sqrt2|, the sizes in the two real embeddings, F =
+    `_SQRT2_BITS`.  With sqrt2 * 2^F = `_SQRT2_FLOOR` + t, 0 <= t < 1, each is
+    |a*2^F +- b*_SQRT2_FLOOR| + |b|.  Every one is linear in (a, b) up to the
+    absolute value, so scaling a coefficient by w > 0 scales them by w."""
+    a, b = coeff_int[..., 0], coeff_int[..., 1]
+    shifted, rooted, slack = a * (1 << _SQRT2_BITS), b * _SQRT2_FLOOR, abs(b)
+    return np.stack([abs(a) + 2 * slack, abs(shifted + rooted) + slack,
+                     abs(shifted - rooted) + slack])
+
+
+def _permanent_bound(norms: np.ndarray) -> int:
+    """The permanent over (+, x) of the entries' norms, summed over their
+    monomials (`_entry_sums`' first part): the weight |a| + 2|b| is
+    submultiplicative on Z[sqrt2] and bounds |a| and |b|, so this bounds
+    every coefficient of the determinant (`_subset_permanent`)."""
+    return _subset_permanent(norms.tolist(), operator.add, operator.mul, 1)
+
+
+def _hadamard_bound(plus: np.ndarray, minus: np.ndarray) -> int:
+    """A bound on |a| and |b| of every coefficient a + b*sqrt2 of the
+    determinant from the per-entry sums, times 2^F, of |sigma(h_ijq)| over
+    the monomials q in the two real embeddings sigma (`_entry_sums`' other
+    two parts).  sigma(c_alpha) is the mean of sigma(det H(z)) z^-alpha over
+    the unit torus, so |sigma(c_alpha)| is at most max |det sigma(H(z))|
+    there, which Hadamard's inequality bounds by the product over rows i of
+    the 2-norm of (sum_q |sigma(h_ijq)|)_j: at most H = (isqrt(P) + 1) /
+    2^(F*n), P the product of the rows' sums of squares.  Then
+    |a| = |sigma+ + sigma-|/2 and |b| = |sigma+ - sigma-|/(2*sqrt2) are at
+    most (H+ + H-)/2, rounded up."""
+    roots = sum(isqrt(prod(sum(x * x for x in row) for row in lane.tolist())) + 1
+                for lane in (plus, minus))
+    return -(-roots >> (_SQRT2_BITS * len(plus) + 1))
+
+
+def _certified_bound(norms: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> int:
+    """The smaller of `_permanent_bound` and `_hadamard_bound`, from
+    `_entry_sums`' three parts summed over the monomials, (n, n) object
+    arrays; neither is always the smaller."""
+    return min(_permanent_bound(norms), _hadamard_bound(plus, minus))
+
+
 def coefficient_norm_bound(coeff_int: np.ndarray) -> int:
     """Upper bound on |a| and |b| of every coefficient of the determinant of
     the matrix whose entry (r, c) has the coefficients a + b*sqrt2 of the
-    pairs coeff_int[r, c, :] (`_setup`).  Uses the submultiplicative weight
-    n(a + b*sqrt2) = |a| + 2|b| (valid since n(xy) <= n(x)n(y)) summed over
-    terms: the bound is the permanent of these norms over (+, x) on Python
-    ints (`_subset_permanent`)."""
-    norms = (abs(coeff_int[..., 0]) + 2 * abs(coeff_int[..., 1])).sum(axis=2)
-    return _subset_permanent(norms.tolist(), operator.add, operator.mul, 1)
+    pairs coeff_int[r, c, :] (`_setup`'s scaled tensor): the smaller of the
+    permanent of the entries' norms and the Hadamard bound of their two real
+    embeddings (`_certified_bound`), in exact integer arithmetic."""
+    return _certified_bound(*_entry_sums(coeff_int).sum(axis=3))
+
+
+def _rescaling(coeff_int: np.ndarray, entry_table: _MonomialTable) -> tuple[int, int]:
+    """The exponent k in 0 .. `_MAX_HALVING` and the content g of the scaled
+    tensor that `_setup` builds: coeff_int's pair on a monomial of degree d
+    times 2^(k*(e-d)), e = entry_table.maxdeg, divided by g, the gcd of all
+    those parts.  That tensor is the matrix at s = 2^-k * u, times 2^(k*e)
+    and the entry scale, over g.  k is the one whose tensor has the smallest
+    `coefficient_norm_bound`, the smallest k on a tie; the number of primes
+    `crt_primes` takes never falls as the bound grows, so it is also the
+    fewest.  Every bound is read off per-entry, per-degree sums and
+    per-degree contents, scaled by the same 2^(k*(e-d)), so only the chosen
+    tensor is ever built."""
+    e = entry_table.maxdeg
+    ends = entry_table.size_up_to
+    starts = [0, *ends[:-1]]
+    by_degree = np.add.reduceat(_entry_sums(coeff_int), starts, axis=3)
+    contents = [gcd(*coeff_int[:, :, lo:hi].ravel().tolist()) for lo, hi in zip(starts, ends)]
+    best = None
+    for k in range(_MAX_HALVING + 1):
+        weights = [1 << k * (e - d) for d in range(e + 1)]
+        content = gcd(*map(operator.mul, contents, weights)) or 1
+        sums = (by_degree * np.array(weights, dtype=object)).sum(axis=3) // content
+        bound = _certified_bound(*sums)
+        if best is None or bound < best[0]:
+            best = bound, k, content
+    return best[1], best[2]
 
 
 def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
@@ -347,14 +438,25 @@ def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
 
 
 def _setup(M: PolyMatrix):
-    """What every prime shares: the arguments of `_det_one_prime` before p
-    (entry table, grid table, symmetry, grid offset, coeff_int), the primes,
-    and the scale that made the entries integral.  coeff_int[r, c, q] is the
-    pair (a, b) of entry (r, c)'s coefficient a + b*sqrt2 on row q of the
-    uncapped entry table (degree <= e, the largest entry degree), times that
-    scale; the bound, the caps and the symmetry flag are read off it.  The
-    grid table is the simplex of degree n*e cut by the caps of coeff_int's
-    support, so a cap below e never drops an entry monomial."""
+    """What every prime shares and how to undo it: the arguments of
+    `_det_one_prime` before p (entry table, grid table, symmetry, grid
+    offset, scaled tensor), the primes, the rescaling exponent k and, per
+    total degree d of the determinant, the Fraction that turns a
+    coefficient of the scaled tensor's determinant into M's.
+
+    coeff_int[r, c, q], the matrix as read, is the pair (a, b) of entry
+    (r, c)'s coefficient a + b*sqrt2 on row q of the uncapped entry table
+    (degree <= e, the largest entry degree), times the lcm `scale` of the
+    denominators.  The scaled tensor multiplies the pair on a monomial of
+    degree d by 2^(k*(e-d)) and divides every pair by their gcd g
+    (`_rescaling`), so it is the matrix H(u) = (2^(k*e) * scale / g) M(2^-k u)
+    and coefficient alpha of det M is C_alpha * g^n * 2^(k*|alpha|) /
+    (2^(k*e*n) * scale^n), C_alpha that of det H.  The scaling keeps every
+    monomial of every entry, so the caps are read off coeff_int's support;
+    the bound (one `coefficient_norm_bound` call, before any prime) and the
+    symmetry flag are read off the scaled tensor.  The grid table is the
+    simplex of degree n*e cut by the caps, so a cap below e never drops an
+    entry monomial."""
     if not M.is_square():
         raise ValueError("determinant of non-square matrix")
     n = M.nrows
@@ -372,28 +474,38 @@ def _setup(M: PolyMatrix):
     maxdeg = entry_deg * n
     support = (coeff_int != 0).any(axis=3)
     table = monomial_table(M.nvars, maxdeg, degree_caps(support, entry_table.exps, maxdeg))
-    primes = crt_primes(coefficient_norm_bound(coeff_int),
+    k, content = _rescaling(coeff_int, entry_table)
+    weights = [1 << k * (entry_deg - d) for d in entry_table.totals.tolist()]
+    scaled = coeff_int * np.array(weights, dtype=object)[:, None] // content
+    primes = crt_primes(coefficient_norm_bound(scaled),
                         _prime_limit(table, entry_table, _OFFSET))
-    symmetric = np.array_equal(coeff_int, coeff_int.transpose(1, 0, 2, 3))
-    return (entry_table, table, symmetric, _OFFSET, coeff_int), primes, scale
+    symmetric = np.array_equal(scaled, scaled.transpose(1, 0, 2, 3))
+    denominator = (scale << k * entry_deg) ** n
+    unscale = [Fraction(content ** n << k * d, denominator) for d in range(maxdeg + 1)]
+    return (entry_table, table, symmetric, _OFFSET, scaled), primes, k, unscale
 
 
 def det_poly_modular(M: PolyMatrix) -> MvPoly:
     """Exact determinant of a square PolyMatrix via CRT over dense residue
     arrays.  See the module docstring for the soundness argument."""
-    shared, primes, scale = _setup(M)
+    shared, primes, k, unscale = _setup(M)
     residues = [_det_one_prime(*shared, p) for p in primes]
     live = _live_slots(residues)
     det_a, det_b = _crt_reconstruct([(a[live], b[live]) for a, b in residues], primes)
     del residues  # the term build below is full (iv)'s memory peak
 
-    # undo the entry scaling: det(scale*M) = scale^n det(M)
-    n, table = M.nrows, shared[1]
-    _verify_against_field_det(M, table, live, det_a, det_b, scale ** n)
+    table = shared[1]
+    _verify_against_field_det(M, table, live, det_a, det_b, k, unscale[0])
     exps = table.exps[live]
     monomials = (m for start in range(0, len(live), _TERM_BLOCK)
                  for m in zip(*exps[start:start + _TERM_BLOCK].T.tolist()))
-    coeffs = map(QSqrt2.from_ints, det_a.tolist(), det_b.tolist(), repeat(scale ** n))
+    # undo the scaling one total degree at a time: live is increasing and
+    # the table graded, so live[cut[d]:cut[d + 1]] are the rows of degree d
+    cut = np.searchsorted(live, [0, *table.size_up_to]).tolist()
+    coeffs = chain.from_iterable(
+        map(QSqrt2.from_ints, (det_a[lo:hi] * f.numerator).tolist(),
+            (det_b[lo:hi] * f.numerator).tolist(), repeat(f.denominator))
+        for f, lo, hi in zip(unscale, cut, cut[1:]))
     # each new QSqrt2 is a tracked object, and the collections that hundreds
     # of thousands of them set off walk every live object: about 40% of the
     # term build for condition (iv).  The terms hold no cycle to collect.
@@ -411,13 +523,14 @@ def det_poly_modular(M: PolyMatrix) -> MvPoly:
     return result
 
 
-def _det_one_prime(entry_table, table, symmetric, offset, coeff_int,
+def _det_one_prime(entry_table, table, symmetric, offset, scaled,
                    p) -> tuple[np.ndarray, np.ndarray]:
-    """Residues mod p of the a- and b-parts of every determinant coefficient
-    of degree <= table.maxdeg, from the scalar lanes a + b*r and a - b*r on
-    the grid with the given offset (see the module docstring); coeff_int's
-    third axis runs over the rows of `entry_table`."""
-    if coeff_int.shape[2] != len(entry_table.keys):
+    """Residues mod p of the a- and b-parts of every coefficient of the
+    determinant of the integer tensor `scaled` (`_setup`), of degree <=
+    table.maxdeg, from the scalar lanes a + b*r and a - b*r on the grid with
+    the given offset (see the module docstring); its third axis runs over
+    the rows of `entry_table`."""
+    if scaled.shape[2] != len(entry_table.keys):
         raise ValueError("the coefficient tensor does not match the entry table")
     r = pow(2, (p + 1) // 4, p)
     if r * r % p != 2:
@@ -426,8 +539,8 @@ def _det_one_prime(entry_table, table, symmetric, offset, coeff_int,
         raise ValueError(f"{p} is too small to interpolate degree {table.maxdeg}")
     if p >= _prime_limit(table, entry_table, offset):
         raise OverflowError("prime too large for exact evaluation")
-    slots, steps = _elimination_plan(len(coeff_int), symmetric)
-    cf = (coeff_int % p).astype(np.int64)
+    slots, steps = _elimination_plan(len(scaled), symmetric)
+    cf = (scaled % p).astype(np.int64)
     lanes = ((cf[..., 0] + cf[..., 1] * r) % p, (cf[..., 0] - cf[..., 1] * r) % p)
     # row 2t + lane: the monomial coefficients of entry slots[t] in that lane
     weights = np.array([lane[i, j] for i, j in slots for lane in lanes], dtype=np.float64)
@@ -448,7 +561,7 @@ def _det_one_prime(entry_table, table, symmetric, offset, coeff_int,
         # a zero divisor: the exact determinant at the point a + alpha instead
         point = [offset + e for e in table.exps[row].tolist()]
         monomials = [prod(map(pow, point, m)) for m in entry_table.exps.tolist()]
-        entries = (coeff_int * np.array(monomials, dtype=object)[:, None]).sum(axis=2).tolist()
+        entries = (scaled * np.array(monomials, dtype=object)[:, None]).sum(axis=2).tolist()
         det = det_field(QMatrix([[QSqrt2.from_ints(a, b, 1) for a, b in entry_row]
                                  for entry_row in entries]))
         if det.d != 1:
@@ -588,16 +701,21 @@ def _crt_reconstruct(residues, primes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verify_against_field_det(M: PolyMatrix, table: _MonomialTable, live: np.ndarray,
-                              det_a: np.ndarray, det_b: np.ndarray, denominator: int) -> None:
-    """The evaluation check: the determinant with coefficient
-    (det_a[k] + det_b[k]*sqrt2)/denominator on row live[k] of `table` must
-    equal the exact field determinant of M at a deterministic pseudo-random
-    point of Q(sqrt2)^nvars."""
+                              det_a: np.ndarray, det_b: np.ndarray, k: int,
+                              unscale: Fraction) -> None:
+    """The evaluation check, in the scaled domain of `_setup`: the
+    polynomial with coefficient det_a[i] + det_b[i]*sqrt2 on row live[i] of
+    `table`, at 2^k times a deterministic pseudo-random point of
+    Q(sqrt2)^nvars and times `unscale`, the factor of degree 0, must equal
+    the exact field determinant of M at that point."""
     rng = random.Random(0x5EED ^ M.nrows ^ M.nvars)
     point = [QSqrt2(Fraction(rng.randint(-7, 7), rng.randint(1, 5)),
                     Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
              for _ in range(M.nvars)]
-    if _evaluate(table, live, det_a, det_b, denominator, point) != det_field(M.evaluate(point)):
+    scaled_point = [x * (1 << k) for x in point]
+    value = _evaluate(table, live, det_a, det_b, unscale.denominator, scaled_point)
+    value *= unscale.numerator
+    if value != det_field(M.evaluate(point)):
         raise AssertionError("modular determinant failed the evaluation check")
 
 

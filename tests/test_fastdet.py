@@ -1,30 +1,36 @@
 """The modular determinant engine must agree with the direct term-level
 expansion everywhere, its residues must agree with the Laplace subset
 kernel kept here as the oracle, that kernel must agree with a plain-Python
-reference, the certified bound must be the permanent that the Laplace plan
-computes, the degree caps that cut the grid must be the maxima over all
-permutations, and the evaluation check must catch a wrong coefficient or a
-cap set too low."""
+reference, the permanent branch of the certified bound must be the
+permanent that the Laplace plan computes, both branches must cover every
+coefficient, the rescaling must follow its fixed rule, the degree caps that
+cut the grid must be the maxima over all permutations, and the evaluation
+check must catch a wrong coefficient or a cap set too low."""
 
+import inspect
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
-from math import comb, isqrt, lcm, prod
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
 
 from widthcert import _kernels, fastdet
 from widthcert.exactnum import QSqrt2
-from widthcert.exactlinalg import PolyMatrix
+from widthcert.exactlinalg import PolyMatrix, det_field
 from widthcert.fastdet import (
     _OFFSET,
     _MonomialTable,
+    _SQRT2_BITS,
     _crt_reconstruct,
     _det_one_prime,
+    _entry_sums,
+    _hadamard_bound,
     _is_prime,
     _live_slots,
+    _permanent_bound,
     _prime_limit,
     _setup,
     _split_primes_below,
@@ -104,15 +110,186 @@ def test_primes_are_prime_and_descending():
         assert list(_split_primes_below(bound)) == want
 
 
+def tensor_matrix(shared):
+    """The integer matrix that `_setup`'s scaled tensor holds, as a
+    PolyMatrix over the entry table's monomials: the oracles' input."""
+    entry_table, scaled = shared[0], shared[4]
+    monomials = [tuple(m) for m in entry_table.exps.tolist()]
+    return PolyMatrix([[MvPoly(entry_table.nvars, {m: QSqrt2.from_ints(a, b, 1)
+                                                   for m, (a, b) in zip(monomials, entry)
+                                                   if a or b})
+                        for entry in row] for row in scaled.tolist()])
+
+
+def scaled_determinant(shared):
+    """The determinant of the scaled tensor by the Laplace oracle, as
+    {monomial: (a, b)} of integers."""
+    det = det_laplace(tensor_matrix(shared))
+    assert all(c.d == 1 for c in det.terms.values())
+    return {m: (c.a, c.b) for m, c in det.terms.items()}
+
+
+def read_tensor(M):
+    """The matrix as `_setup` reads it, built here on its own: the pairs
+    (a, b) on the rows of the uncapped entry table, times the lcm of the
+    denominators, and that lcm."""
+    entry_table = monomial_table(M.nvars, max(0, M.max_entry_degree()))
+    row = {tuple(m): q for q, m in enumerate(entry_table.exps.tolist())}
+    scale = lcm(*(c.d for r in M.rows for e in r for c in e.terms.values()))
+    coeff_int = np.zeros((M.nrows, M.ncols, len(row), 2), dtype=object)
+    for i, r in enumerate(M.rows):
+        for j, e in enumerate(r):
+            for m, c in e.terms.items():
+                coeff_int[i, j, row[m]] = c.a * scale // c.d, c.b * scale // c.d
+    return entry_table, coeff_int, scale
+
+
+def expected_rescaling(M):
+    """The rule `_setup` must follow, by brute force over the built tensors:
+    for k = 0 .. 4, the tensor with the pair on a monomial of degree d times
+    2^(k*(e-d)), over the gcd g of all its parts; the fewest primes, then
+    the smaller bound, then the smaller k.  Returns (k, g, tensor, scale)."""
+    entry_table, coeff_int, scale = read_tensor(M)
+    table = _setup(M)[0][1]
+    below = _prime_limit(table, entry_table, _OFFSET)
+    e = entry_table.maxdeg
+    candidates = []
+    for k in range(5):
+        weights = np.array([2 ** (k * (e - d)) for d in entry_table.totals.tolist()],
+                           dtype=object)
+        tensor = coeff_int * weights[:, None]
+        g = gcd(*tensor.ravel().tolist()) or 1
+        bound = coefficient_norm_bound(tensor // g)
+        candidates.append((len(crt_primes(bound, below)), bound, k, g, tensor // g))
+    _, _, k, g, tensor = min(candidates, key=lambda c: c[:3])
+    return k, g, tensor, scale
+
+
+def _zoomed_matrix(rng, n, nvars, zoom=4):
+    """N(zoom * s) for a random N with entries of degree 2: its coefficient
+    of degree d is zoom^d times N's, so the rescaling by 1/zoom and the
+    content that comes with it pay."""
+    N = _random_poly_matrix(rng, n, nvars)
+    return N.map_entries(lambda p: MvPoly(nvars, {m: c * zoom ** sum(m)
+                                                  for m, c in p.terms.items()}))
+
+
+def assert_bound_covers_the_laplace_determinant(M):
+    # irrational entries: both parts of most coefficients are nonzero; each
+    # branch of the min covers the true largest part on its own
+    shared = _setup(M)[0]
+    true_max = max((max(abs(a), abs(b)) for a, b in scaled_determinant(shared).values()),
+                   default=0)
+    norms, plus, minus = _entry_sums(shared[4]).sum(axis=3)
+    assert true_max <= _permanent_bound(norms)
+    assert true_max <= _hadamard_bound(plus, minus)
+    assert coefficient_norm_bound(shared[4]) == min(_permanent_bound(norms),
+                                                    _hadamard_bound(plus, minus))
+
+
 def test_norm_bound_dominates_small_case():
-    rng = random.Random(1)
-    M = _random_poly_matrix(rng, 3, 2)
-    shared, _, scale = _setup(M)
-    bound = coefficient_norm_bound(shared[4])
-    det = det_laplace(M)
-    for c in det.terms.values():
-        assert abs(c.rat * scale**3) <= bound
-        assert abs(c.irr * scale**3) <= bound
+    assert_bound_covers_the_laplace_determinant(_random_poly_matrix(random.Random(1), 3, 2))
+
+
+def test_norm_bound_covers_seeded_irrational_matrices():
+    # sizes 1 .. 4, entry degrees 0 .. 2, dense and sparse, plain and zoomed
+    # so that the rescaling applies
+    rng = random.Random(77)
+    for trial in range(40):
+        n, nvars = rng.randint(1, 4), rng.randint(1, 3)
+        if trial % 4 == 3:
+            M = _zoomed_matrix(rng, n, nvars, rng.choice((2, 4, 8)))
+        else:
+            M = _random_poly_matrix(rng, n, nvars, max_degree=rng.randint(0, 2),
+                                    density=rng.choice((0.3, 0.9)))
+        assert_bound_covers_the_laplace_determinant(M)
+
+
+def _constant_tensor(rows):
+    """The (n, n, 1, 2) tensor of constant entries a + b*sqrt2."""
+    return np.array([[[pair] for pair in row] for row in rows], dtype=object)
+
+
+def test_each_branch_of_the_bound_can_be_the_smaller():
+    # [[1, 1], [0, 1]]: the permanent 1 against Hadamard's sqrt2, rounded up
+    upper = _constant_tensor([[(1, 0), (1, 0)], [(0, 0), (1, 0)]])
+    norms, plus, minus = _entry_sums(upper).sum(axis=3)
+    assert (_permanent_bound(norms), _hadamard_bound(plus, minus)) == (1, 2)
+    assert coefficient_norm_bound(upper) == 1
+    # all ones, 4 x 4: the permanent 4! = 24 against Hadamard's 2^4 = 16,
+    # which the enclosure's + 1 lifts to 17
+    ones = _constant_tensor([[(1, 0)] * 4] * 4)
+    norms, plus, minus = _entry_sums(ones).sum(axis=3)
+    assert (_permanent_bound(norms), _hadamard_bound(plus, minus)) == (24, 17)
+    assert coefficient_norm_bound(ones) == 17
+
+
+@pytest.mark.parametrize("a,b", [(99, -70), (-99, 70), (-577, 408), (3363, -2378), (0, 5),
+                                 (7, 0), (0, 0)])
+def test_sqrt2_enclosure_is_exact_on_near_cancelling_parts(a, b):
+    # a + b*sqrt2 and a - b*sqrt2 near 0 (a unit and its conjugate): each
+    # enclosure is at least 2^F times the exact absolute value and less
+    # than that plus 2|b| + 1
+    norm, plus, minus = (int(x) for x in _entry_sums(_constant_tensor([[(a, b)]])).ravel())
+    assert norm == abs(a) + 2 * abs(b)
+    for enclosure, exact in ((plus, abs(QSqrt2(a, b))), (minus, abs(QSqrt2(a, -b)))):
+        exact = exact * 2**_SQRT2_BITS
+        assert exact <= enclosure < exact + 2 * abs(b) + 1
+    # the 1 x 1 determinant is the entry itself: the Hadamard bound is
+    # ceil((|a + b*sqrt2| + |a - b*sqrt2|)/2 + tiny) = max(|a|, |b|*sqrt2)
+    # rounded up, or one more
+    bound = coefficient_norm_bound(_constant_tensor([[(a, b)]]))
+    assert max(abs(a), abs(b)) <= bound <= max(abs(a), isqrt(2 * b * b)) + 2
+    if a and b:
+        assert bound < norm
+
+
+@pytest.mark.parametrize("seed,n,nvars,zoom", [(51, 3, 2, 4), (52, 4, 2, 4), (53, 3, 3, 8),
+                                               (54, 4, 2, 16)])
+def test_rescaled_determinant_matches_the_oracles(seed, n, nvars, zoom):
+    # M(s) = N(zoom * s): the rule picks k > 0 and a content g > 1, and
+    # the determinant must still be M's
+    M = _zoomed_matrix(random.Random(seed), n, nvars, zoom)
+    k, g, _, _ = expected_rescaling(M)
+    assert k > 0 and g > 1
+    assert _setup(M)[2] == k
+    det = det_poly_modular(M)
+    assert det == det_laplace(M)
+    point = [QSqrt2(Fr(1, 3), Fr(-1, 2)), QSqrt2(Fr(5, 2), 1), QSqrt2(-2, Fr(1, 7))][:nvars]
+    assert det.evaluate(point) == det_field(M.evaluate(point))
+
+
+@pytest.mark.parametrize("seed,kind", [(s, kind) for s in range(61, 67)
+                                       for kind in ("plain", "zoomed", "constant")])
+def test_rescaling_follows_the_fixed_rule(seed, kind):
+    # k in 0 .. 4, the fewest primes, then the smaller bound, then the
+    # smaller k; the tensor and the per-degree unscaling are the rule's.  On
+    # constant entries every k gives the same tensor, so k is 0
+    rng = random.Random(seed)
+    n, nvars = rng.randint(2, 4), rng.randint(1, 3)
+    if kind == "zoomed":
+        M = _zoomed_matrix(rng, n, nvars, rng.choice((2, 4, 8)))
+    else:
+        M = _random_poly_matrix(rng, n, nvars, max_degree=2 if kind == "plain" else 0)
+    k, g, tensor, scale = expected_rescaling(M)
+    if kind == "constant":
+        assert k == 0
+    shared, primes, got_k, unscale = _setup(M)
+    assert got_k == k and 0 <= k <= 4
+    assert np.array_equal(shared[4], tensor)
+    assert gcd(*shared[4].ravel().tolist()) == 1
+    e = shared[0].maxdeg
+    assert unscale == [Fr(g ** n * 2 ** (k * d), 2 ** (k * e * n) * scale ** n)
+                       for d in range(shared[1].maxdeg + 1)]
+    assert primes == crt_primes(coefficient_norm_bound(tensor),
+                                _prime_limit(shared[1], shared[0], _OFFSET))
+
+
+def test_no_option_chooses_the_rescaling():
+    assert list(inspect.signature(_setup).parameters) == ["M"]
+    assert list(inspect.signature(det_poly_modular).parameters) == ["M"]
+    assert list(inspect.signature(fastdet._rescaling).parameters) == ["coeff_int",
+                                                                      "entry_table"]
 
 
 @pytest.mark.parametrize("n,nvars", [(2, 2), (3, 2), (3, 3), (4, 3)])
@@ -215,7 +392,7 @@ def test_crt_primes_are_the_fewest(bound):
         crt_primes(max(bound, 7**4), 8)
 
 
-@pytest.mark.parametrize("keep_vars,bits,count", [(8, 144, 5), (6, 137, 5)])
+@pytest.mark.parametrize("keep_vars,bits,count", [(8, 121, 4), (6, 117, 4)])
 def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     # condition (iv) at c = 39/4 and its 6-variable section; only the bound is
     # computed, no determinant
@@ -224,7 +401,7 @@ def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
         lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
                                      if not any(m[keep_vars:])}))
-    shared, primes, _ = _setup(matrix)
+    shared, primes = _setup(matrix)[:2]
     bound = coefficient_norm_bound(shared[4])
     assert bound.bit_length() == bits
     below = _prime_limit(monomial_table(keep_vars, 16), monomial_table(keep_vars, 2), _OFFSET)
@@ -337,11 +514,13 @@ def test_norm_bound_is_the_laplace_permanent(n):
         coeff_int = _random_coefficients(rng, n)
         norms = [[sum(abs(a) + 2 * abs(b) for a, b in entry) for entry in row]
                  for row in coeff_int.tolist()]
-        assert coefficient_norm_bound(coeff_int) == laplace_permanent(norms)
+        sums = _entry_sums(coeff_int).sum(axis=3)
+        assert sums[0].tolist() == norms
+        assert _permanent_bound(sums[0]) == laplace_permanent(norms)
+        assert coefficient_norm_bound(coeff_int) <= laplace_permanent(norms)
     # all ones: the permanent is n!
-    ones = np.zeros((n, n, 1, 2), dtype=object)
-    ones[..., 0] = 1
-    assert coefficient_norm_bound(ones) == prod(range(1, n + 1))
+    ones = np.ones((n, n), dtype=object)
+    assert _permanent_bound(ones) == prod(range(1, n + 1))
 
 
 def shift_map(table, nq):
@@ -465,20 +644,27 @@ def _prime_residues(M, p):
     return det_a, det_b, [tuple(int(x) for x in e) for e in shared[1].exps[:len(det_a)]]
 
 
-@pytest.mark.parametrize("seed,n,nvars", [(21, 3, 2), (22, 4, 2), (23, 3, 3)])
-def test_det_one_prime_residues_match_laplace(seed, n, nvars):
+@pytest.mark.parametrize("seed,n,nvars,zoomed", [(21, 3, 2, False), (22, 4, 2, False),
+                                                 (23, 3, 3, False), (28, 3, 2, True)],
+                         ids=["21-3-2", "22-4-2", "23-3-3", "28-3-2-zoomed"])
+def test_det_one_prime_residues_match_laplace(seed, n, nvars, zoomed):
     # the a- and b-parts come back from the two scalar lanes; a lane with the
-    # wrong sign, a lost 1/2 or swapped lanes would show in the b-part or a-part
-    M = _random_poly_matrix(random.Random(seed), n, nvars)
+    # wrong sign, a lost 1/2 or swapped lanes would show in the b-part or
+    # a-part.  The oracle is the determinant of the tensor `_setup` returns,
+    # which the per-degree unscaling turns into M's
+    M = (_zoomed_matrix if zoomed else _random_poly_matrix)(random.Random(seed), n, nvars)
+    shared, primes, k, unscale = _setup(M)
+    assert (k > 0) == zoomed
+    want = scaled_determinant(shared)
     exact = det_laplace(M)
-    scale = _setup(M)[2]
-    want = {m: (int(c.rat * scale**n), int(c.irr * scale**n)) for m, c in exact.terms.items()}
+    assert set(want) == set(exact.terms)
+    for m, (a, b) in want.items():
+        assert QSqrt2(a, b) * unscale[sum(m)] == exact.terms[m]
     assert sum(1 for a, b in want.values() if a and b) > 10
     # the smallest split prime above the degree 2n that the grid interpolates
     smallest = next(q for q in (7, 23) if q > 2 * n)
-    largest = _setup(M)[1][0]
-    assert largest == (1 << 31) - 1
-    for p in (smallest, 31, *split_primes_below(1 << 16, 2), largest):
+    assert primes[0] == (1 << 31) - 1
+    for p in (smallest, 31, *split_primes_below(1 << 16, 2), primes[0]):
         det_a, det_b, monomials = _prime_residues(M, p)
         assert set(want) <= set(monomials)
         for idx, m in enumerate(monomials):
@@ -507,7 +693,7 @@ def test_det_one_prime_guard_rejects_a_prime_past_the_float_limit():
     # the exact float64 evaluation admits only primes far below 2^31
     rng = random.Random(26)
     M = _random_poly_matrix(rng, 2, 2, max_degree=6)
-    shared, primes, _ = _setup(M)
+    shared, primes = _setup(M)[:2]
     limit = _prime_limit(shared[1], shared[0], _OFFSET)
     assert limit < 1 << 27
     assert primes == split_primes_below(limit, len(primes))
@@ -520,7 +706,7 @@ def test_det_one_prime_guard_rejects_a_prime_past_the_float_limit():
 def test_det_one_prime_refuses_a_tensor_off_the_entry_table():
     # the monomial axis must be the entry table's rows, one more or one fewer
     # is not rounded to some other table
-    shared, primes, _ = _setup(_random_poly_matrix(random.Random(27), 3, 2))
+    shared, primes = _setup(_random_poly_matrix(random.Random(27), 3, 2))[:2]
     entry_table, table, symmetric, offset, coeff_int = shared
     assert coeff_int.shape[2] == len(entry_table.keys) == 6
     wider = np.concatenate([coeff_int, np.zeros_like(coeff_int[:, :, :1])], axis=2)
@@ -801,29 +987,31 @@ def test_elimination_plan_updates_one_contiguous_tail(n, symmetric):
 
 def _crt_arrays(M):
     """What `det_poly_modular` checks before its term build: the table, the
-    live slots, the CRT a- and b-parts and their denominator."""
-    shared, primes, scale = _setup(M)
+    live slots, the CRT a- and b-parts, the rescaling exponent k and the
+    unscaling of degree 0."""
+    shared, primes, k, unscale = _setup(M)
     residues = [_det_one_prime(*shared, p) for p in primes]
     live = _live_slots(residues)
     det_a, det_b = _crt_reconstruct([(a[live], b[live]) for a, b in residues], primes)
-    return shared[1], live, det_a, det_b, scale ** M.nrows
+    return shared[1], live, det_a, det_b, k, unscale[0]
 
 
 def test_verify_catches_a_single_tampered_coefficient():
     # a change of +-1 to the a- or the b-part of any one live coefficient of
-    # the CRT arrays fails the evaluation check
-    rng = random.Random(12)
-    M = _random_poly_matrix(rng, 3, 2)
-    table, live, det_a, det_b, denominator = _crt_arrays(M)
-    _verify_against_field_det(M, table, live, det_a, det_b, denominator)
-    assert len(live) > 20
-    for k in range(len(live)):
-        for part in (0, 1):
-            for delta in (1, -1):
-                tampered = [det_a.copy(), det_b.copy()]
-                tampered[part][k] += delta
-                with pytest.raises(AssertionError, match="evaluation check"):
-                    _verify_against_field_det(M, table, live, *tampered, denominator)
+    # the CRT arrays fails the evaluation check, in the scaled domain too
+    for zoomed in (False, True):
+        M = (_zoomed_matrix if zoomed else _random_poly_matrix)(random.Random(12), 3, 2)
+        table, live, det_a, det_b, k, unscale = _crt_arrays(M)
+        assert (k > 0) == zoomed
+        _verify_against_field_det(M, table, live, det_a, det_b, k, unscale)
+        assert len(live) > 20
+        for i in range(len(live)):
+            for part in (0, 1):
+                for delta in (1, -1):
+                    tampered = [det_a.copy(), det_b.copy()]
+                    tampered[part][i] += delta
+                    with pytest.raises(AssertionError, match="evaluation check"):
+                        _verify_against_field_det(M, table, live, *tampered, k, unscale)
 
 
 def _as_arrays(f, maxdeg):
