@@ -1,6 +1,21 @@
 """widthcert: exact-arithmetic certification that a hollow tetrahedron of
 lattice width 2 + sqrt2 is a strict local width maximizer, with an explicit
-certified neighborhood, plus certified global bounds on any maximizer."""
+certified neighborhood, plus certified global bounds on any maximizer.
+
+Start-up rule.  Every CLI call is a fresh process that imports the package,
+often without a bytecode cache, so the import is part of each call's cost:
+
+* records are `typing.NamedTuple` classes, or `__slots__` classes such as
+  `QSqrt2`; none uses the standard library's record decorator, whose module
+  pulls in `inspect` and which compiles each record's methods with `exec`;
+* numpy loads with `fastdet`, on the first determinant;
+* `json` loads only for `--format json` output.
+
+Measured on one CPU of a 2-core Xeon VM with Python 3.11.7 (median of 7
+fresh processes, 5 alternations): `import widthcert.cli` without a bytecode
+cache takes about 75 ms, and decorated records with an up-front json import
+would add about 35 ms to it.
+"""
 
 import os
 

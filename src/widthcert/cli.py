@@ -35,7 +35,6 @@ formats are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -170,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _emit(args, data: dict, text_lines: list[str]) -> None:
     if args.format == "json":
+        # imported here: the kv and text formats do not pay for loading json
+        import json
+
         print(json.dumps(data, sort_keys=True, indent=2))
     elif args.format == "kv":
         flat = _flatten(data)

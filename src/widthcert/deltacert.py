@@ -16,9 +16,9 @@ presentation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, SQRT2
 from .exactlinalg import (
@@ -99,8 +99,7 @@ _ATTAINMENT_PAIRS = ((0, 3), (2, 3), (1, 2), (0, 1), (0, 2), (1, 3))
 _MULTIPLIERS = (QS2_ONE, QS2_ONE, QS2_ONE, QS2_ONE, SQRT2, SQRT2)
 
 
-@dataclass(frozen=True)
-class DeltaModel:
+class DeltaModel(NamedTuple):
     """Fixed data of the extremal configuration."""
 
     vertices: tuple
@@ -139,8 +138,7 @@ def build_delta_model(check: bool = True) -> DeltaModel:
     return model
 
 
-@dataclass(frozen=True)
-class ModelCheck:
+class ModelCheck(NamedTuple):
     """What `check_model` verified; `barycentric[i]` holds facet point i's.
     `ring` and `h_polys` are the perturbation model it checked them on."""
 
@@ -313,8 +311,7 @@ KERNEL_PARAMETRIZATION = (
 )
 
 
-@dataclass(frozen=True)
-class LocalCertificate:
+class LocalCertificate(NamedTuple):
     c: Fraction
     gradients_match_published: bool
     dependence_ok: bool
@@ -406,8 +403,7 @@ class SCoords:
         return sh, sv
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
+class SymmetryCheck(NamedTuple):
     vertex_cycle_ok: bool
     facet_point_cycle_ok: bool
     elimination_equivariant: bool
@@ -639,18 +635,18 @@ def _display_5(lo: Fraction, hi: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadiusBound:
+class RadiusBound(NamedTuple):
     """One certified neighborhood radius: a rational lower bound `certified`
     on the true threshold, a tight enclosure of that threshold, and the
-    rounded table figure."""
+    rounded table figure.  `detail` holds the condition's own figures; each
+    bound has a dict of its own."""
 
     label: str
     certified: Fraction
     enclosure_lo: Fraction
     enclosure_hi: Fraction
     display: str
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     @classmethod
     def from_enclosure(cls, label: str, lo: Fraction, hi: Fraction, **detail) -> "RadiusBound":
@@ -871,8 +867,7 @@ def hessian_section_bound(c: Fraction, keep_vars: int = 4,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     c: Fraction
     local: LocalCertificate
     symmetry: SymmetryCheck

@@ -12,7 +12,6 @@ enclosures produced by bisection, so every comparison made through
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Union
@@ -258,17 +257,33 @@ def _sign(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RatInterval:
-    """Closed interval with rational endpoints.  Every operation returns an
-    enclosure of the exact image, so chains of operations stay sound."""
+    """Closed interval [lo, hi] with rational endpoints, lo <= hi.  Every
+    operation returns an enclosure of the exact image, so chains of
+    operations stay sound.  Immutable; intervals are equal when their ends
+    are, and they have no order."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        _SET_LO(self, lo)
+        _SET_HI(self, hi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RatInterval is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not RatInterval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"RatInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def point(x) -> "RatInterval":
@@ -328,6 +343,9 @@ class RatInterval:
 
     def strictly_below(self, other: "RatInterval") -> bool:
         return self.hi < other.lo
+
+
+_SET_LO, _SET_HI = (RatInterval.__dict__[name].__set__ for name in RatInterval.__slots__)
 
 
 def _as_interval(x) -> RatInterval:

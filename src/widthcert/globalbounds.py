@@ -12,9 +12,9 @@ chain are two views of that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactnum import (
     AlgExpr,
@@ -56,14 +56,7 @@ def min_shrink_expr() -> AlgExpr:
 # the inequality table --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Inequality:
-    """One certified comparison `expression relation claimed`, named once as
-    a step of the chain and (unless `report_name` is None) once as a report.
-    `integer_cap`, when set, is the largest integer strictly below `claimed`
-    that the quantity 6 vol(P) can take.  `verdict` is decided once per row:
-    the chain and the report of a row share it."""
-
+class _InequalityFields(NamedTuple):
     chain_name: str
     statement: str
     expression: AlgExpr
@@ -72,6 +65,15 @@ class Inequality:
     report_name: str | None = None
     note: str = ""
     integer_cap: int | None = None
+
+
+class Inequality(_InequalityFields):
+    """One certified comparison `expression relation claimed`, named once as
+    a step of the chain and (unless `report_name` is None) once as a report.
+    `integer_cap`, when set, is the largest integer strictly below `claimed`
+    that the quantity 6 vol(P) can take.  `verdict` is decided once per row:
+    the chain and the report of a row share it.  It is cached on the row, so
+    a copy made by `_replace` decides its own."""
 
     @cached_property
     def verdict(self) -> bool:
@@ -164,8 +166,7 @@ _REPORT_ORDER = ("width_floor", "width_cap", "lam1_floor", "volume_floor", "volu
 # the chain, replayed step by step ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     name: str
     statement: str
     certified: bool
@@ -182,8 +183,7 @@ def replay_inequality_chain() -> list[ChainStep]:
 # the reports -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     expression: AlgExpr
     enclosure: RatInterval

@@ -37,11 +37,10 @@ call; a larger sweep raises `SweepTooLargeError` before it starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
 from .exactlinalg import QMatrix, SingularMatrixError, _cross, _echelon, det_field, inverse_field
@@ -169,8 +168,7 @@ class Functional:
         return f"Functional(({', '.join(map(str, self.coeffs))}))"
 
 
-@dataclass(frozen=True)
-class WidthResult:
+class WidthResult(NamedTuple):
     width: QSqrt2
     minimizers: tuple[Functional, ...]
 
@@ -380,8 +378,7 @@ def lattice_width(K: Polytope, L: AffineLattice) -> WidthResult:
     return WidthResult(width=best, minimizers=minimizers)
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
+class AffineFunctional(NamedTuple):
     """x -> normal . x + offset; vanishes on a facet, positive inside."""
 
     normal: Vec3
@@ -423,8 +420,7 @@ def barycentric_coordinates(point: Sequence, simplex: Polytope) -> list[QSqrt2]:
     return [b0, *coords]
 
 
-@dataclass(frozen=True)
-class HollownessResult:
+class HollownessResult(NamedTuple):
     hollow: bool
     witness: Vec3 | None
 

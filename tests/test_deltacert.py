@@ -301,6 +301,13 @@ def test_orientation_bound_value():
     assert Fr("0.1035533") <= bound.certified < Fr("0.1035534")
 
 
+def test_radius_bounds_do_not_share_their_detail():
+    first, second = (dc.RadiusBound.from_enclosure("(x)", Fr(1, 10), Fr(1, 10)) for _ in "ab")
+    assert first == second and first.detail is not second.detail
+    first.detail["seen"] = True
+    assert second.detail == {}
+
+
 def test_orientation_corner_becomes_infeasible_with_slack():
     # radius (sqrt2-1)/4 + 1/100 pushes a corner outside the middle triangle
     pl = dc.get_pipeline()

@@ -165,6 +165,18 @@ def test_interval_requires_order():
         RatInterval(Fr(1), Fr(0))
 
 
+def test_intervals_neither_order_nor_behave_as_tuples():
+    a, b = RatInterval(Fr(0), Fr(1)), RatInterval(Fr(2), Fr(3))
+    with pytest.raises(TypeError):
+        a < b
+    with pytest.raises(TypeError):
+        iter(a)
+    with pytest.raises(TypeError):
+        a + (Fr(2), Fr(3))
+    assert a != (Fr(0), Fr(1))
+    assert (a + b).lo == 2 and (a + b).hi == 4
+
+
 def test_interval_mul_contains_products():
     a = RatInterval(Fr(-2), Fr(3))
     b = RatInterval(Fr(1, 2), Fr(5))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -72,7 +71,7 @@ def test_inscribed_bounds_with_integrality_floor():
 def test_integer_cap_rejects_a_failed_certificate():
     row = next(r for r in gb.INEQUALITIES if r.report_name == "inscribed_general")
     with pytest.raises(AssertionError, match="certification failed"):
-        gb._report(replace(row, claimed=Fr(44)), gb.DEFAULT_PRECISION)
+        gb._report(row._replace(claimed=Fr(44)), gb.DEFAULT_PRECISION)
 
 
 def counting_rows(monkeypatch):
@@ -87,7 +86,7 @@ def counting_rows(monkeypatch):
         calls.append((a, b))
         return certify_less(a, b)
 
-    monkeypatch.setattr(gb, "INEQUALITIES", tuple(replace(row) for row in gb.INEQUALITIES))
+    monkeypatch.setattr(gb, "INEQUALITIES", tuple(row._replace() for row in gb.INEQUALITIES))
     monkeypatch.setattr(gb, "certify_less", counting_certify_less)
     return {row.report_name: row for row in gb.INEQUALITIES}, calls
 
@@ -109,7 +108,7 @@ def test_global_bounds_certifies_each_inequality_once(monkeypatch, capsys):
 def test_report_verdict_of_a_wrong_claim_comes_from_certify_less(monkeypatch):
     # 6/lam1^2 is about 44.05: the enclosure lies on the wrong side of 44
     rows, calls = counting_rows(monkeypatch)
-    row = replace(rows["inscribed_general"], claimed=Fr(44), integer_cap=None)
+    row = rows["inscribed_general"]._replace(claimed=Fr(44), integer_cap=None)
     assert gb._report(row, gb.DEFAULT_PRECISION).verdict is False
     assert len(calls) == 1
 
@@ -117,7 +116,7 @@ def test_report_verdict_of_a_wrong_claim_comes_from_certify_less(monkeypatch):
 def test_report_with_an_unknown_relation_raises(monkeypatch):
     rows, _ = counting_rows(monkeypatch)
     with pytest.raises(ValueError, match="relation"):
-        gb._report(replace(rows["volume_floor"], relation="="), gb.DEFAULT_PRECISION)
+        gb._report(rows["volume_floor"]._replace(relation="="), gb.DEFAULT_PRECISION)
 
 
 def test_all_reports_certified():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import widthcert
+from widthcert import deltacert, exactnum, globalbounds, widthlab
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -19,6 +20,51 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(widthcert.__all__)) == len(widthcert.__all__)
     for name in widthcert.__all__:
         assert namespace[name] is getattr(widthcert, name)
+
+
+# -- start-up -----------------------------------------------------------------------
+
+
+_STARTUP = """
+import sys
+import widthcert.cli as cli
+code = cli.main(["--format", "kv", "verify-delta"])
+print(code, *sorted(m for m in ("dataclasses", "inspect", "json", "numpy") if m in sys.modules))
+"""
+
+
+def test_a_kv_call_loads_no_dataclasses_inspect_json_or_numpy():
+    # each CLI call is a fresh process, often without a bytecode cache: these
+    # imports would cost it tens of milliseconds before any work starts
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", _STARTUP], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.splitlines()[-1] == "0"
+
+
+# -- records ------------------------------------------------------------------------
+
+
+RECORDS = [
+    deltacert.DeltaModel, deltacert.ModelCheck, deltacert.LocalCertificate,
+    deltacert.SymmetryCheck, deltacert.RadiusBound, deltacert.CertificateReport,
+    globalbounds.Inequality, globalbounds.ChainStep, globalbounds.BoundReport,
+    widthlab.WidthResult, widthlab.AffineFunctional, widthlab.HollownessResult,
+    exactnum.RatInterval,
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_records_are_read_only_and_equal_by_fields(record):
+    names = getattr(record, "_fields", None) or record.__slots__
+    values = [Fraction(i) for i in range(len(names))]
+    first, second = record(*values), record(*values)
+    assert first == second and hash(first) == hash(second)
+    assert first != record(*values[:-1], values[-1] + 1)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(first, name, Fraction(-1))
+    assert first == second and [getattr(first, name) for name in names] == values
 
 
 # -- one BLAS thread ----------------------------------------------------------------
