@@ -34,7 +34,7 @@ from .exactlinalg import (
     restrict_quadratic_form,
     spans_same_space,
 )
-from .mvpoly import MvPoly, cauchy_companion, companion_root_enclosure
+from .mvpoly import LinearSubstitution, MvPoly, cauchy_companion, companion_root_enclosure
 from .widthlab import (
     AffineLattice,
     HollownessResult,
@@ -390,10 +390,15 @@ class SCoords:
                 rows.append(row)
         self.s_from_t = QMatrix(rows)
         self.t_from_s = inverse_field(self.s_from_t)
+        self._t_of_s = LinearSubstitution(self.t_from_s.rows)
 
     def to_s(self, p: MvPoly) -> MvPoly:
-        """Rewrite a polynomial in t as a polynomial in s (substitute t = T s)."""
-        return p.substitute_linear(self.t_from_s.rows)
+        """Rewrite a polynomial in t as a polynomial in s (substitute t = T s).
+
+        Every call goes through one `LinearSubstitution`, so the s-image of
+        each monomial is expanded once for all the polynomials rewritten here:
+        the pipeline's linear parts, adjugate and Hessian entries."""
+        return p.substitute_linear(self._t_of_s)
 
     def s_of_facet_displacement(self, i: int, t1, t2) -> tuple[QSqrt2, QSqrt2]:
         """(s^h_i, s^v_i) of an in-facet displacement (t_i1, t_i2)."""
@@ -554,25 +559,27 @@ class Pipeline:
         aggregate's gradient at 0 vanishes for every c because it vanishes
         for both parts, which is checked here.
 
-        Each part f(t) = g(s) is rewritten in s once; with s = S t
-        (`SCoords.s_from_t`), its Hessian in t is the congruence S^T H_g S of
-        g's Hessian in s, whose entries are already polynomials in s.  S is
-        2 x 2 block-diagonal, so each entry sums at most four of H_g's."""
+        Each part f is differentiated in t (`MvPoly.hessian`, one `partial`
+        per mixed pair), and each of the 36 distinct entries is rewritten in
+        s through `SCoords.to_s`.  With t = T s, the chain rule gives
+        H_t(f)(T s) = S^T H_s(f o T) S for S = T^-1, so these are the
+        entries of the congruence of the Hessian in s of the rewritten part,
+        without rewriting the part itself."""
         weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
         parts = (sum(weighted, MvPoly.zero(NVARS)),
                  -sum((w.graded_part(1) * w for w in weighted), MvPoly.zero(NVARS)))
         if any(x for part in parts for x in part.gradient_at_zero()):
             raise CertificationError("aggregate gradient at 0 is not zero")
-        S = self.scoords.s_from_t.rows
-        support = [[k for k in range(NVARS) if S[k][i]] for i in range(NVARS)]
 
-        def hessian_in_t(part: MvPoly) -> PolyMatrix:
-            h = self.scoords.to_s(part).hessian()
-            return PolyMatrix([[sum((h[k][l].scale(S[k][i] * S[l][j])
-                                     for k in support[i] for l in support[j]), MvPoly.zero(NVARS))
-                                for j in range(NVARS)] for i in range(NVARS)])
+        def hessian_in_s(part: MvPoly) -> PolyMatrix:
+            h = part.hessian()
+            rows: list[list[MvPoly]] = [[None] * NVARS for _ in range(NVARS)]
+            for i in range(NVARS):
+                for j in range(i, NVARS):
+                    rows[i][j] = rows[j][i] = self.scoords.to_s(h[i][j])
+            return PolyMatrix(rows)
 
-        return tuple(hessian_in_t(part) for part in parts)
+        return tuple(hessian_in_s(part) for part in parts)
 
     @cached_property
     def symmetry(self) -> SymmetryCheck:

@@ -376,20 +376,38 @@ def nth_root_enclosure(value: RatInterval, n: int, steps: int) -> RatInterval:
 
 
 def _nth_root_point(x: Fraction, n: int, steps: int, lower: bool) -> Fraction:
+    """The lower (or upper) end after `steps` halvings of the bisection of
+    [0, H], H = max(1, floor(x) + 1), that keeps lo^n <= x < hi^n.
+
+    Its ends are H*j/2^steps and H*(j+1)/2^steps for the largest integer j
+    with (H*j/2^steps)^n <= x, that is, the integer n-th root of
+    floor(num * 2^(steps*n) / (den * H^n)) for x = num/den; no halving is
+    run.  A negative x (odd n) is the mirror image of -x."""
     if x == 0:
         return Fraction(0)
     if x < 0:
         # odd roots only reach here
         return -_nth_root_point(-x, n, steps, lower=not lower)
-    lo = Fraction(0)
-    hi = Fraction(max(1, x.numerator // x.denominator + 1))
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if mid**n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lower else hi
+    num, den = x.numerator, x.denominator
+    h = max(1, num // den + 1)
+    j = _iroot((num << (steps * n)) // (den * h**n), n)
+    return Fraction(h * (j if lower else j + 1), 1 << steps)
+
+
+def _iroot(y: int, n: int) -> int:
+    """The largest j >= 0 with j^n <= y, for ints y >= 0 and n >= 2: `isqrt`,
+    or Newton's iteration on ints from 2^ceil(bits(y)/n), which is above the
+    root, down to the first step that does not decrease."""
+    if n == 2:
+        return isqrt(y)
+    if y == 0:
+        return 0
+    j = 1 << -(-y.bit_length() // n)
+    while True:
+        k = ((n - 1) * j + y // j ** (n - 1)) // n
+        if k >= j:
+            return j
+        j = k
 
 
 # ---------------------------------------------------------------------------

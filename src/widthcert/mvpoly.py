@@ -170,15 +170,14 @@ class MvPoly:
         return self.terms.get((0,) * self.nvars, QS2_ZERO)
 
     def partial(self, i: int) -> "MvPoly":
+        # m -> m - e_i is injective on the terms with m_i > 0, so every image
+        # term is a single nonzero product
         terms: dict[Monomial, QSqrt2] = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            e = list(m)
-            coeff = c * e[i]
-            e[i] -= 1
-            terms[tuple(e)] = terms.get(tuple(e), QS2_ZERO) + coeff
-        return MvPoly(self.nvars, terms)
+            e = m[i]
+            if e:
+                terms[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return MvPoly._of_clean_terms(self.nvars, terms)
 
     def gradient(self) -> list["MvPoly"]:
         return [self.partial(i) for i in range(self.nvars)]
@@ -191,8 +190,16 @@ class MvPoly:
         return out
 
     def hessian(self) -> list[list["MvPoly"]]:
+        """The matrix of second partials.  Mixed partials commute, so each
+        entry (i, j) with i <= j is one `partial` of a first partial, and
+        (j, i) is the same polynomial."""
+        n = self.nvars
         firsts = self.gradient()
-        return [[firsts[i].partial(j) for j in range(self.nvars)] for i in range(self.nvars)]
+        rows: list[list[MvPoly]] = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = firsts[i].partial(j)
+        return rows
 
     def evaluate(self, point: Sequence) -> QSqrt2:
         """Exact value at a point of Q(sqrt2)^nvars, summed on Python-int
@@ -227,30 +234,21 @@ class MvPoly:
             total_b += b * weights[deg]
         return QSqrt2.from_ints(total_a, total_b, den_c * den_x ** maxdeg)
 
-    def substitute_linear(self, matrix: Sequence[Sequence]) -> "MvPoly":
+    def substitute_linear(self, matrix: "Sequence[Sequence] | LinearSubstitution") -> "MvPoly":
         """Compose with a linear change of variables: returns p(A*x).
 
         `matrix` is nvars x nvars (row i gives the expansion of old variable i
-        in the new variables); degree never increases.
+        in the new variables), or a `LinearSubstitution` of such a matrix,
+        whose monomial images are reused and kept; degree never increases.
         """
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        sub = matrix if isinstance(matrix, LinearSubstitution) else LinearSubstitution(matrix)
+        if sub.nvars != self.nvars:
             raise ValueError("substitution matrix must be square of matching dimension")
-        images = [MvPoly.linear_form(row) for row in matrix]
-        # cache powers of each image to keep repeated exponents cheap
-        powers: list[list[MvPoly]] = [[MvPoly.constant(1, n)] for _ in range(n)]
-        terms: dict[Monomial, QSqrt2] = {}
+        sums: dict[Monomial, QSqrt2] = {}
         for m, c in self.terms.items():
-            term = MvPoly.constant(c, n)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                cache = powers[i]
-                while len(cache) <= e:
-                    cache.append(cache[-1] * images[i])
-                term = term * cache[e]
-            _add_terms(terms, term.terms)
-        return MvPoly._of_clean_terms(n, terms)
+            for y, v in sub.monomial_image(m).items():
+                sums[y] = sums.get(y, QS2_ZERO) + c * v
+        return MvPoly._of_clean_terms(self.nvars, {y: c for y, c in sums.items() if c})
 
     def __repr__(self):
         if not self.terms:
@@ -262,6 +260,43 @@ class MvPoly:
             c = str(self.terms[m])
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+class LinearSubstitution:
+    """The change of variables x = A*y for a square matrix A over QSqrt2,
+    with the y-image of every monomial in x that it has expanded.
+
+    Row i of A expands the old variable x_i in the new variables y.  The
+    image of x^m is that of x^(m - e_i) times the linear form of row i, for
+    the last i with m_i > 0; each is expanded once and kept, so every
+    polynomial that `MvPoly.substitute_linear` rewrites through the same
+    substitution reuses the images of the monomials seen before.
+    """
+
+    __slots__ = ("nvars", "_rows", "_images")
+
+    def __init__(self, matrix: Sequence[Sequence]):
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
+            raise ValueError("substitution matrix must be square")
+        self.nvars = n
+        self._rows = [[(j, c) for j, c in enumerate(map(QSqrt2.coerce, row)) if c]
+                      for row in matrix]
+        one = (0,) * n
+        self._images: dict[Monomial, dict[Monomial, QSqrt2]] = {one: {one: QS2_ONE}}
+
+    def monomial_image(self, m: Monomial) -> dict[Monomial, QSqrt2]:
+        """The terms of (A*y)^m, kept by the substitution: not to be modified."""
+        image = self._images.get(m)
+        if image is None:
+            i = max(k for k, e in enumerate(m) if e)
+            sums: dict[Monomial, QSqrt2] = {}
+            for y, c in self.monomial_image(m[:i] + (m[i] - 1,) + m[i + 1:]).items():
+                for j, a in self._rows[i]:
+                    key = y[:j] + (y[j] + 1,) + y[j + 1:]
+                    sums[key] = sums.get(key, QS2_ZERO) + c * a
+            image = self._images[m] = {y: c for y, c in sums.items() if c}
+        return image
 
 
 # ---------------------------------------------------------------------------

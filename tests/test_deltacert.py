@@ -170,6 +170,33 @@ def test_hessian_matrix_is_the_aggregate_hessian(pipeline, c):
     assert [list(row) for row in dc.hessian_matrix_s(c).rows] == want
 
 
+def hessian_parts_by_congruence(pipeline):
+    """(A(s), B(s)) by rewriting each aggregate part in s first: the
+    congruence S^T H_s S of its Hessian in s, with s = S t.  The oracle of
+    `Pipeline.hessian_parts`, which differentiates in t and rewrites the
+    entries instead."""
+    weighted = [h.scale(lam) for h, lam in zip(pipeline.h_polys, pipeline.model.multipliers)]
+    parts = (sum(weighted, MvPoly.zero(dc.NVARS)),
+             -sum((w.graded_part(1) * w for w in weighted), MvPoly.zero(dc.NVARS)))
+    S = pipeline.scoords.s_from_t.rows
+    out = []
+    for part in parts:
+        h = pipeline.scoords.to_s(part).hessian()
+        out.append([[sum((h[k][l].scale(S[k][i] * S[l][j])
+                          for k in range(dc.NVARS) for l in range(dc.NVARS)), MvPoly.zero(dc.NVARS))
+                     for j in range(dc.NVARS)] for i in range(dc.NVARS)])
+    return out
+
+
+def test_hessian_parts_are_the_congruence_of_the_hessian_in_s():
+    # H_t(f)(T s) = S^T H_s(f o T) S, entry by entry for both parts
+    pl = dc.Pipeline()
+    for got, want in zip(pl.hessian_parts, hessian_parts_by_congruence(pl)):
+        for i in range(dc.NVARS):
+            for j in range(dc.NVARS):
+                assert got[i, j] == want[i][j]
+
+
 def test_hessian_parts_are_built_once():
     # on first use, not with the pipeline, and then kept for every weight
     pl = dc.Pipeline()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from fractions import Fraction as Fr
 from math import gcd, isqrt
@@ -226,6 +227,39 @@ def test_division_by_exact_zero_interval_raises():
 def test_nth_root_enclosure_contains_root(x, n):
     enc = nth_root_enclosure(RatInterval.point(x), n, 80)
     assert enc.lo**n <= x <= enc.hi**n
+
+
+def fraction_root_bisection(x, n, steps, lower):
+    """`steps` halvings on `Fraction` midpoints of [0, max(1, floor(x) + 1)],
+    keeping lo^n <= x < hi^n; a negative x (odd n) mirrors -x.  The oracle of
+    `exactnum._nth_root_point`."""
+    if x == 0:
+        return Fr(0)
+    if x < 0:
+        return -fraction_root_bisection(-x, n, steps, not lower)
+    lo, hi = Fr(0), Fr(max(1, x.numerator // x.denominator + 1))
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lower else hi
+
+
+def test_nth_root_point_is_the_fraction_bisection():
+    xs = [Fr(0), Fr(1, 3), Fr(999, 1000), Fr(1, 10**40), Fr(1), Fr(2), Fr(7, 3),
+          Fr(10**30 + 1, 7), Fr(4), Fr(8), Fr(9, 16), Fr(27, 64), Fr(1, 9), Fr(5**6),
+          Fr(17**6, 3**6)]
+    rng = random.Random(31)
+    xs += [Fr(rng.randint(1, 10**rng.randint(1, 30)), rng.randint(1, 10**rng.randint(1, 30)))
+           for _ in range(40)]
+    for n in (2, 3):
+        for steps in (16, 17, 64, 100, 256):
+            for x in xs + [-x for x in xs if n % 2]:
+                for lower in (True, False):
+                    assert (exactnum._nth_root_point(x, n, steps, lower)
+                            == fraction_root_bisection(x, n, steps, lower)), (x, n, steps, lower)
 
 
 def test_enclosure_refinement_is_nested():

@@ -5,6 +5,7 @@ import pytest
 
 from widthcert.exactnum import QSqrt2
 from widthcert.mvpoly import (
+    LinearSubstitution,
     MvPoly,
     UniPoly,
     cauchy_companion,
@@ -212,7 +213,69 @@ def test_hessian_matches_finite_differences_exactly():
         assert hess[i][j] == hess[j][i]
 
 
+def _cancelling_polys(rng, nvars, max_degree, count):
+    """Seeded polynomials, each a sum whose operands cancel in some terms."""
+    out = []
+    for _ in range(count):
+        p = _random_poly(rng, nvars=nvars, max_degree=max_degree, terms=12)
+        q = _random_poly(rng, nvars=nvars, max_degree=max_degree, terms=12)
+        out.append(p + q - MvPoly(nvars, dict(list(p.terms.items())[::2])))
+    return out
+
+
+def test_hessian_is_the_partial_of_the_partial():
+    # the symmetric fill of `hessian` against every ordered pair of partials
+    rng = random.Random(23)
+    polys = _cancelling_polys(rng, nvars=8, max_degree=4, count=12)
+    for p in polys + [MvPoly.zero(8), const(QSqrt2(2, -1), 8)]:
+        hess = p.hessian()
+        for i in range(8):
+            for j in range(8):
+                assert hess[i][j] == p.partial(i).partial(j)
+                _assert_clean(hess[i][j])
+
+
 # -- substitution -----------------------------------------------------------------------
+
+
+def expand_linear(p, matrix):
+    """p(A*x) from each term's product of powers of the row forms, with no
+    monomial kept between terms or calls: the oracle of `LinearSubstitution`."""
+    n = p.nvars
+    images = [MvPoly.linear_form(row) for row in matrix]
+    out = MvPoly.zero(n)
+    for m, c in p.terms.items():
+        term = MvPoly.constant(c, n)
+        for i, e in enumerate(m):
+            term = term * images[i] ** e
+        out = out + term
+    return out
+
+
+def test_cached_substitution_is_the_expansion():
+    # one substitution serves every polynomial, so later ones reuse the
+    # monomial images of earlier ones; each equals its own expansion
+    rng = random.Random(29)
+    matrix = [[_random_scalar(rng) if rng.random() < 0.6 else 0 for _ in range(5)]
+              for _ in range(5)]
+    sub = LinearSubstitution(matrix)
+    polys = _cancelling_polys(rng, nvars=5, max_degree=4, count=10)
+    polys += [MvPoly.zero(5), const(0, 5), const(QSqrt2(Fr(-3, 2), 1), 5)]
+    for p in polys + polys[::-1]:
+        image = p.substitute_linear(sub)
+        assert image == expand_linear(p, matrix) == p.substitute_linear(matrix)
+        _assert_clean(image)
+    assert MvPoly.zero(5).substitute_linear(sub).terms == {}
+    assert const(7, 5).substitute_linear(sub) == const(7, 5)
+
+
+def test_substitution_rejects_a_mismatched_matrix():
+    with pytest.raises(ValueError):
+        LinearSubstitution([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        x(0).substitute_linear([[1, 0], [0, 1]])
+
+
 
 
 def test_substitute_identity():
