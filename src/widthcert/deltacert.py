@@ -34,7 +34,13 @@ from .exactlinalg import (
     restrict_quadratic_form,
     spans_same_space,
 )
-from .mvpoly import LinearSubstitution, MvPoly, cauchy_companion, companion_root_enclosure
+from .mvpoly import (
+    LinearSubstitution,
+    MvPoly,
+    cauchy_companion,
+    companion_root_enclosure,
+    linear_combination,
+)
 from .widthlab import (
     AffineLattice,
     HollownessResult,
@@ -211,12 +217,9 @@ class PerturbationRing:
             n = facets[i].normal
             if not n[2]:
                 raise CertificationError("facet normal has zero third coordinate")
-            t1 = MvPoly.variable(2 * i, NVARS)
-            t2 = MvPoly.variable(2 * i + 1, NVARS)
-            inv = n[2].inverse()
-            self.elimination.append(
-                t1.scale(-n[0] * inv) + t2.scale(-n[1] * inv)
-            )
+            inv = -n[2].inverse()
+            self.elimination.append(linear_combination(
+                NVARS, ((n[k] * inv, MvPoly.variable(2 * i + k, NVARS)) for k in range(2))))
         points = [self.perturbed_point(i) for i in range(4)]
         rows = []
         for j in (3, 1, 2):
@@ -244,8 +247,9 @@ def build_h_polys(ring: PerturbationRing, model: DeltaModel) -> list[MvPoly]:
     h_i near 0 is equivalent to direction i still giving width >= 2+sqrt2."""
     out = []
     for idx in range(6):
-        h = (_bilinear(model.attainment_diffs[idx], ring.adjugate, model.dual_int_vectors[idx])
-             - ring.det.scale(WIDTH_VALUE))
+        adj_u = _times_vector(ring.adjugate, model.dual_int_vectors[idx])
+        h = linear_combination(NVARS, [*zip(model.attainment_diffs[idx], adj_u),
+                                       (-WIDTH_VALUE, ring.det)])
         if h.constant_term():
             raise CertificationError(f"deficit polynomial {idx} does not vanish at 0")
         if h.degree() != 3:
@@ -254,14 +258,10 @@ def build_h_polys(ring: PerturbationRing, model: DeltaModel) -> list[MvPoly]:
     return out
 
 
-def _bilinear(v, adj: PolyMatrix, u) -> MvPoly:
-    """v . adj . u for constant 3-vectors v and u."""
-    acc = MvPoly.zero(adj.nvars)
-    for r in range(3):
-        for c in range(3):
-            if u[c]:
-                acc = acc + adj[r, c].scale(v[r] * u[c])
-    return acc
+def _times_vector(adj: PolyMatrix, u) -> list[MvPoly]:
+    """adj . u for a constant vector u; v . adj . u is then the linear
+    combination of these entries with the v_r."""
+    return [linear_combination(adj.nvars, zip(u, row)) for row in adj.rows]
 
 
 def check_dependence(grads: list[list[QSqrt2]], multipliers) -> bool:
@@ -511,15 +511,15 @@ class Pipeline:
         self.ring = checked.ring
         self.h_polys = checked.h_polys
         self.scoords = SCoords()
-        weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
-        linear = [w.graded_part(1) for w in weighted]
+        weights = list(zip(self.model.multipliers, self.h_polys))
+        linear = [h.graded_part(1).scale(lam) for lam, h in weights]
         self.linear_s = [self.scoords.to_s(l) for l in linear]
         self.adjugate_s = self.ring.adjugate.map_entries(self.scoords.to_s)
         origin = [QS2_ZERO] * NVARS
-        q_sum = sum((w.graded_part(2) for w in weighted), MvPoly.zero(NVARS))
-        l_square = sum((l * l for l in linear), MvPoly.zero(NVARS))
+        q_sum = linear_combination(NVARS, ((lam, h.graded_part(2)) for lam, h in weights))
+        minus_l_square = linear_combination(NVARS, ((-1, l * l) for l in linear))
         self.a0 = PolyMatrix(q_sum.hessian()).evaluate(origin)
-        self.b0 = PolyMatrix((-l_square).hessian()).evaluate(origin)
+        self.b0 = PolyMatrix(minus_l_square.hessian()).evaluate(origin)
         self._attainment: dict[Fraction, RadiusBound] = {}
 
     def hessian_at_zero(self, c: Fraction) -> QMatrix:
@@ -565,21 +565,16 @@ class Pipeline:
         H_t(f)(T s) = S^T H_s(f o T) S for S = T^-1, so these are the
         entries of the congruence of the Hessian in s of the rewritten part,
         without rewriting the part itself."""
-        weighted = [h.scale(lam) for h, lam in zip(self.h_polys, self.model.multipliers)]
-        parts = (sum(weighted, MvPoly.zero(NVARS)),
-                 -sum((w.graded_part(1) * w for w in weighted), MvPoly.zero(NVARS)))
+        # l_i * lam_i * h_i = lam_i^2 * (linear part of h_i) * h_i
+        weights = list(zip(self.model.multipliers, self.h_polys))
+        parts = (linear_combination(NVARS, weights),
+                 linear_combination(NVARS, ((-lam * lam, h.graded_part(1) * h)
+                                            for lam, h in weights)))
         if any(x for part in parts for x in part.gradient_at_zero()):
             raise CertificationError("aggregate gradient at 0 is not zero")
 
-        def hessian_in_s(part: MvPoly) -> PolyMatrix:
-            h = part.hessian()
-            rows: list[list[MvPoly]] = [[None] * NVARS for _ in range(NVARS)]
-            for i in range(NVARS):
-                for j in range(i, NVARS):
-                    rows[i][j] = rows[j][i] = self.scoords.to_s(h[i][j])
-            return PolyMatrix(rows)
-
-        return tuple(hessian_in_s(part) for part in parts)
+        hessians = [part.hessian() for part in parts]
+        return tuple(_symmetric_matrix(lambda i, j: self.scoords.to_s(h[i][j])) for h in hessians)
 
     @cached_property
     def symmetry(self) -> SymmetryCheck:
@@ -786,10 +781,10 @@ def attainment_polynomials() -> list[MvPoly]:
     out = []
     for idx in range(6):
         vi = model.attainment_diffs[idx]
-        u = model.dual_int_vectors[idx]
+        adj_u = _times_vector(pl.adjugate_s, model.dual_int_vectors[idx])
         for w in comparison:
             if w != vi:
-                out.append(_bilinear([vi[r] - w[r] for r in range(3)], pl.adjugate_s, u))
+                out.append(linear_combination(NVARS, zip((x - y for x, y in zip(vi, w)), adj_u)))
     return out
 
 
@@ -801,7 +796,18 @@ def hessian_matrix_s(c: Fraction) -> PolyMatrix:
     if c <= 0:
         raise ValueError("aggregate weight c must be positive")
     a, b = get_pipeline().hessian_parts
-    return PolyMatrix([[x.scale(c) + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
+    return _symmetric_matrix(
+        lambda i, j: linear_combination(NVARS, ((c, a[i, j]), (QS2_ONE, b[i, j]))))
+
+
+def _symmetric_matrix(entry) -> PolyMatrix:
+    """The NVARS x NVARS matrix whose entries (i, j) and (j, i) are both
+    entry(i, j), for i <= j."""
+    rows: list[list[MvPoly]] = [[None] * NVARS for _ in range(NVARS)]
+    for i in range(NVARS):
+        for j in range(i, NVARS):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return PolyMatrix(rows)
 
 
 def hessian_bound(c: Fraction, tol: Fraction = Fraction(1, 10**9)) -> RadiusBound:

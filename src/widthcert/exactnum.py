@@ -42,7 +42,10 @@ class QSqrt2:
 
     Values are immutable and canonical: a, b and d are Python ints with
     d > 0 and gcd(a, b, d) = 1, so two elements are equal iff their triples
-    are.  Each operation does its integer arithmetic and then one gcd.
+    are.  Each operation does its integer arithmetic and then one gcd, in
+    `from_ints`.  Polynomial arithmetic does not go through these operations:
+    `MvPoly` sums Python-int numerators over a common denominator per
+    monomial and normalizes each result term once, with `from_ints`.
     `rat` and `irr` are the parts a/d and b/d as `Fraction`s.  Comparisons
     are exact, decided by `sign` without any numeric approximation.
     """

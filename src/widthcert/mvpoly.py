@@ -5,6 +5,14 @@ certified lower bound on the size of its smallest zero.
 Polynomials are immutable maps from exponent tuples to nonzero QSqrt2
 coefficients; equality is term-map equality, and `repr` lists the terms in
 graded lexicographic order.
+
+The ring operations normalize once per result term.  A sum, difference,
+product, linear combination or linear substitution brings its operands'
+coefficients to one common denominator D, adds up the Python-int
+numerators (A, B) of (A + B*sqrt2)/D per monomial, and makes each nonzero
+sum one canonical `QSqrt2` with `QSqrt2.from_ints`; `scale` and `partial`
+call `from_ints` once per term, and `graded_part` keeps its terms as they
+are.
 """
 
 from __future__ import annotations
@@ -12,11 +20,17 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .exactnum import QS2_ONE, QS2_ZERO, QSqrt2, _sign
 
 Monomial = tuple[int, ...]
+#: a polynomial's terms over one denominator D: (D, [(m, A, B), ...]) with the
+#: coefficient of m equal to (A + B*sqrt2)/D
+Numerators = tuple[int, list[tuple[Monomial, int, int]]]
+
+_MINUS_ONE = QSqrt2(-1)
 
 
 def graded_lex_key(m: Monomial):
@@ -24,14 +38,50 @@ def graded_lex_key(m: Monomial):
     return (sum(m), tuple(-e for e in m))
 
 
-def _add_terms(terms: dict[Monomial, QSqrt2], other: Mapping[Monomial, QSqrt2]) -> None:
-    """Add the terms of `other` into the term map `terms`, dropping zeros."""
-    for m, c in other.items():
-        s = terms.get(m, QS2_ZERO) + c
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
+def _numerators(terms: Mapping[Monomial, QSqrt2]) -> Numerators:
+    """The terms over the lcm of their denominators."""
+    den = lcm(*{c.d for c in terms.values()})
+    return den, [(m, c.a * f, c.b * f) for m, c in terms.items() for f in (den // c.d,)]
+
+
+def _combine(nvars: int, parts: Iterable[tuple[QSqrt2, int, list]]) -> "MvPoly":
+    """sum_k c_k * P_k over parts (c_k, D_k, items_k), P_k the polynomial with
+    numerators items_k over D_k: the one accumulation behind every ring
+    operation but `scale` and `partial`.  Every product is brought to the
+    lcm D of the c_k.d * D_k, whose factor D / (c_k.d * D_k) the weight's
+    numerators absorb; the sums are kept per monomial, and each nonzero sum
+    becomes one `QSqrt2`."""
+    parts = [part for part in parts if part[0] and part[2]]
+    den = lcm(*{c.d * d for c, d, _ in parts})
+    sums: dict[Monomial, list[int]] = {}
+    get = sums.get
+    for c, d, items in parts:
+        f = den // (c.d * d)
+        ca, cb = c.a * f, c.b * f
+        cb_twice = 2 * cb
+        for m, a, b in items:
+            a, b = ca * a + cb_twice * b, ca * b + cb * a
+            pair = get(m)
+            if pair is None:
+                sums[m] = [a, b]
+            else:
+                pair[0] += a
+                pair[1] += b
+    from_ints = QSqrt2.from_ints
+    return MvPoly._of_clean_terms(
+        nvars, {m: from_ints(a, b, den) for m, (a, b) in sums.items() if a or b})
+
+
+def linear_combination(nvars: int, pairs: Iterable[tuple]) -> "MvPoly":
+    """sum_k c_k * p_k over the pairs (c_k, p_k) of a scalar and a polynomial
+    in `nvars` variables, as one accumulation: one `from_ints` per term of
+    the result, however many pairs share a monomial."""
+    parts = []
+    for c, p in pairs:
+        if p.nvars != nvars:
+            raise ValueError(f"variable count mismatch: {p.nvars} vs {nvars}")
+        parts.append((QSqrt2.coerce(c), *_numerators(p.terms)))
+    return _combine(nvars, parts)
 
 
 class MvPoly:
@@ -87,18 +137,6 @@ class MvPoly:
         e[i] = 1
         return MvPoly(nvars, {tuple(e): QS2_ONE})
 
-    @staticmethod
-    def linear_form(coeffs: Sequence) -> "MvPoly":
-        n = len(coeffs)
-        terms: dict[Monomial, QSqrt2] = {}
-        for i, c in enumerate(coeffs):
-            c = QSqrt2.coerce(c)
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = c
-        return MvPoly(n, terms)
-
     # -- ring operations --------------------------------------------------------
 
     def _check_compatible(self, other: "MvPoly"):
@@ -106,29 +144,20 @@ class MvPoly:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "MvPoly") -> "MvPoly":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        _add_terms(terms, other.terms)
-        return MvPoly._of_clean_terms(self.nvars, terms)
+        return linear_combination(self.nvars, ((QS2_ONE, self), (QS2_ONE, other)))
 
     def __neg__(self) -> "MvPoly":
         return MvPoly._of_clean_terms(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "MvPoly") -> "MvPoly":
-        return self + (-other)
+        return linear_combination(self.nvars, ((QS2_ONE, self), (_MINUS_ONE, other)))
 
     def __mul__(self, other: "MvPoly") -> "MvPoly":
+        # the sum over self's terms c * x^m of c times other shifted by m
         self._check_compatible(other)
-        terms: dict[Monomial, QSqrt2] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, QS2_ZERO) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return MvPoly._of_clean_terms(self.nvars, terms)
+        den, items = _numerators(other.terms)
+        return _combine(self.nvars, [(c, den, [(tuple(map(add, m, y)), a, b) for y, a, b in items])
+                                     for m, c in self.terms.items()])
 
     def __pow__(self, n: int) -> "MvPoly":
         if n < 0:
@@ -142,7 +171,11 @@ class MvPoly:
         c = QSqrt2.coerce(c)
         if not c:
             return MvPoly.zero(self.nvars)
-        return MvPoly._of_clean_terms(self.nvars, {m: cc * c for m, cc in self.terms.items()})
+        ca, cb, cd = c.a, c.b, c.d
+        from_ints = QSqrt2.from_ints
+        return MvPoly._of_clean_terms(self.nvars, {
+            m: from_ints(ca * t.a + 2 * cb * t.b, ca * t.b + cb * t.a, cd * t.d)
+            for m, t in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MvPoly):
@@ -164,7 +197,8 @@ class MvPoly:
         return max(sum(m) for m in self.terms)
 
     def graded_part(self, d: int) -> "MvPoly":
-        return MvPoly(self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return MvPoly._of_clean_terms(self.nvars,
+                                      {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def constant_term(self) -> QSqrt2:
         return self.terms.get((0,) * self.nvars, QS2_ZERO)
@@ -172,11 +206,12 @@ class MvPoly:
     def partial(self, i: int) -> "MvPoly":
         # m -> m - e_i is injective on the terms with m_i > 0, so every image
         # term is a single nonzero product
+        from_ints = QSqrt2.from_ints
         terms: dict[Monomial, QSqrt2] = {}
         for m, c in self.terms.items():
             e = m[i]
             if e:
-                terms[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                terms[m[:i] + (e - 1,) + m[i + 1:]] = from_ints(c.a * e, c.b * e, c.d)
         return MvPoly._of_clean_terms(self.nvars, terms)
 
     def gradient(self) -> list["MvPoly"]:
@@ -240,15 +275,14 @@ class MvPoly:
         `matrix` is nvars x nvars (row i gives the expansion of old variable i
         in the new variables), or a `LinearSubstitution` of such a matrix,
         whose monomial images are reused and kept; degree never increases.
+        The result is the linear combination of the images with p's
+        coefficients, accumulated once (`_combine`).
         """
         sub = matrix if isinstance(matrix, LinearSubstitution) else LinearSubstitution(matrix)
         if sub.nvars != self.nvars:
             raise ValueError("substitution matrix must be square of matching dimension")
-        sums: dict[Monomial, QSqrt2] = {}
-        for m, c in self.terms.items():
-            for y, v in sub.monomial_image(m).items():
-                sums[y] = sums.get(y, QS2_ZERO) + c * v
-        return MvPoly._of_clean_terms(self.nvars, {y: c for y, c in sums.items() if c})
+        image = sub.monomial_image
+        return _combine(self.nvars, [(c, *image(m)) for m, c in self.terms.items()])
 
     def __repr__(self):
         if not self.terms:
@@ -268,9 +302,10 @@ class LinearSubstitution:
 
     Row i of A expands the old variable x_i in the new variables y.  The
     image of x^m is that of x^(m - e_i) times the linear form of row i, for
-    the last i with m_i > 0; each is expanded once and kept, so every
-    polynomial that `MvPoly.substitute_linear` rewrites through the same
-    substitution reuses the images of the monomials seen before.
+    the last i with m_i > 0; each is expanded once and kept, as numerators
+    over one denominator, so every polynomial that `MvPoly.substitute_linear`
+    rewrites through the same substitution reuses the images of the
+    monomials seen before.
     """
 
     __slots__ = ("nvars", "_rows", "_images")
@@ -283,19 +318,20 @@ class LinearSubstitution:
         self._rows = [[(j, c) for j, c in enumerate(map(QSqrt2.coerce, row)) if c]
                       for row in matrix]
         one = (0,) * n
-        self._images: dict[Monomial, dict[Monomial, QSqrt2]] = {one: {one: QS2_ONE}}
+        self._images: dict[Monomial, Numerators] = {one: (1, [(one, 1, 0)])}
 
-    def monomial_image(self, m: Monomial) -> dict[Monomial, QSqrt2]:
-        """The terms of (A*y)^m, kept by the substitution: not to be modified."""
+    def monomial_image(self, m: Monomial) -> Numerators:
+        """The terms of (A*y)^m over one denominator, kept by the
+        substitution: not to be modified."""
         image = self._images.get(m)
         if image is None:
             i = max(k for k, e in enumerate(m) if e)
-            sums: dict[Monomial, QSqrt2] = {}
-            for y, c in self.monomial_image(m[:i] + (m[i] - 1,) + m[i + 1:]).items():
-                for j, a in self._rows[i]:
-                    key = y[:j] + (y[j] + 1,) + y[j + 1:]
-                    sums[key] = sums.get(key, QS2_ZERO) + c * a
-            image = self._images[m] = {y: c for y, c in sums.items() if c}
+            den, items = self.monomial_image(m[:i] + (m[i] - 1,) + m[i + 1:])
+            # the sum over row i's entries A_ij of A_ij times that image shifted by y_j
+            product = _combine(self.nvars, [
+                (a, den, [(y[:j] + (y[j] + 1,) + y[j + 1:], p, q) for y, p, q in items])
+                for j, a in self._rows[i]])
+            image = self._images[m] = _numerators(product.terms)
         return image
 
 

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line.  Criterion 4 runs the full degree-16 determinant condition (iv) at the
 three published weights, through one `certify-neighborhood --with-hessian`
-call checked against its golden output."""
+call checked against its golden output, and each weight's determinant
+against its coefficient digest."""
 
 import random
 import time
@@ -18,6 +19,7 @@ from widthcert.widthlab import Functional, dual_lattice, hollow_check, lattice_w
 
 from test_cli import GOLDEN, run_cli
 from test_exactlinalg import det_laplace
+from test_fastdet import DET_DIGESTS, coefficient_digest
 
 
 class _Criterion:
@@ -114,20 +116,27 @@ PRIMES_IV = {Fr(7): 4, Fr(39, 4): 4, Fr(12): 3}
 def test_criterion_4_hessian_column(monkeypatch, capsys):
     # one CLI sweep over the three weights: its kv output is golden, and each
     # weight's determinant is checked as it runs
-    primes, runs = [], []
-    one_prime, hessian_bound = fastdet._det_one_prime, dc.hessian_bound
+    primes, digests, runs = [], [], []
+    one_prime, det_poly, hessian_bound = fastdet._det_one_prime, dc.det_poly, dc.hessian_bound
 
     def recording_prime(*args):
         primes.append(args[5])
         return one_prime(*args)
 
+    def recording_det(matrix):
+        det = det_poly(matrix)
+        digests.append(coefficient_digest(det))
+        return det
+
     def recording_bound(c, *args):
         primes.clear()
+        digests.clear()
         bound = hessian_bound(c, *args)
-        runs.append((c, bound, list(primes)))
+        runs.append((c, bound, list(primes), list(digests)))
         return bound
 
     monkeypatch.setattr(fastdet, "_det_one_prime", recording_prime)
+    monkeypatch.setattr(dc, "det_poly", recording_det)
     monkeypatch.setattr(dc, "hessian_bound", recording_bound)
     with _Criterion(4, "degree-16 determinant condition at c in {7, 9.75, 12}",
                     limit_seconds=600):
@@ -135,12 +144,14 @@ def test_criterion_4_hessian_column(monkeypatch, capsys):
                                  "--with-hessian", "--sweep", "7,39/4,12", "--tol", "1e-9")
         assert (code, err) == (EXIT_OK, "")
         assert out == (GOLDEN / "neighborhood_hessian.kv").read_text(encoding="utf-8")
-        assert [c for c, _, _ in runs] == list(PUBLISHED_IV)
-        for c, bound, used in runs:
+        assert [c for c, _, _, _ in runs] == list(PUBLISHED_IV)
+        for c, bound, used, digest in runs:
             assert (bound.display, bound.certified) == PUBLISHED_IV[c], f"c={c}"
             assert bound.detail == {"det_degree": 16, "det_terms": 374459}
             assert len(used) == PRIMES_IV[c]
             assert all(p % 8 == 7 for p in used)
+            # every coefficient of the determinant, not only its radius
+            assert digest == [DET_DIGESTS["iv"][str(c)]], f"c={c}"
 
 
 def test_criterion_5_global_bounds():

@@ -4,15 +4,20 @@ kernel kept here as the oracle, that kernel must agree with a plain-Python
 reference, the permanent branch of the certified bound must be the
 permanent that the Laplace plan computes, both branches must cover every
 coefficient, the rescaling must follow its fixed rule, the degree caps that
-cut the grid must be the maxima over all permutations, and the evaluation
-check must catch a wrong coefficient or a cap set too low."""
+cut the grid must be the maxima over all permutations, the evaluation
+check must catch a wrong coefficient or a cap set too low, and the
+determinants of condition (iv)'s 4- and 6-variable sections must keep every
+coefficient (their digests in `golden/det_digests.json`)."""
 
+import hashlib
 import inspect
+import json
 import random
 from fractions import Fraction as Fr
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import comb, gcd, isqrt, lcm, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +50,29 @@ from widthcert.mvpoly import MvPoly
 
 from test_exactlinalg import det_laplace
 from test_mvpoly import _random_scalar
+
+
+#: the coefficient digest of condition (iv)'s determinant at each published
+#: weight, and of its 4- and 6-variable sections at c = 39/4
+DET_DIGESTS = json.loads((Path(__file__).parent / "golden" / "det_digests.json").read_text())
+
+
+def coefficient_digest(p):
+    """SHA-256 over p's terms sorted by exponent, each as (exponent, a, b, d)
+    of its canonical coefficient (a + b*sqrt2)/d: equal digests mean equal
+    polynomials, coefficient for coefficient."""
+    terms = sorted((m, c.a, c.b, c.d) for m, c in p.terms.items())
+    return hashlib.sha256(repr(terms).encode()).hexdigest()
+
+
+def hessian_section(keep_vars, c=Fr(39, 4)):
+    """Condition (iv)'s matrix at the weight c on the section where the last
+    8 - keep_vars coordinates are zero."""
+    from widthcert import deltacert as dc
+
+    return dc.hessian_matrix_s(c).map_entries(
+        lambda p: MvPoly(keep_vars, {m[:keep_vars]: coeff for m, coeff in p.terms.items()
+                                     if not any(m[keep_vars:])}))
 
 
 def split_primes_below(bound, count):
@@ -396,12 +424,7 @@ def test_crt_primes_are_the_fewest(bound):
 def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     # condition (iv) at c = 39/4 and its 6-variable section; only the bound is
     # computed, no determinant
-    from widthcert import deltacert as dc
-
-    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
-        lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
-                                     if not any(m[keep_vars:])}))
-    shared, primes = _setup(matrix)[:2]
+    shared, primes = _setup(hessian_section(keep_vars))[:2]
     bound = coefficient_norm_bound(shared[4])
     assert bound.bit_length() == bits
     below = _prime_limit(monomial_table(keep_vars, 16), monomial_table(keep_vars, 2), _OFFSET)
@@ -759,11 +782,7 @@ def test_residues_match_the_laplace_oracle(seed, n, nvars, symmetric):
 
 def test_section_residues_match_the_laplace_oracle():
     # the 6-variable section of condition (iv)'s matrix, the benchmark's size
-    from widthcert import deltacert as dc
-
-    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
-        lambda p: MvPoly(6, {m[:6]: c for m, c in p.terms.items() if not any(m[6:])}))
-    shared = _setup(matrix)[0]
+    shared = _setup(hessian_section(6))[0]
     _, table, symmetric, _, coeff_int = shared
     assert symmetric and table.maxdeg == 16
     p = split_primes_below(1 << 25, 1)[0]
@@ -888,12 +907,7 @@ def test_entry_monomials_outlive_a_cap_below_the_entry_degree():
                                                      (8, 735471, 656685)])
 def test_hessian_grids_are_cut_by_the_caps(keep_vars, simplex, grid):
     # condition (iv) at c = 39/4 and its sections; only the set-up runs
-    from widthcert import deltacert as dc
-
-    matrix = dc.hessian_matrix_s(Fr(39, 4)).map_entries(
-        lambda p: MvPoly(keep_vars, {m[:keep_vars]: c for m, c in p.terms.items()
-                                     if not any(m[keep_vars:])}))
-    table = _setup(matrix)[0][1]
+    table = _setup(hessian_section(keep_vars))[0][1]
     assert table.maxdeg == 16 and table.caps
     assert comb(keep_vars + 16, 16) == simplex
     assert len(table.keys) == grid
@@ -1030,7 +1044,7 @@ def _as_arrays(f, maxdeg):
 def test_array_evaluation_matches_mvpoly_evaluate():
     rng = random.Random(31)
     polys = [MvPoly.zero(3), MvPoly.constant(QSqrt2(Fr(-2, 3), Fr(5, 7)), 3),
-             MvPoly.linear_form([0, QSqrt2(Fr(1, 2), -1), 0]), MvPoly.variable(0, 1)]
+             MvPoly(3, {(0, 1, 0): QSqrt2(Fr(1, 2), -1)}), MvPoly.variable(0, 1)]
     for _ in range(30):
         nvars = rng.randint(1, 4)
         table = monomial_table(nvars, 5)
@@ -1103,6 +1117,23 @@ def test_crt_reconstruct_refuses_a_prime_past_2_31():
     residues = [(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))] * 2
     with pytest.raises(OverflowError):
         _crt_reconstruct(residues, [2147483647, 2147483659])
+
+
+@pytest.mark.parametrize("keep_vars", [4, 6])
+def test_section_determinant_matches_its_coefficient_digest(keep_vars):
+    # every coefficient of the section's determinant at c = 39/4, not only
+    # its radius, degree and term count
+    det = det_poly_modular(hessian_section(keep_vars))
+    assert coefficient_digest(det) == DET_DIGESTS["section"][str(keep_vars)]
+
+
+def test_coefficient_digest_sees_one_changed_coefficient():
+    det = det_poly_modular(hessian_section(4))
+    terms = dict(det.terms)
+    m = max(terms)
+    terms[m] = terms[m] + QSqrt2(0, Fr(1, 10**30))
+    assert coefficient_digest(MvPoly(4, terms)) != coefficient_digest(det)
+    assert coefficient_digest(MvPoly(4, dict(det.terms))) == coefficient_digest(det)
 
 
 def test_determinant_term_map_is_clean():

@@ -11,6 +11,7 @@ from widthcert.mvpoly import (
     cauchy_companion,
     companion_root_enclosure,
     graded_lex_key,
+    linear_combination,
 )
 
 
@@ -160,6 +161,86 @@ def test_substitute_linear_cancels_to_zero():
     assert image == MvPoly.zero(3) and image.terms == {}
 
 
+# -- differential check against per-term QSqrt2 arithmetic -------------------------------
+
+
+def _naive_sum(nvars, products):
+    """The reference polynomial of a list of (monomial, QSqrt2) products: each
+    is added into the term map by one `QSqrt2` sum, with no common
+    denominator, and a sum that reaches zero is dropped."""
+    terms = {}
+    for m, c in products:
+        total = terms.get(m, QSqrt2(0)) + c
+        if total:
+            terms[m] = total
+        else:
+            terms.pop(m, None)
+    return MvPoly(nvars, terms)
+
+
+def _naive_mul(p, q):
+    return _naive_sum(p.nvars, [(tuple(a + b for a, b in zip(m1, m2)), c1 * c2)
+                                for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()])
+
+
+def _naive_substitute(p, matrix):
+    products = []
+    for m, c in p.terms.items():
+        image = [((0,) * p.nvars, c)]
+        for i, e in enumerate(m):
+            for _ in range(e):
+                image = [(y[:j] + (y[j] + 1,) + y[j + 1:], v * QSqrt2.coerce(a))
+                         for y, v in image for j, a in enumerate(matrix[i])]
+        products += image
+    return _naive_sum(p.nvars, products)
+
+
+def _mixed_polys(rng, nvars, count):
+    """Seeded pairs (p, q) with denominators 1 to 12, sqrt2 parts, and terms
+    that cancel exactly in p + q, in p - q or in p * q."""
+    def poly():
+        return MvPoly(nvars, {tuple(rng.randint(0, 2) for _ in range(nvars)):
+                              _random_scalar(rng, zero_rat=rng.random() < 0.2,
+                                             zero_irr=rng.random() < 0.3)
+                              for _ in range(rng.randint(1, 8))})
+
+    pairs = []
+    for _ in range(count):
+        p, q, r = poly(), poly(), poly()
+        half = MvPoly(nvars, dict(list(p.terms.items())[::2]))
+        pairs += [(p, q), (p, q - half), (p, q + half), (p + r, p - r), (p, p)]
+    return pairs
+
+
+def test_ring_operations_match_per_term_arithmetic():
+    rng = random.Random(43)
+    matrix = [[_random_scalar(rng) if rng.random() < 0.7 else 0 for _ in range(3)]
+              for _ in range(3)]
+    matrix[1] = list(matrix[0])  # x0 - x1 maps to zero
+    sub = LinearSubstitution(matrix)
+    weight = QSqrt2(Fr(-5, 6), Fr(7, 4))
+    for p, q in _mixed_polys(rng, 3, 12):
+        items = list(p.terms.items())
+        checks = [
+            (p * q, _naive_mul(p, q)),
+            (p + q, _naive_sum(3, items + list(q.terms.items()))),
+            (p - q, _naive_sum(3, items + [(m, -c) for m, c in q.terms.items()])),
+            (p.scale(weight), _naive_sum(3, [(m, c * weight) for m, c in items])),
+            (linear_combination(3, [(weight, p), (Fr(3, 10), q), (-weight, p)]),
+             _naive_sum(3, [(m, c * Fr(3, 10)) for m, c in q.terms.items()])),
+            (p.substitute_linear(sub), _naive_substitute(p, matrix)),
+            (q.substitute_linear(sub), _naive_substitute(q, matrix)),
+        ]
+        checks += [(p.partial(i), _naive_sum(3, [(m[:i] + (m[i] - 1,) + m[i + 1:], c * m[i])
+                                                  for m, c in items if m[i]]))
+                   for i in range(3)]
+        checks += [(p.graded_part(d), _naive_sum(3, [(m, c) for m, c in items if sum(m) == d]))
+                   for d in range(7)]
+        for result, expected in checks:
+            assert result == expected
+            _assert_clean(result)
+
+
 # -- calculus ------------------------------------------------------------------------
 
 
@@ -242,7 +323,8 @@ def expand_linear(p, matrix):
     """p(A*x) from each term's product of powers of the row forms, with no
     monomial kept between terms or calls: the oracle of `LinearSubstitution`."""
     n = p.nvars
-    images = [MvPoly.linear_form(row) for row in matrix]
+    images = [MvPoly(n, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(row)})
+              for row in matrix]
     out = MvPoly.zero(n)
     for m, c in p.terms.items():
         term = MvPoly.constant(c, n)
