@@ -39,7 +39,6 @@ from .exactnum import (
 )
 from .mvpoly import (
     MvPoly,
-    UniPoly,
     cauchy_companion,
     companion_root_enclosure,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "RatInterval",
     "SQRT2",
     "UndecidedComparison",
-    "UniPoly",
     "WidthResult",
     "adjugate_poly",
     "alg",

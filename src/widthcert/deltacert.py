@@ -916,15 +916,13 @@ def certify(c: Fraction, with_hessian: bool = False,
     present = [b for b in bounds.values() if b is not None]
     binding = min(present, key=lambda b: b.certified)
     overall = binding.certified
-    overall_enc = (binding.enclosure_lo, binding.enclosure_hi)
-    barycentric = overall / 2
     return CertificateReport(
         c=c,
         local=local,
         symmetry=pl.symmetry,
         bounds=bounds,
         overall=overall,
-        overall_display=_display_5(*overall_enc),
-        barycentric=barycentric,
-        barycentric_display=_display_5(overall_enc[0] / 2, overall_enc[1] / 2),
+        overall_display=binding.display,
+        barycentric=overall / 2,
+        barycentric_display=_display_5(binding.enclosure_lo / 2, binding.enclosure_hi / 2),
     )

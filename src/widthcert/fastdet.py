@@ -81,18 +81,15 @@ Exactness is unconditional, not heuristic:
   divided by the content g, the gcd of all the parts (`_setup`).  The
   rescaling balances coefficients that grow with the degree, and it pays
   only with the content: on the 6-variable section at k = 2, g = 8 is
-  worth 24 bits.  The bound is the smaller of two certified ones
-  (`coefficient_norm_bound`): the permanent of the entries'
-  coefficient-norms ``sum(|a| + 2|b|)``, which are submultiplicative for
-  Z[sqrt2] polynomials, by the recursion over column subsets that also
-  gives the caps (`_subset_permanent`); and a Hadamard bound per real
-  embedding of Q(sqrt2), in integers through an enclosure of sqrt2 * 2^64
-  and an `isqrt` rounded up.  k runs over 0 .. 4 by a fixed rule, the
-  smallest bound (`_rescaling`).  Coefficient alpha of det M is then
-  C_alpha * g^n * 2^(k*|alpha|) / (2^(k*e*n) * scale^n), C_alpha the CRT
-  value; that ratio is reduced once per total degree.  For condition (iv)
-  this takes 4 primes at c = 7 and 39/4 and 3 at c = 12, where the plain
-  permanent (144 bits at 39/4) needed 5;
+  worth 24 bits.  The bound (`coefficient_norm_bound`) is Hadamard's, per
+  real embedding of Q(sqrt2) (`_hadamard_bound`), in integers through an
+  enclosure of sqrt2 * 2^64 and an `isqrt` rounded up.  k runs over
+  0 .. 4 by a fixed rule, the smallest bound (`_rescaling`).  Coefficient
+  alpha of det M is then C_alpha * g^n * 2^(k*|alpha|) /
+  (2^(k*e*n) * scale^n), C_alpha the CRT value; that ratio is reduced once
+  per total degree.  For condition (iv) the bound has 105, 121 and 89 bits
+  at c = 7, 39/4 and 12, and takes 4, 4 and 3 primes; at 39/4, k = 0 would
+  give 138 bits and 5 primes;
 * the reconstructed constant term is compared against an exact field
   determinant of the constant part, and the whole polynomial is compared
   against an exact field determinant at a fixed pseudo-random point of
@@ -131,7 +128,7 @@ from __future__ import annotations
 import gc
 import operator
 import random
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import comb, gcd, isqrt, lcm, prod
@@ -306,72 +303,56 @@ def _prime_limit(table: _MonomialTable, entry_table: _MonomialTable, offset: int
 # ---------------------------------------------------------------------------
 
 
-def _subset_permanent(weights, plus, times, one):
-    """The permanent of the square matrix `weights` over the semiring
-    (plus, times) with unit `one`, by a recursion over column subsets held
-    as bitmasks: value[S] is the permanent of rows 0 .. |S|-1 on the columns
-    in S, the plus over j in S of times(weights[|S|-1][j], value[S - j])."""
-    n = len(weights)
-    value = [one]
+def _subset_permanent(deg: np.ndarray) -> np.ndarray:
+    """The permanent over (max, +) of the square matrix of int64 vectors
+    deg[r, c], by a recursion over column subsets held as bitmasks:
+    value[S] is the permanent of rows 0 .. |S|-1 on the columns in S, the
+    elementwise max over j in S of deg[|S|-1, j] + value[S - j]."""
+    n = len(deg)
+    value = [np.zeros(deg.shape[2:], dtype=np.int64)]
     for mask in range(1, 1 << n):
-        row = weights[mask.bit_count() - 1]
-        value.append(reduce(plus, [times(row[j], value[mask ^ 1 << j])
-                                   for j in range(n) if mask >> j & 1]))
+        row = deg[mask.bit_count() - 1]
+        value.append(np.maximum.reduce([row[j] + value[mask ^ 1 << j]
+                                        for j in range(n) if mask >> j & 1]))
     return value[-1]
 
 
 def _entry_sums(coeff_int: np.ndarray) -> np.ndarray:
     """Per entry (r, c) and monomial q of the pairs coeff_int[r, c, q] of
-    a + b*sqrt2, three integers (an object array of shape (3, n, n, nq)):
-    the norm |a| + 2|b|, and upper bounds of 2^F * |a + b*sqrt2| and
-    2^F * |a - b*sqrt2|, the sizes in the two real embeddings, F =
-    `_SQRT2_BITS`.  With sqrt2 * 2^F = `_SQRT2_FLOOR` + t, 0 <= t < 1, each is
-    |a*2^F +- b*_SQRT2_FLOOR| + |b|.  Every one is linear in (a, b) up to the
-    absolute value, so scaling a coefficient by w > 0 scales them by w."""
+    a + b*sqrt2, two integers (an object array of shape (2, n, n, nq)):
+    upper bounds of 2^F * |a + b*sqrt2| and 2^F * |a - b*sqrt2|, the sizes
+    in the two real embeddings, F = `_SQRT2_BITS`.  With sqrt2 * 2^F =
+    `_SQRT2_FLOOR` + t, 0 <= t < 1, each is |a*2^F +- b*_SQRT2_FLOOR| + |b|.
+    Both are linear in (a, b) up to the absolute value, so scaling a
+    coefficient by w > 0 scales them by w."""
     a, b = coeff_int[..., 0], coeff_int[..., 1]
     shifted, rooted, slack = a * (1 << _SQRT2_BITS), b * _SQRT2_FLOOR, abs(b)
-    return np.stack([abs(a) + 2 * slack, abs(shifted + rooted) + slack,
-                     abs(shifted - rooted) + slack])
-
-
-def _permanent_bound(norms: np.ndarray) -> int:
-    """The permanent over (+, x) of the entries' norms, summed over their
-    monomials (`_entry_sums`' first part): the weight |a| + 2|b| is
-    submultiplicative on Z[sqrt2] and bounds |a| and |b|, so this bounds
-    every coefficient of the determinant (`_subset_permanent`)."""
-    return _subset_permanent(norms.tolist(), operator.add, operator.mul, 1)
+    return np.stack([abs(shifted + rooted) + slack, abs(shifted - rooted) + slack])
 
 
 def _hadamard_bound(plus: np.ndarray, minus: np.ndarray) -> int:
     """A bound on |a| and |b| of every coefficient a + b*sqrt2 of the
     determinant from the per-entry sums, times 2^F, of |sigma(h_ijq)| over
-    the monomials q in the two real embeddings sigma (`_entry_sums`' other
-    two parts).  sigma(c_alpha) is the mean of sigma(det H(z)) z^-alpha over
-    the unit torus, so |sigma(c_alpha)| is at most max |det sigma(H(z))|
-    there, which Hadamard's inequality bounds by the product over rows i of
-    the 2-norm of (sum_q |sigma(h_ijq)|)_j: at most H = (isqrt(P) + 1) /
-    2^(F*n), P the product of the rows' sums of squares.  Then
-    |a| = |sigma+ + sigma-|/2 and |b| = |sigma+ - sigma-|/(2*sqrt2) are at
-    most (H+ + H-)/2, rounded up."""
+    the monomials q in the two real embeddings sigma (`_entry_sums`' two
+    parts, (n, n) object arrays).  sigma(c_alpha) is the mean of
+    sigma(det H(z)) z^-alpha over the unit torus, so |sigma(c_alpha)| is at
+    most max |det sigma(H(z))| there, which Hadamard's inequality bounds by
+    the product over rows i of the 2-norm of (sum_q |sigma(h_ijq)|)_j: at
+    most H = (isqrt(P) + 1) / 2^(F*n), P the product of the rows' sums of
+    squares.  Then |a| = |sigma+ + sigma-|/2 and |b| =
+    |sigma+ - sigma-|/(2*sqrt2) are at most (H+ + H-)/2, rounded up."""
     roots = sum(isqrt(prod(sum(x * x for x in row) for row in lane.tolist())) + 1
                 for lane in (plus, minus))
     return -(-roots >> (_SQRT2_BITS * len(plus) + 1))
 
 
-def _certified_bound(norms: np.ndarray, plus: np.ndarray, minus: np.ndarray) -> int:
-    """The smaller of `_permanent_bound` and `_hadamard_bound`, from
-    `_entry_sums`' three parts summed over the monomials, (n, n) object
-    arrays; neither is always the smaller."""
-    return min(_permanent_bound(norms), _hadamard_bound(plus, minus))
-
-
 def coefficient_norm_bound(coeff_int: np.ndarray) -> int:
     """Upper bound on |a| and |b| of every coefficient of the determinant of
     the matrix whose entry (r, c) has the coefficients a + b*sqrt2 of the
-    pairs coeff_int[r, c, :] (`_setup`'s scaled tensor): the smaller of the
-    permanent of the entries' norms and the Hadamard bound of their two real
-    embeddings (`_certified_bound`), in exact integer arithmetic."""
-    return _certified_bound(*_entry_sums(coeff_int).sum(axis=3))
+    pairs coeff_int[r, c, :] (`_setup`'s scaled tensor): the Hadamard bound
+    of its two real embeddings (`_hadamard_bound`), in exact integer
+    arithmetic."""
+    return _hadamard_bound(*_entry_sums(coeff_int).sum(axis=3))
 
 
 def _rescaling(coeff_int: np.ndarray, entry_table: _MonomialTable) -> tuple[int, int]:
@@ -380,11 +361,12 @@ def _rescaling(coeff_int: np.ndarray, entry_table: _MonomialTable) -> tuple[int,
     times 2^(k*(e-d)), e = entry_table.maxdeg, divided by g, the gcd of all
     those parts.  That tensor is the matrix at s = 2^-k * u, times 2^(k*e)
     and the entry scale, over g.  k is the one whose tensor has the smallest
-    `coefficient_norm_bound`, the smallest k on a tie; the number of primes
-    `crt_primes` takes never falls as the bound grows, so it is also the
-    fewest.  Every bound is read off per-entry, per-degree sums and
-    per-degree contents, scaled by the same 2^(k*(e-d)), so only the chosen
-    tensor is ever built."""
+    bound, the smallest k on a tie; the number of primes `crt_primes` takes
+    never falls as the bound grows, so it is also the fewest.  Each bound is
+    the `_hadamard_bound` of `coefficient_norm_bound`, read off per-entry,
+    per-degree `_entry_sums` and per-degree contents, scaled by the same
+    2^(k*(e-d)), so only the chosen tensor is ever built and
+    `coefficient_norm_bound` runs once, on it, in `_setup`."""
     e = entry_table.maxdeg
     ends = entry_table.size_up_to
     starts = [0, *ends[:-1]]
@@ -395,7 +377,7 @@ def _rescaling(coeff_int: np.ndarray, entry_table: _MonomialTable) -> tuple[int,
         weights = [1 << k * (e - d) for d in range(e + 1)]
         content = gcd(*map(operator.mul, contents, weights)) or 1
         sums = (by_degree * np.array(weights, dtype=object)).sum(axis=3) // content
-        bound = _certified_bound(*sums)
+        bound = _hadamard_bound(*sums)
         if best is None or bound < best[0]:
             best = bound, k, content
     return best[1], best[2]
@@ -411,9 +393,9 @@ def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
     entry per row and column, so its degree in the variables S is at most
     the max-plus permanent of the entries' degrees deg_S, a zero entry
     counting as minus infinity; cancellation only lowers it.  The permanent
-    is `_subset_permanent` over (max, +) on the vectors of deg_S for every S
-    at once.  A variable's cap is kept when it is below maxdeg, a pair's
-    when it is below maxdeg and below the sum of its two variables' caps.
+    is `_subset_permanent` on the vectors of deg_S for every S at once.  A
+    variable's cap is kept when it is below maxdeg, a pair's when it is
+    below maxdeg and below the sum of its two variables' caps.
     When every permutation meets a zero entry, the determinant is 0 and
     every cap is 0."""
     nvars = exps.shape[1]
@@ -423,7 +405,7 @@ def degree_caps(support: np.ndarray, exps: np.ndarray, maxdeg: int) -> tuple:
         indicator[list(subset), s] = 1
     # deg[r, c, s]: the degree of entry (r, c) in the variables of subsets[s]
     deg = np.where(support[..., None], exps.astype(np.int64) @ indicator, _NO_TERM).max(axis=2)
-    top = _subset_permanent(deg, np.maximum, np.add, np.zeros(len(subsets), dtype=np.int64))
+    top = _subset_permanent(deg)
     cap = np.maximum(top, 0).tolist()
     single = [min(c, maxdeg) for c in cap[:nvars]]
     caps = [((i,), c) for i, c in enumerate(single) if c < maxdeg]

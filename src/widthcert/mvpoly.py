@@ -1,6 +1,8 @@
-"""Sparse multivariate polynomials over Q(sqrt2), plus the univariate
-coefficient-companion machinery that turns a polynomial's coefficients into a
-certified lower bound on the size of its smallest zero.
+"""Sparse multivariate polynomials over Q(sqrt2), plus the coefficient
+companion that turns a polynomial's coefficients into a certified lower
+bound on the size of its smallest zero: `cauchy_companion` collapses them
+into one univariate coefficient tuple, and `companion_root_enclosure`
+brackets that polynomial's positive root by a bisection on integer pairs.
 
 Polynomials are immutable maps from exponent tuples to nonzero QSqrt2
 coefficients; equality is term-map equality, and `repr` lists the terms in
@@ -336,49 +338,14 @@ class LinearSubstitution:
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials and the coefficient companion bound
+# The coefficient companion bound
 # ---------------------------------------------------------------------------
 
 
-class UniPoly:
-    """Dense univariate polynomial over QSqrt2, coefficients by ascending degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = [QSqrt2.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, x) -> QSqrt2:
-        x = QSqrt2.coerce(x)
-        total = QS2_ZERO
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)!r})"
-
-
-def cauchy_companion(f: MvPoly) -> UniPoly:
-    """Collapse a multivariate polynomial into the univariate comparison
-    polynomial whose unique positive root bounds the size of f's zeros.
+def cauchy_companion(f: MvPoly) -> tuple[QSqrt2, ...]:
+    """Collapse a multivariate polynomial into the coefficients, by ascending
+    degree, of the univariate comparison polynomial whose unique positive
+    root bounds the size of f's zeros.
 
     Coefficient of degree j is the sum of |c| over all total-degree-j terms
     (absolute value taken in QSqrt2 as a real number); the constant term is
@@ -402,16 +369,21 @@ def cauchy_companion(f: MvPoly) -> UniPoly:
     for (degree, d), (a, b) in sums.items():
         out[degree] += QSqrt2.from_ints(a, b, d)
     out[0] = -abs(const)
-    return UniPoly(out)
+    return tuple(out)
 
 
-def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
-    """Bracket [lo, hi] around the unique positive root of f0 with
-    hi - lo <= tol and f0(lo) < 0 <= f0(hi); lo is the certified lower bound.
+def companion_root_enclosure(coeffs: Sequence[QSqrt2],
+                             tol: Fraction = Fraction(1, 10**7)) -> tuple[Fraction, Fraction]:
+    """Bracket [lo, hi] around the unique positive root of the polynomial f0
+    with the coefficients `coeffs` by ascending degree, with hi - lo <= tol
+    and f0(lo) < 0 <= f0(hi); lo is the certified lower bound.
 
     Requires the single-sign-change shape produced by `cauchy_companion`
     (negative constant term, non-negative higher coefficients, at least one
-    positive); this is verified.
+    positive); this is verified.  Trailing zero coefficients are dropped,
+    and the others become pairs (A_i, B_i) of ints over one positive
+    denominator L, c_i = (A_i + B_i*sqrt2)/L, which the bracket and the
+    bisection share.
 
     The bisection halves [0, P/Q] from `_companion_bracket` until its width
     P/(Q*2^k) is at most tol, so after k halvings the bracket is
@@ -421,8 +393,12 @@ def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) ->
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    _, hi = _companion_bracket(f0)
-    pairs = _integer_pairs(f0)
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    den = lcm(*(c.d for c in coeffs))
+    pairs = [(c.a * (den // c.d), c.b * (den // c.d)) for c in coeffs]
+    hi = _companion_bracket(pairs)
     p, q = hi.numerator, hi.denominator
     steps = 0
     while p * tol.denominator > tol.numerator * (q << steps):
@@ -435,17 +411,10 @@ def companion_root_enclosure(f0: UniPoly, tol: Fraction = Fraction(1, 10**7)) ->
     return Fraction(p * j, q << steps), Fraction(p * (j + 1), q << steps)
 
 
-def _integer_pairs(f0: UniPoly) -> list[tuple[int, int]]:
-    """f0's coefficients as pairs (A_i, B_i) over one positive denominator L:
-    c_i = (A_i + B_i*sqrt2)/L."""
-    den = lcm(*(c.d for c in f0.coeffs))
-    return [(c.a * (den // c.d), c.b * (den // c.d)) for c in f0.coeffs]
-
-
 def _sign_at_ratio(pairs: list[tuple[int, int]], m: int, q: int) -> int:
-    """Sign of f0(m/q) for q > 0, f0 given by `_integer_pairs`: that of
-    sum_i (A_i + B_i*sqrt2) * m^i * q^(n-i), n = deg f0, by a homogeneous
-    Horner scheme on ints."""
+    """Sign of f0(m/q) for q > 0, f0 given by the pairs (A_i, B_i) of
+    `companion_root_enclosure`: that of sum_i (A_i + B_i*sqrt2) * m^i *
+    q^(n-i), n = deg f0, by a homogeneous Horner scheme on ints."""
     ha, hb = pairs[-1]
     q_power = 1
     for a, b in reversed(pairs[:-1]):
@@ -455,26 +424,22 @@ def _sign_at_ratio(pairs: list[tuple[int, int]], m: int, q: int) -> int:
     return _sign(ha, hb)
 
 
-def _companion_bracket(f0: UniPoly) -> tuple[Fraction, Fraction]:
-    coeffs = f0.coeffs
-    if len(coeffs) < 2:
+def _companion_bracket(pairs: list[tuple[int, int]]) -> Fraction:
+    """The upper end hi of a bracket [0, hi] of f0's positive root, f0(hi) > 0,
+    after checking f0's shape; f0 as in `_sign_at_ratio`."""
+    if len(pairs) < 2:
         raise ValueError("companion polynomial must have positive degree")
-    if coeffs[0].sign() >= 0:
+    if _sign(*pairs[0]) >= 0:
         raise ValueError("companion polynomial must have negative constant term")
-    non_const_signs = [c.sign() for c in coeffs[1:]]
-    if any(s < 0 for s in non_const_signs):
+    # the last pair is nonzero (`companion_root_enclosure` trims zeros), so
+    # with no negative one there is a positive one
+    if any(_sign(a, b) < 0 for a, b in pairs[1:]):
         raise ValueError("companion polynomial has a negative non-constant coefficient")
-    if all(s == 0 for s in non_const_signs):
-        raise ValueError("companion polynomial has no positive coefficient")
-    # start from 1 + (sum of non-constant coefficients)/|constant| and grow
-    # until the value is verifiably positive; the growth loop terminates
-    # because the leading coefficient is positive
-    total = QS2_ZERO
-    for c in coeffs[1:]:
-        total = total + c
-    ratio = (total / abs(coeffs[0])).enclosure(Fraction(1, 4))
-    hi = 1 + ratio.hi
-    pairs = _integer_pairs(f0)
+    # start from 1 + (sum of non-constant coefficients)/|constant|, in which
+    # L cancels, and grow until the value is verifiably positive; the growth
+    # loop terminates because the leading coefficient is positive
+    total = QSqrt2.from_ints(sum(a for a, _ in pairs[1:]), sum(b for _, b in pairs[1:]), 1)
+    hi = 1 + (total / abs(QSqrt2.from_ints(*pairs[0], 1))).enclosure(Fraction(1, 4)).hi
     while _sign_at_ratio(pairs, hi.numerator, hi.denominator) <= 0:
         hi = 2 * hi + 1
-    return Fraction(0), hi
+    return hi

@@ -112,16 +112,25 @@ PUBLISHED_IV = {
 #: exceeds four times the certified bound of its rescaled matrix
 PRIMES_IV = {Fr(7): 4, Fr(39, 4): 4, Fr(12): 3}
 
+#: the bits of that certified bound, `fastdet.coefficient_norm_bound`
+BOUND_BITS_IV = {Fr(7): 105, Fr(39, 4): 121, Fr(12): 89}
+
 
 def test_criterion_4_hessian_column(monkeypatch, capsys):
     # one CLI sweep over the three weights: its kv output is golden, and each
     # weight's determinant is checked as it runs
-    primes, digests, runs = [], [], []
+    primes, bits, digests, runs = [], [], [], []
     one_prime, det_poly, hessian_bound = fastdet._det_one_prime, dc.det_poly, dc.hessian_bound
+    norm_bound = fastdet.coefficient_norm_bound
 
     def recording_prime(*args):
         primes.append(args[5])
         return one_prime(*args)
+
+    def recording_norm_bound(coeff_int):
+        bound = norm_bound(coeff_int)
+        bits.append(bound.bit_length())
+        return bound
 
     def recording_det(matrix):
         det = det_poly(matrix)
@@ -130,12 +139,14 @@ def test_criterion_4_hessian_column(monkeypatch, capsys):
 
     def recording_bound(c, *args):
         primes.clear()
+        bits.clear()
         digests.clear()
         bound = hessian_bound(c, *args)
-        runs.append((c, bound, list(primes), list(digests)))
+        runs.append((c, bound, list(primes), list(bits), list(digests)))
         return bound
 
     monkeypatch.setattr(fastdet, "_det_one_prime", recording_prime)
+    monkeypatch.setattr(fastdet, "coefficient_norm_bound", recording_norm_bound)
     monkeypatch.setattr(dc, "det_poly", recording_det)
     monkeypatch.setattr(dc, "hessian_bound", recording_bound)
     with _Criterion(4, "degree-16 determinant condition at c in {7, 9.75, 12}",
@@ -144,11 +155,13 @@ def test_criterion_4_hessian_column(monkeypatch, capsys):
                                  "--with-hessian", "--sweep", "7,39/4,12", "--tol", "1e-9")
         assert (code, err) == (EXIT_OK, "")
         assert out == (GOLDEN / "neighborhood_hessian.kv").read_text(encoding="utf-8")
-        assert [c for c, _, _, _ in runs] == list(PUBLISHED_IV)
-        for c, bound, used, digest in runs:
+        assert [c for c, *_ in runs] == list(PUBLISHED_IV)
+        for c, bound, used, bound_bits, digest in runs:
             assert (bound.display, bound.certified) == PUBLISHED_IV[c], f"c={c}"
             assert bound.detail == {"det_degree": 16, "det_terms": 374459}
             assert len(used) == PRIMES_IV[c]
+            # one bound per determinant, the one that chose the primes
+            assert bound_bits == [BOUND_BITS_IV[c]], f"c={c}"
             assert all(p % 8 == 7 for p in used)
             # every coefficient of the determinant, not only its radius
             assert digest == [DET_DIGESTS["iv"][str(c)]], f"c={c}"

@@ -1,13 +1,13 @@
 """The modular determinant engine must agree with the direct term-level
 expansion everywhere, its residues must agree with the Laplace subset
 kernel kept here as the oracle, that kernel must agree with a plain-Python
-reference, the permanent branch of the certified bound must be the
-permanent that the Laplace plan computes, both branches must cover every
-coefficient, the rescaling must follow its fixed rule, the degree caps that
-cut the grid must be the maxima over all permutations, the evaluation
-check must catch a wrong coefficient or a cap set too low, and the
-determinants of condition (iv)'s 4- and 6-variable sections must keep every
-coefficient (their digests in `golden/det_digests.json`)."""
+reference, the certified bound must cover every coefficient, the rescaling
+must follow its fixed rule, the degree caps that cut the grid must be the
+maxima over all permutations, the evaluation check must catch a wrong
+coefficient or a cap set too low, and the determinants of condition (iv)'s
+4- and 6-variable sections must keep every coefficient (their digests in
+`golden/det_digests.json`) and their bound traffic: rescaling, bound bits
+and primes."""
 
 import hashlib
 import inspect
@@ -35,7 +35,6 @@ from widthcert.fastdet import (
     _hadamard_bound,
     _is_prime,
     _live_slots,
-    _permanent_bound,
     _prime_limit,
     _setup,
     _split_primes_below,
@@ -203,16 +202,13 @@ def _zoomed_matrix(rng, n, nvars, zoom=4):
 
 
 def assert_bound_covers_the_laplace_determinant(M):
-    # irrational entries: both parts of most coefficients are nonzero; each
-    # branch of the min covers the true largest part on its own
+    # irrational entries: both parts of most coefficients are nonzero, and
+    # the bound covers the larger of them
     shared = _setup(M)[0]
     true_max = max((max(abs(a), abs(b)) for a, b in scaled_determinant(shared).values()),
                    default=0)
-    norms, plus, minus = _entry_sums(shared[4]).sum(axis=3)
-    assert true_max <= _permanent_bound(norms)
-    assert true_max <= _hadamard_bound(plus, minus)
-    assert coefficient_norm_bound(shared[4]) == min(_permanent_bound(norms),
-                                                    _hadamard_bound(plus, minus))
+    plus, minus = _entry_sums(shared[4]).sum(axis=3)
+    assert true_max <= _hadamard_bound(plus, minus) == coefficient_norm_bound(shared[4])
 
 
 def test_norm_bound_dominates_small_case():
@@ -238,28 +234,13 @@ def _constant_tensor(rows):
     return np.array([[[pair] for pair in row] for row in rows], dtype=object)
 
 
-def test_each_branch_of_the_bound_can_be_the_smaller():
-    # [[1, 1], [0, 1]]: the permanent 1 against Hadamard's sqrt2, rounded up
-    upper = _constant_tensor([[(1, 0), (1, 0)], [(0, 0), (1, 0)]])
-    norms, plus, minus = _entry_sums(upper).sum(axis=3)
-    assert (_permanent_bound(norms), _hadamard_bound(plus, minus)) == (1, 2)
-    assert coefficient_norm_bound(upper) == 1
-    # all ones, 4 x 4: the permanent 4! = 24 against Hadamard's 2^4 = 16,
-    # which the enclosure's + 1 lifts to 17
-    ones = _constant_tensor([[(1, 0)] * 4] * 4)
-    norms, plus, minus = _entry_sums(ones).sum(axis=3)
-    assert (_permanent_bound(norms), _hadamard_bound(plus, minus)) == (24, 17)
-    assert coefficient_norm_bound(ones) == 17
-
-
 @pytest.mark.parametrize("a,b", [(99, -70), (-99, 70), (-577, 408), (3363, -2378), (0, 5),
                                  (7, 0), (0, 0)])
 def test_sqrt2_enclosure_is_exact_on_near_cancelling_parts(a, b):
     # a + b*sqrt2 and a - b*sqrt2 near 0 (a unit and its conjugate): each
     # enclosure is at least 2^F times the exact absolute value and less
     # than that plus 2|b| + 1
-    norm, plus, minus = (int(x) for x in _entry_sums(_constant_tensor([[(a, b)]])).ravel())
-    assert norm == abs(a) + 2 * abs(b)
+    plus, minus = (int(x) for x in _entry_sums(_constant_tensor([[(a, b)]])).ravel())
     for enclosure, exact in ((plus, abs(QSqrt2(a, b))), (minus, abs(QSqrt2(a, -b)))):
         exact = exact * 2**_SQRT2_BITS
         assert exact <= enclosure < exact + 2 * abs(b) + 1
@@ -269,7 +250,7 @@ def test_sqrt2_enclosure_is_exact_on_near_cancelling_parts(a, b):
     bound = coefficient_norm_bound(_constant_tensor([[(a, b)]]))
     assert max(abs(a), abs(b)) <= bound <= max(abs(a), isqrt(2 * b * b)) + 2
     if a and b:
-        assert bound < norm
+        assert bound < abs(a) + 2 * abs(b)
 
 
 @pytest.mark.parametrize("seed,n,nvars,zoom", [(51, 3, 2, 4), (52, 4, 2, 4), (53, 3, 3, 8),
@@ -433,6 +414,20 @@ def test_hessian_determinant_uses_the_fewest_primes(keep_vars, bits, count):
     _assert_fewest_primes(primes, bound, below)
 
 
+@pytest.mark.parametrize("keep_vars,c,k,bits,count", [
+    (4, Fr(7), 2, 97, 4), (6, Fr(7), 2, 102, 4),
+    (4, Fr(39, 4), 2, 112, 4), (6, Fr(39, 4), 2, 117, 4),
+    (4, Fr(12), 2, 80, 3), (6, Fr(12), 2, 85, 3),
+])
+def test_section_bound_traffic(keep_vars, c, k, bits, count):
+    # the rescaling, the bound's bits and the primes `_setup` takes for the
+    # sections at the three published weights; only the set-up runs
+    shared, primes, got_k = _setup(hessian_section(keep_vars, c))[:3]
+    assert got_k == k
+    assert coefficient_norm_bound(shared[4]).bit_length() == bits
+    assert len(primes) == count
+
+
 def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
     # outputs carry a pad column, as in the determinant, so rows are strided
     nsub, size_k = coeff_a.shape[0], maps.shape[1]
@@ -506,44 +501,6 @@ def _laplace_plan(n):
                        np.array([(-1) ** (k - 1 + t) for t in range(k)], dtype=np.int64)))
         prev_index = {s: i for i, s in enumerate(subsets)}
     return tuple(levels)
-
-
-def laplace_permanent(norms):
-    """The permanent of a square matrix of Python ints, by the Laplace plan
-    with every sign taken as +1: the oracle of `coefficient_norm_bound`."""
-    norms = np.array(norms, dtype=object)
-    value = np.ones(1, dtype=object)
-    for k, (src_rows, cols, _) in enumerate(_laplace_plan(len(norms))):
-        value = (norms[k][cols] * value[src_rows]).sum(axis=1)
-    return int(value[0])
-
-
-def _random_coefficients(rng, n):
-    """An integer coefficient tensor (n, n, 3 monomials, (a, b)) with zero
-    entries and, now and then, a whole row of them."""
-    zero_row = rng.randrange(n) if rng.random() < 0.3 else None
-    coeff_int = np.zeros((n, n, 3, 2), dtype=object)
-    for i, j in product(range(n), repeat=2):
-        if i != zero_row and rng.random() >= 0.25:
-            for t in range(rng.randint(1, 3)):
-                coeff_int[i, j, t] = rng.randint(-9, 9), rng.randint(-9, 9)
-    return coeff_int
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_norm_bound_is_the_laplace_permanent(n):
-    rng = random.Random(70 + n)
-    for _ in range(20):
-        coeff_int = _random_coefficients(rng, n)
-        norms = [[sum(abs(a) + 2 * abs(b) for a, b in entry) for entry in row]
-                 for row in coeff_int.tolist()]
-        sums = _entry_sums(coeff_int).sum(axis=3)
-        assert sums[0].tolist() == norms
-        assert _permanent_bound(sums[0]) == laplace_permanent(norms)
-        assert coefficient_norm_bound(coeff_int) <= laplace_permanent(norms)
-    # all ones: the permanent is n!
-    ones = np.ones((n, n), dtype=object)
-    assert _permanent_bound(ones) == prod(range(1, n + 1))
 
 
 def shift_map(table, nq):

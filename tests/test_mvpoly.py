@@ -7,7 +7,6 @@ from widthcert.exactnum import QSqrt2
 from widthcert.mvpoly import (
     LinearSubstitution,
     MvPoly,
-    UniPoly,
     cauchy_companion,
     companion_root_enclosure,
     graded_lex_key,
@@ -413,13 +412,13 @@ def test_graded_lex_order_on_serialization():
 def test_companion_linear_example():
     f = x(0) + x(1) - const(1)
     f0 = cauchy_companion(f)
-    assert f0 == UniPoly([QSqrt2(-1), QSqrt2(2)])
+    assert f0 == (QSqrt2(-1), QSqrt2(2))
 
 
 def test_companion_with_sqrt2_coefficients():
     f = (x(0) * x(1)).scale(3) - x(0).scale(QSqrt2(0, 1)) - const(1)
     f0 = cauchy_companion(f)
-    assert f0 == UniPoly([QSqrt2(-1), QSqrt2(0, 1), QSqrt2(3)])
+    assert f0 == (QSqrt2(-1), QSqrt2(0, 1), QSqrt2(3))
 
 
 def _companion_per_term(f):
@@ -428,7 +427,7 @@ def _companion_per_term(f):
     for m, c in f.terms.items():
         out[sum(m)] = out[sum(m)] + abs(c)
     out[0] = -abs(f.constant_term())
-    return UniPoly(out)
+    return tuple(out)
 
 
 def test_companion_matches_the_per_term_sum():
@@ -454,14 +453,16 @@ def test_companion_rejects_zero_constant():
 
 
 def test_root_bound_linear():
-    f0 = UniPoly([QSqrt2(-1), QSqrt2(2)])
+    f0 = (QSqrt2(-1), QSqrt2(2))
     r = companion_root_enclosure(f0, Fr(1, 10**7))[0]
     assert Fr("0.4999999") <= r < Fr(1, 2)
+    # trailing zero coefficients are dropped, not read as the leading one
+    assert companion_root_enclosure(f0 + (QSqrt2(0),) * 2) == companion_root_enclosure(f0)
 
 
 def test_root_bound_quadratic_against_closed_form():
     # x^2 + 3x - 2 has positive root (-3 + sqrt(17))/2
-    f0 = UniPoly([QSqrt2(-2), QSqrt2(3), QSqrt2(1)])
+    f0 = (QSqrt2(-2), QSqrt2(3), QSqrt2(1))
     lo, hi = companion_root_enclosure(f0, Fr(1, 10**9))
     # closed-form check: the root r satisfies r^2 + 3r - 2 = 0
     assert (lo * lo + 3 * lo - 2) < 0 <= (hi * hi + 3 * hi - 2)
@@ -470,43 +471,50 @@ def test_root_bound_quadratic_against_closed_form():
 
 def test_root_bound_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        companion_root_enclosure(UniPoly([QSqrt2(1), QSqrt2(1)]))  # positive constant
+        companion_root_enclosure((QSqrt2(1), QSqrt2(1)))  # positive constant
     with pytest.raises(ValueError):
-        companion_root_enclosure(UniPoly([QSqrt2(-1), QSqrt2(-1), QSqrt2(1)]))
+        companion_root_enclosure((QSqrt2(-1), QSqrt2(-1), QSqrt2(1)))
 
 
 @pytest.mark.parametrize("tol", [Fr(0), Fr(-1, 10**7)])
 def test_root_bound_rejects_nonpositive_tolerance(tol):
     # the bisection would never reach a width of 0 or below
     with pytest.raises(ValueError, match="tolerance must be positive"):
-        companion_root_enclosure(UniPoly([QSqrt2(-1), QSqrt2(1)]), tol)
+        companion_root_enclosure((QSqrt2(-1), QSqrt2(1)), tol)
 
 
 def test_root_bound_bracket_grows_when_needed():
     # root is 100: the seeded upper bracket is too small and must be grown
-    f0 = UniPoly([QSqrt2(-100), QSqrt2(1)])
+    f0 = (QSqrt2(-100), QSqrt2(1))
     r = companion_root_enclosure(f0, Fr(1, 10**4))[0]
     assert Fr(100) - Fr(1, 10**4) <= r < Fr(100)
 
 
+def horner(coeffs, x):
+    """The value at x of the polynomial with `coeffs` by ascending degree."""
+    total = QSqrt2(0)
+    for c in reversed(coeffs):
+        total = total * QSqrt2(x) + c
+    return total
+
+
 def fraction_bisection(f0, tol):
-    """The bisection on `Fraction` midpoints, each decided by
-    `UniPoly.evaluate`: the oracle of `companion_root_enclosure`'s
-    brackets, for companions of the valid shape."""
+    """The bisection on `Fraction` midpoints, each decided by `horner` on
+    `QSqrt2` values: the oracle of `companion_root_enclosure`'s brackets,
+    for companion coefficient tuples of the valid shape."""
     tol = Fr(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    coeffs = f0.coeffs
     total = QSqrt2(0)
-    for c in coeffs[1:]:
+    for c in f0[1:]:
         total = total + c
-    hi = 1 + (total / abs(coeffs[0])).enclosure(Fr(1, 4)).hi
-    while f0.evaluate(hi).sign() <= 0:
+    hi = 1 + (total / abs(f0[0])).enclosure(Fr(1, 4)).hi
+    while horner(f0, hi).sign() <= 0:
         hi = 2 * hi + 1
     lo = Fr(0)
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if f0.evaluate(mid).sign() < 0:
+        if horner(f0, mid).sign() < 0:
             lo = mid
         else:
             hi = mid
@@ -519,7 +527,7 @@ def _random_companion(rng, degree):
                       Fr(rng.randint(0, 5), rng.choice((1, 2, 5))))
     coeffs = [-(scalar() or QSqrt2(1))] + [rng.choice((QSqrt2(0), scalar())) for _ in range(degree)]
     coeffs[-1] = coeffs[-1] or QSqrt2(Fr(1, 3), 1)
-    return UniPoly(coeffs)
+    return tuple(coeffs)
 
 
 def test_root_bound_matches_the_fraction_bisection():
@@ -534,12 +542,12 @@ def test_root_bound_matches_the_fraction_bisection():
 def test_root_bound_with_the_root_at_a_midpoint():
     # -1 + x + 2x^2 = (2x - 1)(x + 1): the bracket is [0, 4] and the third
     # midpoint, 1/2, is the root, where the companion is exactly 0
-    f0 = UniPoly([QSqrt2(-1), QSqrt2(1), QSqrt2(2)])
+    f0 = (QSqrt2(-1), QSqrt2(1), QSqrt2(2))
     lo, hi = companion_root_enclosure(f0, Fr(1, 10**7))
     assert (lo, hi) == fraction_bisection(f0, Fr(1, 10**7))
     assert hi == Fr(1, 2) and lo < hi
     # with the root 1 = 2/2 the first midpoint already hits it
-    f0 = UniPoly([QSqrt2(-1), QSqrt2(1)])
+    f0 = (QSqrt2(-1), QSqrt2(1))
     assert companion_root_enclosure(f0, Fr(1, 10**5)) == fraction_bisection(f0, Fr(1, 10**5))
     assert companion_root_enclosure(f0, Fr(1, 10**5))[1] == 1
 
