@@ -267,13 +267,8 @@ def _times_vector(adj: PolyMatrix, u) -> list[MvPoly]:
 def check_dependence(grads: list[list[QSqrt2]], multipliers) -> bool:
     """Exact test that the multiplier combination of the gradients vanishes
     and that the gradients span a rank-5 space."""
-    combo = [QS2_ZERO] * len(grads[0])
-    for lam, g in zip(multipliers, grads):
-        for k in range(len(g)):
-            combo[k] = combo[k] + QSqrt2.coerce(lam) * g[k]
-    if any(combo):
-        return False
-    return rank(grads) == 5
+    combo = QMatrix(grads).transpose().apply(multipliers)
+    return not any(combo) and rank(grads) == 5
 
 
 #: the six gradient vectors of the deficit polynomials at 0, pinned as
@@ -399,13 +394,6 @@ class SCoords:
         each monomial is expanded once for all the polynomials rewritten here:
         the pipeline's linear parts, adjugate and Hessian entries."""
         return p.substitute_linear(self._t_of_s)
-
-    def s_of_facet_displacement(self, i: int, t1, t2) -> tuple[QSqrt2, QSqrt2]:
-        """(s^h_i, s^v_i) of an in-facet displacement (t_i1, t_i2)."""
-        t1, t2 = QSqrt2.coerce(t1), QSqrt2.coerce(t2)
-        sh = self.s_from_t.rows[2 * i][2 * i] * t1 + self.s_from_t.rows[2 * i][2 * i + 1] * t2
-        sv = self.s_from_t.rows[2 * i + 1][2 * i] * t1 + self.s_from_t.rows[2 * i + 1][2 * i + 1] * t2
-        return sh, sv
 
 
 class SymmetryCheck(NamedTuple):
@@ -681,10 +669,12 @@ def det_orientation_bound() -> RadiusBound:
     pl = get_pipeline()
     radius = QSqrt2(Fraction(-1, 4), Fraction(1, 4))  # (sqrt2 - 1)/4
 
-    # all four facet points sit at the same (s^h, s^v) by symmetry; verify
+    # all four facet points sit at the same (s^h, s^v) by symmetry; verify.
+    # s_from_t is block-diagonal, so pair i of s depends on t_i1, t_i2 alone
     sh0, sv0 = QSqrt2(Fraction(1, 2), Fraction(-1, 4)), QSqrt2(0, Fraction(1, 4))
-    for i, pt in enumerate(pl.model.facet_points):
-        if pl.scoords.s_of_facet_displacement(i, pt[0], pt[1]) != (sh0, sv0):
+    s = pl.scoords.s_from_t.apply([x for pt in pl.model.facet_points for x in pt[:2]])
+    for i in range(4):
+        if s[2 * i:2 * i + 2] != (sh0, sv0):
             raise CertificationError(f"facet point {i} is not at the base facet coordinates")
 
     corners_ok = []

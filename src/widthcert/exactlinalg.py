@@ -188,15 +188,10 @@ def restrict_quadratic_form(H: QMatrix, basis: Sequence[Sequence]) -> QMatrix:
     """B^T H B for the matrix B whose columns are the basis vectors."""
     if not H.is_symmetric():
         raise ValueError("quadratic form restriction requires a symmetric matrix")
-    vecs = [_coerce_vector(v) for v in basis]
-    if any(len(v) != H.nrows for v in vecs):
+    rows = QMatrix(basis)
+    if rows.ncols != H.nrows:
         raise ValueError("basis vector dimension mismatch")
-    images = [H.apply(v) for v in vecs]
-    return QMatrix([
-        [sum((vecs[i][k] * images[j][k] for k in range(H.nrows)), QS2_ZERO)
-         for j in range(len(vecs))]
-        for i in range(len(vecs))
-    ])
+    return rows.matmul(H).matmul(rows.transpose())
 
 
 def is_negative_definite(H: QMatrix) -> bool:

@@ -158,11 +158,13 @@ class _MonomialTable:
     form a lower set (alpha in it and beta <= alpha componentwise put beta
     in it); without caps they are the whole simplex.  Row alpha is also the
     grid point a + alpha of the interpolation, whose difference steps
-    `newton_steps` holds."""
+    `newton_steps` holds.  A key is an int64 with the total above nvars
+    `_EXP_BITS`-bit exponent fields, so it needs maxdeg < 2^_EXP_BITS and
+    _EXP_BITS * nvars + maxdeg.bit_length() <= 63 bits: 53 for (8, 16)."""
 
     def __init__(self, nvars: int, maxdeg: int, caps: tuple = ()):
-        if maxdeg >= (1 << _EXP_BITS):
-            raise ValueError("degree too large for packed keys")
+        if maxdeg >= (1 << _EXP_BITS) or _EXP_BITS * nvars + maxdeg.bit_length() > 63:
+            raise ValueError(f"degree {maxdeg} in {nvars} variables overflows packed keys")
         self.nvars = nvars
         self.maxdeg = maxdeg
         self.caps = caps

@@ -12,9 +12,9 @@ The ring operations normalize once per result term.  A sum, difference,
 product, linear combination or linear substitution brings its operands'
 coefficients to one common denominator D, adds up the Python-int
 numerators (A, B) of (A + B*sqrt2)/D per monomial, and makes each nonzero
-sum one canonical `QSqrt2` with `QSqrt2.from_ints`; `scale` and `partial`
-call `from_ints` once per term, and `graded_part` keeps its terms as they
-are.
+sum one canonical `QSqrt2` with `QSqrt2.from_ints`; `scale` is a linear
+combination of one polynomial, `partial` calls `from_ints` once per term,
+and `graded_part` keeps its terms as they are.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _numerators(terms: Mapping[Monomial, QSqrt2]) -> Numerators:
 def _combine(nvars: int, parts: Iterable[tuple[QSqrt2, int, list]]) -> "MvPoly":
     """sum_k c_k * P_k over parts (c_k, D_k, items_k), P_k the polynomial with
     numerators items_k over D_k: the one accumulation behind every ring
-    operation but `scale` and `partial`.  Every product is brought to the
+    operation but `partial`.  Every product is brought to the
     lcm D of the c_k.d * D_k, whose factor D / (c_k.d * D_k) the weight's
     numerators absorb; the sums are kept per monomial, and each nonzero sum
     becomes one `QSqrt2`."""
@@ -170,14 +170,7 @@ class MvPoly:
         return out
 
     def scale(self, c) -> "MvPoly":
-        c = QSqrt2.coerce(c)
-        if not c:
-            return MvPoly.zero(self.nvars)
-        ca, cb, cd = c.a, c.b, c.d
-        from_ints = QSqrt2.from_ints
-        return MvPoly._of_clean_terms(self.nvars, {
-            m: from_ints(ca * t.a + 2 * cb * t.b, ca * t.b + cb * t.a, cd * t.d)
-            for m, t in self.terms.items()})
+        return linear_combination(self.nvars, ((c, self),))
 
     def __eq__(self, other):
         if not isinstance(other, MvPoly):

@@ -243,7 +243,7 @@ def test_local_certificate_rejects_nonpositive_c():
 
 
 def test_scoords_of_base_facet_point(pipeline):
-    sh, sv = pipeline.scoords.s_of_facet_displacement(0, -1, -1)
+    sh, sv = pipeline.scoords.s_from_t.apply([-1, -1] + [0] * 6)[:2]
     assert sh == QSqrt2(Fr(1, 2), Fr(-1, 4))  # (2 - sqrt2)/4
     assert sv == QSqrt2(0, Fr(1, 4))          # sqrt2/4
 
@@ -296,7 +296,7 @@ def test_barycentric_relation_of_facet_coordinates(pipeline):
         # barycentric relative to the facet triangle, via the full simplex
         bary = barycentric_coordinates(point, model.polytope)
         assert bary[0] == QS2_ZERO
-        sh, sv = pipeline.scoords.s_of_facet_displacement(0, base[0] + t1, base[1] + t2)
+        sh, sv = pipeline.scoords.s_from_t.apply([base[0] + t1, base[1] + t2] + [0] * 6)[:2]
         assert sv == bary[2]
         assert sh == bary[3] - bary[1]
 
@@ -338,7 +338,7 @@ def test_radius_bounds_do_not_share_their_detail():
 def test_orientation_corner_becomes_infeasible_with_slack():
     # radius (sqrt2-1)/4 + 1/100 pushes a corner outside the middle triangle
     pl = dc.get_pipeline()
-    sh0, sv0 = pl.scoords.s_of_facet_displacement(0, -1, -1)
+    sh0, sv0 = pl.scoords.s_from_t.apply([-1, -1] + [0] * 6)[:2]
     rho = QSqrt2(Fr(-1, 4), Fr(1, 4)) + Fr(1, 100)
     violated = False
     for ds in (-rho, rho):

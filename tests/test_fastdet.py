@@ -4,7 +4,8 @@ kernel kept here as the oracle, that kernel must agree with a plain-Python
 reference, the certified bound must cover every coefficient, the rescaling
 must follow its fixed rule, the degree caps that cut the grid must be the
 maxima over all permutations, the evaluation check must catch a wrong
-coefficient or a cap set too low, and the determinants of condition (iv)'s
+coefficient or a cap set too low, a table whose packed keys would overflow
+int64 must be refused, and the determinants of condition (iv)'s
 4- and 6-variable sections must keep every coefficient (their digests in
 `golden/det_digests.json`) and their bound traffic: rescaling, bound bits
 and primes."""
@@ -24,7 +25,7 @@ import pytest
 
 from widthcert import _kernels, fastdet
 from widthcert.exactnum import QSqrt2
-from widthcert.exactlinalg import PolyMatrix, det_field
+from widthcert.exactlinalg import PolyMatrix, det_field, det_poly
 from widthcert.fastdet import (
     _OFFSET,
     _MonomialTable,
@@ -120,6 +121,41 @@ def test_monomial_table_rows_are_the_cut_simplex(nvars, maxdeg):
         assert [tuple(m) for m in table.exps.tolist()] == want
         assert table.totals.tolist() == [sum(m) for m in want]
         assert table.size_up_to == [sum(sum(m) <= d for m in want) for d in range(maxdeg + 1)]
+
+
+@pytest.mark.parametrize("nvars,maxdeg", [(11, 4), (10, 8)])
+def test_monomial_table_refuses_keys_past_int64(nvars, maxdeg):
+    # (11, 4) needs 69 bits; (10, 8) needs 64, and its degree-8 keys would
+    # wrap to negative numbers with every difference still positive
+    with pytest.raises(ValueError, match="overflows packed keys"):
+        _MonomialTable(nvars, maxdeg)
+
+
+def test_monomial_table_fills_63_key_bits(monkeypatch):
+    table = _MonomialTable(10, 7)
+    assert len(table.keys) == comb(17, 7)
+    assert table.keys[0] == 0 and np.all(np.diff(table.keys) > 0)
+
+    # the grids of condition (iv) and of the weight as a ninth variable (53
+    # and 59 bits) pass the width check; stop each before its rows are built
+    class Admitted(Exception):
+        pass
+
+    def admitted(maxdeg, top):
+        raise Admitted
+
+    monkeypatch.setattr(fastdet, "_gen_exponents", admitted)
+    for nvars in (8, 9):
+        with pytest.raises(Admitted):
+            _MonomialTable(nvars, 16)
+
+
+def test_determinant_refuses_a_grid_past_int64():
+    # 4 x 4 with entries of degree 2 in 10 variables: a grid of degree 8
+    M = _random_poly_matrix(random.Random(12), 4, 10, density=0.2)
+    assert M.max_entry_degree() == 2
+    with pytest.raises(ValueError, match="overflows packed keys"):
+        det_poly(M)
 
 
 def test_primes_are_prime_and_descending():
@@ -426,6 +462,28 @@ def test_section_bound_traffic(keep_vars, c, k, bits, count):
     assert got_k == k
     assert coefficient_norm_bound(shared[4]).bit_length() == bits
     assert len(primes) == count
+
+
+def test_rescaling_of_the_matrix_lifted_by_the_weight(pipeline):
+    # c*A(s) + B(s) with c a ninth variable, read as `_setup` reads it but
+    # without its 1.88M-row grid: the search takes k = 1 and 4 primes, where
+    # the next k would take 5
+    A, B = pipeline.hessian_parts
+    lifted = [[MvPoly(9, {**{m + (1,): x for m, x in a.terms.items()},
+                          **{m + (0,): x for m, x in b.terms.items()}})
+               for a, b in zip(row_a, row_b)] for row_a, row_b in zip(A.rows, B.rows)]
+    entry_table, coeff_int, scale = read_tensor(PolyMatrix(lifted))
+    assert (entry_table.nvars, entry_table.maxdeg, scale) == (9, 2, 1)
+    assert fastdet._rescaling(coeff_int, entry_table) == (1, 4)
+    traffic = []
+    for k in (1, 2):
+        weights = np.array([2 ** (k * (2 - d)) for d in entry_table.totals.tolist()],
+                           dtype=object)
+        tensor = coeff_int * weights[:, None]
+        g = gcd(*tensor.ravel().tolist())
+        bound = coefficient_norm_bound(tensor // g)
+        traffic.append((g, bound.bit_length(), len(crt_primes(bound, 1 << 31))))
+    assert traffic == [(4, 119, 4), (4, 125, 5)]
 
 
 def _run_level(prev_a, prev_b, maps, coeff_a, coeff_b, src_rows, p):
